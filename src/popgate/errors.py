@@ -34,4 +34,5 @@ class AccountingError(PopgateError):
 
 
 class IndexFormatError(PopgateError):
-    """Persisted index file has a bad magic header or unsupported version."""
+    """Persisted index file is not an index, has an unsupported version, or is
+    truncated or internally inconsistent."""

@@ -3,27 +3,51 @@
 Tokenization is lowercase Unicode letter/digit runs (no stemming, no stopword
 removal) so that rankings are reproducible across environments. Ranking ties
 are broken by ascending doc_id to keep top-1 deterministic.
+
+The index keeps, for each term, the ascending positions of the documents that
+contain it and each document's precomputed BM25 impact (the term's whole
+contribution to that document's score). Search is an exact top-k that uses
+each term's largest impact as an upper bound (MaxScore, Turtle & Flood 1995)
+to stop reading posting lists once no unseen document can reach the k-th
+score; survivors are then rescored exactly, so scores are bit-identical to a
+full scan that sums impacts in query-token order.
 """
 
 from __future__ import annotations
 
+import heapq
+import json
 import math
 import re
+import struct
+import sys
+from array import array
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexFormatError, ValidationError
 from .evaluation import normalize_text
-from .util import atomic_write_bytes, dumps_stable, read_jsonl, write_jsonl
+from .util import atomic_writer, dumps_stable, read_jsonl, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 INDEX_MAGIC = b"PGIDX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+_HEADER_LENGTH = struct.Struct("<Q")
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
+
+# A bound is compared with the k-th partial score shrunk by this factor, so
+# that float rounding in partial sums can never prune a document that ties.
+_SLACK = 1.0 - 1e-9
+
+
+def _idf(doc_count: int, df: int) -> float:
+    return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
 def tokenize(text: str) -> list[str]:
@@ -57,6 +81,12 @@ class Bm25Index:
     IDF(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), which is strictly positive,
     so every document containing a query term scores above zero and all others
     are omitted from results.
+
+    Posting lists live in two flat arrays, term after term: ascending document
+    positions (int32) and the term's impact in each of those documents
+    (float64), idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).
+    `_postings` maps each term to its (start, end) slice of both arrays and
+    its largest impact.
     """
 
     def __init__(self, passages: Sequence[Passage], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
@@ -64,47 +94,120 @@ class Bm25Index:
             raise ValidationError("cannot index an empty passage list")
         if k1 < 0 or not 0 <= b <= 1:
             raise ValidationError(f"bad BM25 parameters k1={k1}, b={b}")
+        by_id: dict[str, Passage] = {}
+        lengths: list[int] = []
+        # term -> [pos, tf, pos, tf, ...] in ascending document position
+        raw: dict[str, list[int]] = {}
+        for pos, passage in enumerate(passages):
+            if passage.doc_id in by_id:
+                raise ValidationError(f"duplicate doc_id {passage.doc_id!r}")
+            by_id[passage.doc_id] = passage
+            tokens = tokenize(passage.text)
+            lengths.append(len(tokens))
+            for tok, tf in Counter(tokens).items():
+                entry = raw.get(tok)
+                if entry is None:
+                    raw[tok] = [pos, tf]
+                else:
+                    entry += (pos, tf)
+        doc_count = len(by_id)
+        avgdl = sum(lengths) / doc_count
+        # The document-length part of the BM25 denominator, once per document;
+        # without a single token in the corpus there is no posting to score.
+        norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths] if avgdl else []
+        k1_plus_1 = k1 + 1.0
+        docs, impacts = array("i"), array("d")
+        postings: dict[str, tuple[int, int, float]] = {}
+        for term, entry in raw.items():
+            term_docs = entry[0::2]
+            df = len(term_docs)
+            idf = _idf(doc_count, df)
+            term_impacts = [
+                idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in zip(term_docs, entry[1::2])
+            ]
+            postings[term] = (len(docs), len(docs) + df, max(term_impacts))
+            docs.extend(term_docs)
+            impacts.extend(term_impacts)
+        self._assemble(by_id, k1, b, avgdl, docs, impacts, postings)
+
+    def _assemble(
+        self,
+        passages: dict[str, Passage],
+        k1: float,
+        b: float,
+        avg_doc_length: float,
+        docs: array,
+        impacts: array,
+        postings: dict[str, tuple[int, int, float]],
+    ) -> None:
         self.k1 = k1
         self.b = b
-        self.passages: dict[str, Passage] = {}
-        self.postings: dict[str, list[tuple[str, int]]] = {}
-        self.doc_lengths: dict[str, int] = {}
-        for passage in passages:
-            if passage.doc_id in self.passages:
-                raise ValidationError(f"duplicate doc_id {passage.doc_id!r}")
-            self.passages[passage.doc_id] = passage
-            tokens = tokenize(passage.text)
-            self.doc_lengths[passage.doc_id] = len(tokens)
-            counts: dict[str, int] = {}
-            for tok in tokens:
-                counts[tok] = counts.get(tok, 0) + 1
-            for tok, tf in counts.items():
-                self.postings.setdefault(tok, []).append((passage.doc_id, tf))
-        self.doc_count = len(self.passages)
-        self.avg_doc_length = sum(self.doc_lengths.values()) / self.doc_count
+        self.passages = passages
+        self.doc_count = len(passages)
+        self.avg_doc_length = avg_doc_length
+        self._doc_ids = list(passages)
+        self._docs = docs
+        self._impacts = impacts
+        self._postings = postings
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        return math.log(1.0 + (self.doc_count - df + 0.5) / (df + 0.5))
+        start, end, _ = self._postings.get(term, (0, 0, 0.0))
+        return _idf(self.doc_count, end - start)
 
     def search(self, query: str, k: int = 1) -> list[SearchHit]:
-        """Top-k passages by BM25 score; ties broken by ascending doc_id."""
+        """Top-k passages by BM25 score; ties broken by ascending doc_id.
+
+        Terms are read in descending order of their bound (query count times
+        largest impact) while the bounds of the unread terms can still lift an
+        unseen document to the k-th partial score. Documents whose partial
+        score plus that remaining bound falls short are dropped, and the rest
+        are rescored exactly in query-token order.
+        """
         if k <= 0:
             raise ValidationError("k must be positive")
-        scores: dict[str, float] = {}
-        for term in tokenize(query):
-            postings = self.postings.get(term)
-            if not postings:
+        postings, docs, impacts = self._postings, self._docs, self._impacts
+        tokens = [tok for tok in tokenize(query) if tok in postings]
+        if not tokens:
+            return []
+        counts: dict[str, int] = {}
+        for tok in tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+        order = sorted(
+            [(count * postings[term][2], term) for term, count in counts.items()], reverse=True
+        )
+        bounds = [bound for bound, _ in order]
+        partial: dict[int, float] = {}
+        theta = 0.0  # k-th largest partial score, a lower bound on the k-th score
+        rest = sum(bounds)  # bound on what the terms not yet read can add
+        for i, (_, term) in enumerate(order):
+            if rest < theta * _SLACK:
+                break
+            count = counts[term]
+            start, end, _ = postings[term]
+            get = partial.get
+            for d, w in zip(docs[start:end], impacts[start:end]):
+                partial[d] = get(d, 0.0) + count * w
+            rest = sum(bounds[i + 1 :])
+            if k == 1:  # what nlargest(1, ...) computes, without its call overhead
+                theta = max(partial.values())
+            elif len(partial) >= k:
+                theta = heapq.nlargest(k, partial.values())[-1]
+        floor = theta * _SLACK - rest
+        spans = [postings[tok] for tok in tokens]
+        scored = []
+        for d, estimate in partial.items():
+            if estimate < floor:
                 continue
-            idf = self.idf(term)
-            for doc_id, tf in postings:
-                dl = self.doc_lengths[doc_id]
-                denom = tf + self.k1 * (1.0 - self.b + self.b * dl / self.avg_doc_length)
-                scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (self.k1 + 1.0) / denom
-        ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+            score = 0.0
+            for start, end, _ in spans:
+                j = bisect_left(docs, d, start, end)
+                if j < end and docs[j] == d:
+                    score += impacts[j]
+            scored.append((-score, self._doc_ids[d]))
+        scored.sort()
         return [
-            SearchHit(doc_id=doc_id, score=score, rank=rank)
-            for rank, (doc_id, score) in enumerate(ranked, start=1)
+            SearchHit(doc_id=doc_id, score=-neg, rank=rank)
+            for rank, (neg, doc_id) in enumerate(scored[:k], start=1)
         ]
 
 
@@ -134,35 +237,138 @@ def recall_at_k(
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
-    """Persist corpus and parameters; postings are rebuilt on load."""
-    payload = {
-        "k1": index.k1,
-        "b": index.b,
-        "doc_count": index.doc_count,
-        "passages": [
-            {"doc_id": p.doc_id, "title": p.title, "text": p.text}
-            for p in index.passages.values()
-        ],
-    }
-    blob = INDEX_MAGIC + bytes([INDEX_VERSION]) + dumps_stable(payload).encode("utf-8")
-    atomic_write_bytes(path, blob)
+    """Persist corpus, parameters and posting lists in index format v2.
+
+    Layout: `PGIDX`, the version byte 2, the header length as a little-endian
+    uint64, a JSON header (k1, b, doc count, average document length,
+    passages, terms and each term's posting-list length), then the document
+    positions of every term as little-endian int32 and the impacts of every
+    term as little-endian float64, both in header term order. The parts are
+    streamed into the temp file that replaces `path`.
+    """
+    header = dumps_stable(
+        {
+            "k1": index.k1,
+            "b": index.b,
+            "doc_count": index.doc_count,
+            "avg_doc_length": index.avg_doc_length,
+            "passages": [
+                {"doc_id": p.doc_id, "title": p.title, "text": p.text}
+                for p in index.passages.values()
+            ],
+            "terms": list(index._postings),
+            "lengths": [end - start for start, end, _ in index._postings.values()],
+        }
+    ).encode("utf-8")
+    with atomic_writer(path) as fh:
+        fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]) + _HEADER_LENGTH.pack(len(header)))
+        fh.write(header)
+        for values in (index._docs, index._impacts):
+            if sys.byteorder == "big":
+                values = array(values.typecode, values)
+                values.byteswap()
+            values.tofile(fh)
 
 
 def load_index(path: str | Path) -> Bm25Index:
-    import json
-
+    """Read an index saved by `save_index`. Format v2 posting lists are read
+    back as stored; a format v1 file (passages only) is reindexed. A
+    truncated or inconsistent file raises IndexFormatError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(INDEX_MAGIC):
         raise IndexFormatError(f"{path}: not an index file (bad magic header)")
+    if len(blob) == len(INDEX_MAGIC):
+        raise IndexFormatError(f"{path}: truncated before the format version")
     version = blob[len(INDEX_MAGIC)]
-    if version != INDEX_VERSION:
-        raise IndexFormatError(f"{path}: unsupported index version {version}")
-    payload = json.loads(blob[len(INDEX_MAGIC) + 1 :].decode("utf-8"))
-    passages = [Passage(**row) for row in payload["passages"]]
-    index = Bm25Index(passages, k1=payload["k1"], b=payload["b"])
-    if index.doc_count != payload["doc_count"]:
+    body = memoryview(blob)[len(INDEX_MAGIC) + 1 :]
+    if version == 1:
+        return _load_v1(path, body)
+    if version == 2:
+        return _load_v2(path, body)
+    raise IndexFormatError(f"{path}: unsupported index version {version}")
+
+
+def _parse_header(path, data) -> dict:
+    try:
+        header = json.loads(bytes(data).decode("utf-8"))
+    except ValueError as exc:
+        raise IndexFormatError(f"{path}: truncated or corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise IndexFormatError(f"{path}: header is not a JSON object")
+    return header
+
+
+def _header_passages(path, header: dict) -> list[Passage]:
+    try:
+        passages = [Passage(**row) for row in header["passages"]]
+        doc_count = header["doc_count"]
+    except (KeyError, TypeError, ValidationError) as exc:
+        raise IndexFormatError(f"{path}: bad passages in header: {exc}") from exc
+    if len(passages) != doc_count:
         raise IndexFormatError(f"{path}: doc count mismatch")
+    return passages
+
+
+def _load_v1(path, body) -> Bm25Index:
+    header = _parse_header(path, body)
+    passages = _header_passages(path, header)
+    try:
+        return Bm25Index(passages, k1=header["k1"], b=header["b"])
+    except (KeyError, TypeError, ValidationError) as exc:
+        raise IndexFormatError(f"{path}: bad index payload: {exc}") from exc
+
+
+def _load_v2(path, body) -> Bm25Index:
+    size = _HEADER_LENGTH.size
+    if len(body) < size:
+        raise IndexFormatError(f"{path}: truncated before the header length")
+    (header_len,) = _HEADER_LENGTH.unpack(body[:size])
+    if len(body) < size + header_len:
+        raise IndexFormatError(f"{path}: truncated header")
+    header = _parse_header(path, body[size : size + header_len])
+    passages = _header_passages(path, header)
+    by_id = {p.doc_id: p for p in passages}
+    if len(by_id) != len(passages):
+        raise IndexFormatError(f"{path}: duplicate doc_id in header")
+    try:
+        k1, b, avgdl = header["k1"], header["b"], header["avg_doc_length"]
+        terms, lengths = header["terms"], header["lengths"]
+    except KeyError as exc:
+        raise IndexFormatError(f"{path}: header lacks {exc}") from exc
+    if not all(isinstance(x, (int, float)) for x in (k1, b, avgdl)):
+        raise IndexFormatError(f"{path}: bad BM25 parameters in header")
+    if not (
+        isinstance(terms, list)
+        and isinstance(lengths, list)
+        and len(terms) == len(lengths)
+        and all(isinstance(term, str) for term in terms)
+        and all(type(n) is int and n > 0 for n in lengths)
+    ):
+        raise IndexFormatError(f"{path}: bad term table in header")
+    docs, impacts = array("i"), array("d")
+    total = sum(lengths)
+    arrays = body[size + header_len :]
+    if len(arrays) != total * (docs.itemsize + impacts.itemsize):
+        raise IndexFormatError(
+            f"{path}: {len(arrays)} bytes of posting lists where the header lists {total} postings"
+        )
+    docs.frombytes(arrays[: total * docs.itemsize])
+    impacts.frombytes(arrays[total * docs.itemsize :])
+    if sys.byteorder == "big":
+        docs.byteswap()
+        impacts.byteswap()
+    if docs and not 0 <= min(docs) <= max(docs) < len(passages):
+        raise IndexFormatError(f"{path}: document position out of range")
+    postings: dict[str, tuple[int, int, float]] = {}
+    start = 0
+    for term, n in zip(terms, lengths):
+        postings[term] = (start, start + n, max(impacts[start : start + n]))
+        start += n
+    if len(postings) != len(terms):
+        raise IndexFormatError(f"{path}: duplicate term in header")
+    index = Bm25Index.__new__(Bm25Index)
+    index._assemble(by_id, k1, b, avgdl, docs, impacts, postings)
     return index
 
 

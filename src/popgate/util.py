@@ -8,8 +8,9 @@ import os
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, BinaryIO, Iterable, Iterator
 
 from .errors import ValidationError
 
@@ -19,14 +20,16 @@ def dumps_stable(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary file handle on a temp file in the same directory; renamed into
+    place when the block exits normally, removed when it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -34,6 +37,12 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write via a temp file in the same directory, then rename into place."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

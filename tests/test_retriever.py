@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from popgate.cli import main
 from popgate.errors import IndexFormatError, ValidationError
 from popgate.retriever import (
+    INDEX_MAGIC,
     Bm25Index,
     Passage,
     build_index,
@@ -15,6 +20,7 @@ from popgate.retriever import (
     save_index,
     tokenize,
 )
+from popgate.util import dumps_stable, write_jsonl
 
 from oracles import bm25_ranking, brute_force_bm25
 
@@ -43,10 +49,16 @@ class TestTokenize:
 
 class TestBuildIndex:
     def test_counting_example(self):
-        index = build_index([Passage("d1", "t", "a b a")])
-        assert index.doc_lengths == {"d1": 3}
-        assert index.postings["a"] == [("d1", 2)]
-        assert index.postings["b"] == [("d1", 1)]
+        passages = [Passage("d1", "t", "a b a"), Passage("d2", "t", "b c")]
+        index = build_index(passages)
+        assert index.doc_count == 2
+        assert index.idf("a") == math.log(1.0 + 1.5 / 1.5)
+        assert index.idf("b") == math.log(1.0 + 0.5 / 2.5)
+        assert index.idf("absent") == math.log(1.0 + 2.5 / 0.5)
+        for query in ("a", "b", "a b a", "c b"):
+            expected = brute_force_bm25(passages, query, 1.2, 0.75)
+            hits = index.search(query, k=2)
+            assert {h.doc_id: h.score for h in hits} == expected
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
@@ -68,6 +80,36 @@ class TestBuildIndex:
     def test_empty_text_rejected(self):
         with pytest.raises(ValidationError):
             Passage("d1", "t", "")
+
+
+WORDS = ("aa", "bb", "cc")
+UNIVERSAL = "the"
+RARE = "zyx"
+UNKNOWN = ("unknown", "nothing")
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """A corpus with duplicated passages, a near-universal term, one df=1
+    term and token-free passages, plus a query that may repeat tokens."""
+    texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=5), min_size=1, max_size=6))
+    texts += [texts[i] for i in draw(st.lists(st.integers(0, len(texts) - 1), max_size=4))]
+    without_universal = draw(st.integers(-1, len(texts) - 1))
+    texts = [
+        words + [UNIVERSAL] * draw(st.integers(1, 2)) if i != without_universal else words
+        for i, words in enumerate(texts)
+    ]
+    rare_at = draw(st.integers(0, len(texts) - 1))
+    texts[rare_at] = texts[rare_at] + [RARE]
+    doc_ids = draw(st.permutations([f"d{i:02d}" for i in range(len(texts))]))
+    passages = [
+        Passage(doc_id, "", " ".join(words) or "...") for doc_id, words in zip(doc_ids, texts)
+    ]
+    query = draw(
+        st.lists(st.sampled_from(WORDS + (UNIVERSAL, RARE) + UNKNOWN), min_size=1, max_size=6)
+    )
+    k1, b = draw(st.sampled_from([(1.2, 0.75), (0.0, 0.5), (2.0, 1.0), (1.2, 0.0)]))
+    return passages, " ".join(query), k1, b
 
 
 class TestSearch:
@@ -130,6 +172,19 @@ class TestSearch:
                     assert abs(hit.score - expected[hit.doc_id]) <= 1e-9
                 assert [h.doc_id for h in hits] == bm25_ranking(passages, query, 1.2, 0.75)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_cases())
+    def test_pruned_top_k_matches_brute_force_for_every_k(self, case):
+        passages, query, k1, b = case
+        index = build_index(passages, k1=k1, b=b)
+        expected = brute_force_bm25(passages, query, k1, b)
+        ranking = bm25_ranking(passages, query, k1, b)
+        for k in range(1, len(passages) + 1):
+            hits = index.search(query, k=k)
+            assert [h.doc_id for h in hits] == ranking[:k]
+            assert [h.score for h in hits] == [expected[doc_id] for doc_id in ranking[:k]]
+            assert index.search(" ".join(UNKNOWN), k=k) == []
+
     def test_new_doc_without_query_terms_never_becomes_a_hit(self):
         # Adding a document does shift BM25 scores (N and avgdl change), but it
         # must never enter the hit list nor evict a matching document.
@@ -175,6 +230,37 @@ class TestRecallAtK:
         assert recall_at_k(hits, passages, {"Walter Wanger"}, k=1) is True
 
 
+def small_corpus() -> list[Passage]:
+    return [
+        Passage("d1", "One", "cat sat on the mat"),
+        Passage("d2", "Two", "the cat cat ate"),
+        Passage("d3", "Three", "dog ran"),
+    ]
+
+
+def write_v1_index(passages, k1: float, b: float, path, doc_count: int | None = None) -> None:
+    """An index file in format v1: magic, version byte 1, passages as JSON."""
+    payload = {
+        "k1": k1,
+        "b": b,
+        "doc_count": len(passages) if doc_count is None else doc_count,
+        "passages": [{"doc_id": p.doc_id, "title": p.title, "text": p.text} for p in passages],
+    }
+    path.write_bytes(INDEX_MAGIC + bytes([1]) + dumps_stable(payload).encode("utf-8"))
+
+
+def split_v2(blob: bytes) -> tuple[dict, bytes]:
+    """The JSON header and the posting-list bytes of a saved v2 index."""
+    start = len(INDEX_MAGIC) + 1
+    length = int.from_bytes(blob[start : start + 8], "little")
+    return json.loads(blob[start + 8 : start + 8 + length]), blob[start + 8 + length :]
+
+
+def join_v2(header: dict, arrays: bytes) -> bytes:
+    encoded = dumps_stable(header).encode("utf-8")
+    return INDEX_MAGIC + bytes([2]) + len(encoded).to_bytes(8, "little") + encoded + arrays
+
+
 class TestSerialization:
     def test_round_trip_identical_results(self, tmp_path):
         rng = random.Random(7)
@@ -182,11 +268,26 @@ class TestSerialization:
         index = build_index(passages, k1=1.4, b=0.6)
         path = tmp_path / "corpus.pgidx"
         save_index(index, path)
+        assert path.read_bytes()[: len(INDEX_MAGIC) + 1] == INDEX_MAGIC + bytes([2])
         loaded = load_index(path)
         assert loaded.k1 == index.k1 and loaded.b == index.b
-        for _ in range(10):
-            query = " ".join(rng.choices(vocab, k=2))
-            assert loaded.search(query, k=10) == index.search(query, k=10)
+        assert loaded.avg_doc_length == index.avg_doc_length
+        assert loaded.passages == index.passages
+        for _ in range(30):
+            query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
+            for k in (1, 3, 10, 40):
+                assert loaded.search(query, k=k) == index.search(query, k=k)
+
+    def test_v1_file_loads_with_same_hits(self, tmp_path):
+        passages = small_corpus()
+        path = tmp_path / "v1.pgidx"
+        write_v1_index(passages, 1.4, 0.6, path)
+        loaded = load_index(path)
+        fresh = build_index(passages, k1=1.4, b=0.6)
+        assert (loaded.k1, loaded.b, loaded.doc_count) == (1.4, 0.6, 3)
+        for query in ("cat", "the cat", "cat the cat", "dog mat", "zebra", "the"):
+            for k in (1, 2, 3):
+                assert loaded.search(query, k=k) == fresh.search(query, k=k)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.pgidx"
@@ -199,3 +300,89 @@ class TestSerialization:
         path.write_bytes(b"PGIDX\x09{}")
         with pytest.raises(IndexFormatError, match="version"):
             load_index(path)
+
+    def test_magic_without_version_byte(self, tmp_path):
+        path = tmp_path / "bare.pgidx"
+        path.write_bytes(INDEX_MAGIC)
+        with pytest.raises(IndexFormatError, match="version"):
+            load_index(path)
+
+    def test_header_that_is_not_json(self, tmp_path):
+        path = tmp_path / "garbage.pgidx"
+        path.write_bytes(INDEX_MAGIC + bytes([2]) + (4).to_bytes(8, "little") + b"{{{{")
+        with pytest.raises(IndexFormatError, match="header"):
+            load_index(path)
+
+    def test_doc_count_mismatch(self, tmp_path):
+        path = tmp_path / "count.pgidx"
+        write_v1_index(small_corpus(), 1.2, 0.75, path, doc_count=4)
+        with pytest.raises(IndexFormatError, match="doc count"):
+            load_index(path)
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        header["doc_count"] = 4
+        path.write_bytes(join_v2(header, arrays))
+        with pytest.raises(IndexFormatError, match="doc count"):
+            load_index(path)
+
+    def test_lengths_disagreeing_with_array_bytes(self, tmp_path):
+        path = tmp_path / "lengths.pgidx"
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        header["lengths"][0] += 1
+        path.write_bytes(join_v2(header, arrays))
+        with pytest.raises(IndexFormatError, match="postings"):
+            load_index(path)
+
+    def test_doc_position_out_of_range(self, tmp_path):
+        path = tmp_path / "range.pgidx"
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        # Doc positions are the first 4 bytes per posting; make the last one 7.
+        end_of_docs = 4 * sum(header["lengths"])
+        arrays = arrays[: end_of_docs - 4] + (7).to_bytes(4, "little") + arrays[end_of_docs:]
+        path.write_bytes(join_v2(header, arrays))
+        with pytest.raises(IndexFormatError, match="out of range"):
+            load_index(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_every_truncation_is_an_index_format_error(self, tmp_path, capsys, version):
+        passages = small_corpus()
+        full = tmp_path / "full.pgidx"
+        if version == 1:
+            write_v1_index(passages, 1.2, 0.75, full)
+        else:
+            save_index(build_index(passages), full)
+        blob = full.read_bytes()
+        dataset = tmp_path / "dataset.jsonl"
+        write_jsonl(
+            dataset,
+            [
+                {
+                    "id": "S0:director",
+                    "question": "Who was the director of cat?",
+                    "answers": ["dog"],
+                    "subj": "cat",
+                    "subj_id": "S0",
+                    "relation": "director",
+                    "popularity": 100,
+                }
+            ],
+        )
+        cut = tmp_path / "cut.pgidx"
+        out = tmp_path / "run.jsonl"
+        capsys.readouterr()
+        for offset in range(len(blob)):
+            cut.write_bytes(blob[:offset])
+            with pytest.raises(IndexFormatError, match="cut.pgidx"):
+                load_index(cut)
+            code = main(
+                ["run", "--dataset", str(dataset), "--mode", "retrieval", "--oracle",
+                 "--index", str(cut), "--out", str(out)]
+            )
+            err = capsys.readouterr().err
+            assert code == 1, offset
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (offset, err)
+            assert not out.exists()
+        cut.write_bytes(blob)
+        assert load_index(cut).search("cat", k=3) == build_index(passages).search("cat", k=3)
