@@ -1,10 +1,15 @@
 """Adaptive retrieval: per-relation popularity thresholds deciding, per
 question, whether to take the retrieval-augmented or the parametric answer.
 
-Thresholds are tuned by brute force: the candidate set is the two infinite
+Thresholds are tuned exhaustively: the candidate set is the two infinite
 sentinels plus every midpoint between consecutive distinct popularities in
 the tuning split, evaluated independently per relation. At equal accuracy the
 smallest threshold wins, i.e. less retrieval.
+
+Each relation's rows are sorted by popularity once per tuning call. A repeat
+shuffles the relation's row positions, marks its tuning rows in a byte mask,
+and scores every candidate in one pass over the sorted rows, so no repeat
+sorts anything.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -69,19 +75,31 @@ class ThresholdPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ThresholdPolicy":
-        def decode(value) -> float:
+        """Raises PolicyError when the payload has no thresholds mapping or a
+        threshold is not a number; the only non-finite thresholds accepted
+        are the "-inf" and "+inf" sentinels."""
+
+        def decode(relation: str, value) -> float:
             if value == "-inf":
                 return NEG_INF
             if value == "+inf":
                 return POS_INF
-            return float(value)
+            try:
+                threshold = float(value)
+            except (TypeError, ValueError):
+                threshold = math.nan
+            if isinstance(value, bool) or not math.isfinite(threshold):
+                raise PolicyError(
+                    f"threshold for relation {relation!r} is {value!r}; "
+                    'expected a finite number, "-inf" or "+inf"'
+                )
+            return threshold
 
-        try:
-            thresholds = {rel: decode(t) for rel, t in payload["thresholds"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad policy payload: {exc}") from exc
+        thresholds = payload.get("thresholds") if isinstance(payload, dict) else None
+        if not isinstance(thresholds, dict):
+            raise PolicyError("bad policy payload: no 'thresholds' object")
         return cls(
-            thresholds=thresholds,
+            thresholds={rel: decode(rel, t) for rel, t in thresholds.items()},
             tuned_on=payload.get("tuned_on", ""),
             retrieval_mode=payload.get("retrieval_mode", "retrieval"),
         )
@@ -94,8 +112,17 @@ class ThresholdPolicy:
 
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Raises PolicyError naming `path` when the file is not UTF-8 JSON or
+        not a valid policy."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise PolicyError(f"{path}: not a JSON policy file ({exc})") from exc
+        try:
+            return cls.from_dict(payload)
+        except PolicyError as exc:
+            raise PolicyError(f"{path}: {exc}") from exc
 
 
 def route(example: QAExample, policy: ThresholdPolicy) -> str:
@@ -152,31 +179,10 @@ def choose_threshold(
     tuning questions of this relation. Returns (threshold, correct_count); at
     equal counts the smallest threshold wins.
     """
-    if not entries:
-        return NEG_INF, 0
-    ordered = sorted(entries, key=lambda e: e[0])
-    pops = [e[0] for e in ordered]
-    prefix_van = [0]
-    prefix_ret = [0]
-    for _, van, ret in ordered:
-        prefix_van.append(prefix_van[-1] + van)
-        prefix_ret.append(prefix_ret[-1] + ret)
-    total_van = prefix_van[-1]
-    candidates = [NEG_INF]
-    for lo, hi in zip(pops, pops[1:]):
-        if hi > lo:
-            candidates.append((lo + hi) / 2.0)
-    candidates.append(POS_INF)
-    best_threshold = NEG_INF
-    best_count = -1
-    idx = 0
-    for threshold in candidates:
-        while idx < len(pops) and pops[idx] < threshold:
-            idx += 1
-        count = prefix_ret[idx] + (total_van - prefix_van[idx])
-        if count > best_count:
-            best_threshold, best_count = threshold, count
-    return best_threshold, best_count
+    rows = _SortedRelation.of(
+        [e[0] for e in entries], [int(e[1]) for e in entries], [int(e[2]) for e in entries]
+    )
+    return _fit(rows, bytearray([1]) * len(entries))
 
 
 def candidate_thresholds(pops: Sequence[float]) -> list[float]:
@@ -190,21 +196,66 @@ def candidate_thresholds(pops: Sequence[float]) -> list[float]:
     return out
 
 
-def _stratified_split(
-    dataset: Sequence[QAExample], split_fraction: float, rng: random.Random
-) -> tuple[list[str], list[str]]:
-    by_relation: dict[str, list[str]] = {}
-    for ex in dataset:
-        by_relation.setdefault(ex.relation_type, []).append(ex.id)
-    tuning: list[str] = []
-    test: list[str] = []
-    for relation in sorted(by_relation):
-        ids = list(by_relation[relation])
-        rng.shuffle(ids)
-        k = int(len(ids) * split_fraction)
-        tuning.extend(ids[:k])
-        test.extend(ids[k:])
-    return tuning, test
+@dataclass
+class _SortedRelation:
+    """One relation's rows stably sorted by log10 popularity. `rank[i]` is the
+    sorted position of the relation's i-th row in dataset order."""
+
+    pops: list[float]
+    van: list[int]
+    ret: list[int]
+    gain: list[int]
+    rank: list[int]
+    ids: list[str]
+
+    @classmethod
+    def of(
+        cls, pops: list[float], van: list[int], ret: list[int], ids: Sequence[str] = ()
+    ) -> "_SortedRelation":
+        order = sorted(range(len(pops)), key=pops.__getitem__)
+        rank = [0] * len(order)
+        for position, row in enumerate(order):
+            rank[row] = position
+        return cls(
+            pops=[pops[i] for i in order],
+            van=[van[i] for i in order],
+            ret=[ret[i] for i in order],
+            gain=[ret[i] - van[i] for i in order],
+            rank=rank,
+            ids=[ids[i] for i in order] if ids else [],
+        )
+
+
+def _fit(rows: _SortedRelation, mask: bytearray) -> tuple[float, int]:
+    """(threshold, correct_count) over the rows whose sorted position is set
+    in `mask`, in one pass in popularity order.
+
+    Candidates are -inf, the midpoint of each pair of consecutive distinct
+    popularities, and +inf. A candidate routes the rows strictly below it to
+    retrieval; a midpoint that rounds down to the lower popularity therefore
+    routes only the rows below that popularity. Counts are tracked as the
+    gain of retrieval over vanilla, and only a strictly larger gain replaces
+    the best, so the smallest threshold wins ties.
+    """
+    best, best_gain = NEG_INF, 0
+    gain = below_prev = 0
+    # Before the first row, prev = -inf makes that row's "midpoint" the -inf
+    # sentinel again, scored 0 like the initial best.
+    prev = NEG_INF
+    for pop, row_gain in compress(zip(rows.pops, rows.gain), mask):
+        if pop > prev:
+            mid = (prev + pop) / 2.0
+            # Rows strictly below mid: all rows read so far, or, when mid
+            # rounds down to prev, only those below prev's popularity.
+            candidate = gain if mid > prev else below_prev
+            if candidate > best_gain:
+                best, best_gain = mid, candidate
+            below_prev = gain
+            prev = pop
+        gain += row_gain
+    if gain > best_gain:
+        best, best_gain = POS_INF, gain
+    return best, sum(compress(rows.van, mask)) + best_gain
 
 
 @dataclass
@@ -227,41 +278,6 @@ class TuneResult:
     @property
     def per_repeat_test_accuracies(self) -> list[float]:
         return [r.test_accuracy for r in self.repeat_outcomes]
-
-
-def _fit_thresholds(
-    rows: Mapping[str, tuple[float, bool, bool, str]],
-    ids: Sequence[str],
-    relations: Sequence[str],
-) -> dict[str, float]:
-    per_relation: dict[str, list[tuple[float, bool, bool]]] = {rel: [] for rel in relations}
-    for qid in ids:
-        pop, van, ret, relation = rows[qid]
-        per_relation[relation].append((pop, van, ret))
-    thresholds = {}
-    for relation in relations:
-        entries = per_relation[relation]
-        if not entries:
-            logger.warning(
-                "relation %r has no tuning questions; defaulting its threshold to -inf",
-                relation,
-            )
-        thresholds[relation] = choose_threshold(entries)[0]
-    return thresholds
-
-
-def _accuracy_on(
-    rows: Mapping[str, tuple[float, bool, bool, str]],
-    ids: Sequence[str],
-    thresholds: Mapping[str, float],
-) -> float:
-    if not ids:
-        return 0.0
-    hits = 0
-    for qid in ids:
-        pop, van, ret, relation = rows[qid]
-        hits += ret if pop < thresholds[relation] else van
-    return hits / len(ids)
 
 
 def tune_thresholds(
@@ -287,28 +303,63 @@ def tune_thresholds(
         raise ValidationError("repeats must be >= 1")
     van = _indexed(vanilla_records, dataset, "vanilla")
     ret = _indexed(retrieval_records, dataset, "retrieval")
-    rows = {
-        ex.id: (ex.log10_popularity, van[ex.id].correct, ret[ex.id].correct, ex.relation_type)
-        for ex in dataset
+    grouped: dict[str, list[QAExample]] = {}
+    for ex in dataset:
+        grouped.setdefault(ex.relation_type, []).append(ex)
+    relations = {
+        relation: _SortedRelation.of(
+            [ex.log10_popularity for ex in examples],
+            [int(van[ex.id].correct) for ex in examples],
+            [int(ret[ex.id].correct) for ex in examples],
+            [ex.id for ex in examples],
+        )
+        for relation, examples in sorted(grouped.items())
     }
-    relations = sorted({ex.relation_type for ex in dataset})
     outcomes = []
     for i in range(repeats):
         rng = random.Random(f"{rng_seed}\x00{i}")
-        tuning_ids, test_ids = _stratified_split(dataset, split_fraction, rng)
-        thresholds = _fit_thresholds(rows, tuning_ids, relations)
+        thresholds: dict[str, float] = {}
+        tuning_ids: list[str] = []
+        test_ids: list[str] = []
+        tuning_hits = test_hits = 0
+        for relation, rows in relations.items():
+            # Shuffling the rows' sorted positions, listed in dataset order,
+            # draws the same permutation as shuffling their ids would:
+            # shuffle depends only on the length and the generator state.
+            positions = rows.rank[:]
+            rng.shuffle(positions)
+            k = int(len(positions) * split_fraction)
+            tuning, test = positions[:k], positions[k:]
+            mask = bytearray(len(positions))
+            for position in tuning:
+                mask[position] = 1
+            if not k:
+                logger.warning(
+                    "relation %r has no tuning questions; defaulting its threshold to -inf",
+                    relation,
+                )
+            threshold, hits = _fit(rows, mask)
+            thresholds[relation] = threshold
+            tuning_hits += hits
+            test_hits += sum(
+                rows.ret[p] if rows.pops[p] < threshold else rows.van[p] for p in test
+            )
+            tuning_ids.extend(map(rows.ids.__getitem__, tuning))
+            test_ids.extend(map(rows.ids.__getitem__, test))
         outcomes.append(
             RepeatOutcome(
                 thresholds=thresholds,
                 tuning_ids=tuning_ids,
                 test_ids=test_ids,
-                tuning_accuracy=_accuracy_on(rows, tuning_ids, thresholds),
-                test_accuracy=_accuracy_on(rows, test_ids, thresholds),
+                tuning_accuracy=tuning_hits / len(tuning_ids) if tuning_ids else 0.0,
+                test_accuracy=test_hits / len(test_ids) if test_ids else 0.0,
             )
         )
-    final_thresholds = _fit_thresholds(rows, [ex.id for ex in dataset], relations)
     policy = ThresholdPolicy(
-        thresholds=final_thresholds,
+        thresholds={
+            relation: _fit(rows, bytearray([1]) * len(rows.pops))[0]
+            for relation, rows in relations.items()
+        },
         tuned_on=dataset_fingerprint(dataset),
         retrieval_mode=retrieval_mode,
     )

@@ -21,7 +21,7 @@ from . import evaluation as eval_mod
 from . import lm as lm_mod
 from . import retriever as retriever_mod
 from .config import RunConfig, load_config, parse_cost_model, parse_endpoint_config
-from .errors import ConfigError, PopgateError
+from .errors import ConfigError, PopgateError, ValidationError
 from .popularity import DEFAULT_PAGEVIEWS_BASE_URL, PageviewsClient, PageviewsConfig
 from .util import atomic_write_text, dumps_stable, write_jsonl
 
@@ -145,12 +145,16 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     config = _load_run_config(args)
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    runs = [eval_mod.read_records(path) for path in args.runs]
-    for path, records in zip(args.runs, runs):
+    by_mode = {}
+    for path in args.runs:
+        records = eval_mod.read_records(path)
         if not records:
             raise PopgateError(f"run file {path} holds no records")
+        mode = records[0].mode
+        if mode in by_mode:
+            raise ValidationError(f"--runs names two {mode} runs; {path} would overwrite the first")
+        by_mode[mode] = records
     out_dir = Path(args.out)
-    by_mode = {records[0].mode: records for records in runs}
     quadrants = None
     if "vanilla" in by_mode and len(by_mode) > 1:
         augmented_mode = next(m for m in ("retrieval", "genread") if m in by_mode)
@@ -158,8 +162,7 @@ def _cmd_report(args) -> int:
             quadrants = eval_mod.quadrant_analysis(
                 by_mode["vanilla"], by_mode[augmented_mode], examples
             )
-    for records in runs:
-        mode = records[0].mode
+    for mode, records in by_mode.items():
         summary = eval_mod.evaluate_run(records, examples, min_bin_n=args.min_bin_n)
         report = eval_mod.EvalReport(
             overall_accuracy=summary.overall_accuracy,

@@ -26,7 +26,8 @@ class JoinError(PopgateError):
 
 
 class PolicyError(PopgateError):
-    """Routing policy is missing a relation required by the data."""
+    """Routing policy file is unreadable or malformed, or the policy is missing
+    a relation required by the data."""
 
 
 class AccountingError(PopgateError):

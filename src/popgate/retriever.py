@@ -62,6 +62,9 @@ class Passage:
     text: str
 
     def __post_init__(self):
+        for name in ("doc_id", "title", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"passage {self.doc_id!r}: {name} is not a string")
         if not self.doc_id:
             raise ValidationError("passage with empty doc_id")
         if not self.text:
@@ -92,7 +95,7 @@ class Bm25Index:
     def __init__(self, passages: Sequence[Passage], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
         if not passages:
             raise ValidationError("cannot index an empty passage list")
-        if k1 < 0 or not 0 <= b <= 1:
+        if not (math.isfinite(k1) and k1 >= 0) or not 0 <= b <= 1:
             raise ValidationError(f"bad BM25 parameters k1={k1}, b={b}")
         by_id: dict[str, Passage] = {}
         lengths: list[int] = []
@@ -374,11 +377,15 @@ def _load_v2(path, body) -> Bm25Index:
 
 def read_corpus(path: str | Path) -> list[Passage]:
     passages = []
-    for row in read_jsonl(path):
+    for n, row in enumerate(read_jsonl(path), start=1):
+        if not isinstance(row, dict):
+            raise ValidationError(f"{path}: corpus row {n} is not a JSON object")
         try:
             passages.append(Passage(doc_id=row["doc_id"], title=row["title"], text=row["text"]))
         except KeyError as exc:
-            raise ValidationError(f"corpus row missing key {exc}") from exc
+            raise ValidationError(f"{path}: corpus row {n} missing key {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: corpus row {n}: {exc}") from exc
     return passages
 
 

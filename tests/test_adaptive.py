@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popgate.adaptive import (
     CostModel,
@@ -20,6 +23,7 @@ from popgate.adaptive import (
     route,
     tune_thresholds,
 )
+from popgate.dataset import QAExample
 from popgate.errors import AccountingError, JoinError, PolicyError, ValidationError
 from popgate.evaluation import PredictionRecord, overall_accuracy
 
@@ -223,6 +227,174 @@ class TestTuneThresholds:
             tune_thresholds(vanilla, retrieval, dataset, repeats=0)
 
 
+@dataclass(frozen=True)
+class LogPopExample(QAExample):
+    """Example whose log10 popularity is set directly, so that popularities can
+    sit on adjacent floats."""
+
+    log_pop: float = 0.0
+
+    @property
+    def log10_popularity(self) -> float:
+        return self.log_pop
+
+
+def reference_choose_threshold(entries):
+    """Per-relation fit written as a sort plus prefix sums over every candidate."""
+    if not entries:
+        return NEG_INF, 0
+    ordered = sorted(entries, key=lambda e: e[0])
+    pops = [e[0] for e in ordered]
+    prefix_van, prefix_ret = [0], [0]
+    for _, van, ret in ordered:
+        prefix_van.append(prefix_van[-1] + van)
+        prefix_ret.append(prefix_ret[-1] + ret)
+    candidates = [NEG_INF]
+    for lo, hi in zip(pops, pops[1:]):
+        if hi > lo:
+            candidates.append((lo + hi) / 2.0)
+    candidates.append(POS_INF)
+    best_threshold, best_count, idx = NEG_INF, -1, 0
+    for threshold in candidates:
+        while idx < len(pops) and pops[idx] < threshold:
+            idx += 1
+        count = prefix_ret[idx] + (prefix_van[-1] - prefix_van[idx])
+        if count > best_count:
+            best_threshold, best_count = threshold, count
+    return best_threshold, best_count
+
+
+def reference_tune(vanilla, retrieval, dataset, split_fraction, repeats, rng_seed):
+    """Tuning with a fresh shuffle of the ids, a re-sort and a rescoring of
+    every relation in every repeat: the direct reading of the method."""
+    rows = {
+        ex.id: (ex.log10_popularity, v.correct, r.correct, ex.relation_type)
+        for ex, v, r in zip(dataset, vanilla, retrieval)
+    }
+    relations = sorted({ex.relation_type for ex in dataset})
+
+    def fit(ids):
+        entries = {rel: [] for rel in relations}
+        for qid in ids:
+            pop, van, ret, rel = rows[qid]
+            entries[rel].append((pop, van, ret))
+        return {rel: reference_choose_threshold(entries[rel])[0] for rel in relations}
+
+    def accuracy(ids, thresholds):
+        if not ids:
+            return 0.0
+        hits = 0
+        for qid in ids:
+            pop, van, ret, rel = rows[qid]
+            hits += ret if pop < thresholds[rel] else van
+        return hits / len(ids)
+
+    outcomes = []
+    for i in range(repeats):
+        rng = random.Random(f"{rng_seed}\x00{i}")
+        by_relation = {}
+        for ex in dataset:
+            by_relation.setdefault(ex.relation_type, []).append(ex.id)
+        tuning, test = [], []
+        for rel in sorted(by_relation):
+            ids = list(by_relation[rel])
+            rng.shuffle(ids)
+            k = int(len(ids) * split_fraction)
+            tuning.extend(ids[:k])
+            test.extend(ids[k:])
+        thresholds = fit(tuning)
+        outcomes.append(
+            (thresholds, tuning, test, accuracy(tuning, thresholds), accuracy(test, thresholds))
+        )
+    mean_test = math.fsum(o[4] for o in outcomes) / len(outcomes)
+    return fit([ex.id for ex in dataset]), mean_test, outcomes
+
+
+def adjacent_floats(start: float, n: int) -> list[float]:
+    values = [start]
+    for _ in range(n - 1):
+        values.append(math.nextafter(values[-1], math.inf))
+    return values
+
+
+# Runs of adjacent floats, whose midpoints round down to the lower value half
+# of the time, plus a few well-separated popularities; few values, many ties.
+POPULARITIES = adjacent_floats(0.0, 7) + adjacent_floats(2.5, 7) + [1.0, 3.0, 4.75, 6.0]
+
+
+@st.composite
+def tuning_cases(draw):
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    rows = []
+    for r, size in enumerate(sizes):
+        for j in range(size):
+            pop = draw(st.sampled_from(POPULARITIES))
+            van, ret = draw(st.booleans()), draw(st.booleans())
+            rows.append((f"Q{r}-{j}:rel{r}", f"rel{r}", pop, van, ret))
+    rows = draw(st.permutations(rows))
+    dataset = [
+        LogPopExample(
+            id=qid,
+            question="q?",
+            gold_answers=frozenset({"a"}),
+            subject_id=qid,
+            subject_label=qid,
+            relation_type=rel,
+            popularity=1,
+            log_pop=pop,
+        )
+        for qid, rel, pop, _, _ in rows
+    ]
+    vanilla = [record(qid, van) for qid, _, _, van, _ in rows]
+    retrieval = [record(qid, ret, mode="retrieval") for qid, _, _, _, ret in rows]
+    split = draw(st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9]))
+    return dataset, vanilla, retrieval, split, draw(st.integers(1, 4)), draw(st.integers(0, 99))
+
+
+class TestTuneEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(tuning_cases())
+    def test_matches_per_repeat_resort_reference(self, case):
+        dataset, vanilla, retrieval, split, repeats, seed = case
+        result = tune_thresholds(
+            vanilla, retrieval, dataset, split_fraction=split, repeats=repeats, rng_seed=seed
+        )
+        final, mean_test, outcomes = reference_tune(
+            vanilla, retrieval, dataset, split, repeats, seed
+        )
+        assert result.policy.thresholds == final
+        assert result.mean_test_accuracy == mean_test
+        assert len(result.repeat_outcomes) == len(outcomes)
+        for got, (thresholds, tuning, test, tuning_acc, test_acc) in zip(
+            result.repeat_outcomes, outcomes
+        ):
+            assert got.thresholds == thresholds
+            assert got.tuning_ids == tuning
+            assert got.test_ids == test
+            assert got.tuning_accuracy == tuning_acc
+            assert got.test_accuracy == test_acc
+        for rel in {ex.relation_type for ex in dataset}:
+            entries = [
+                (ex.log10_popularity, v.correct, r.correct)
+                for ex, v, r in zip(dataset, vanilla, retrieval)
+                if ex.relation_type == rel
+            ]
+            assert choose_threshold(entries) == reference_choose_threshold(entries)
+
+    def test_midpoint_rounding_down_routes_only_rows_below_it(self):
+        lo = 2.5
+        hi = math.nextafter(lo, math.inf)
+        if (lo + hi) / 2.0 != lo:
+            lo, hi = hi, math.nextafter(hi, math.inf)
+        assert (lo + hi) / 2.0 == lo
+        # Only retrieval is right on the lo row and only vanilla on the hi row.
+        # The candidate between them equals lo and routes neither row, so it
+        # scores 1 like the sentinels; counting the lo row below it would
+        # wrongly score 2.
+        entries = [(lo, False, True), (hi, True, False)]
+        assert choose_threshold(entries) == reference_choose_threshold(entries) == (NEG_INF, 1)
+
+
 class TestRetrievalFraction:
     def test_sentinels(self):
         dataset = synthetic_examples(50, seed=3)
@@ -341,3 +513,34 @@ class TestPolicyIO:
         assert loaded == policy
         text = path.read_text()
         assert '"-inf"' in text and '"+inf"' in text
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", 1e999, True, None, [1.0]])
+    def test_non_finite_or_non_numeric_threshold_rejected(self, value):
+        with pytest.raises(PolicyError, match="director"):
+            ThresholdPolicy.from_dict({"thresholds": {"director": value}})
+
+    def test_json_nan_threshold_rejected_with_path(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text('{"thresholds": {"director": NaN}}')
+        with pytest.raises(PolicyError, match="policy.json"):
+            ThresholdPolicy.load(path)
+
+    @pytest.mark.parametrize(
+        "text", ["", '{"thresholds": {"director": 1.5', "[1, 2]", '{"thresholds": [1.5]}', "\udcff"]
+    )
+    def test_truncated_or_malformed_file_names_path(self, tmp_path, text):
+        path = tmp_path / "policy.json"
+        path.write_text(text, errors="surrogateescape")
+        with pytest.raises(PolicyError, match="policy.json"):
+            ThresholdPolicy.load(path)
+
+    def test_every_truncation_of_a_saved_policy_is_policy_error(self, tmp_path):
+        policy = ThresholdPolicy({"director": 3.25, "genre": NEG_INF}, tuned_on="abc")
+        path = tmp_path / "policy.json"
+        policy.save(path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.json"
+        for offset in range(len(blob) - 1):
+            cut.write_bytes(blob[:offset])
+            with pytest.raises(PolicyError, match="cut.json"):
+                ThresholdPolicy.load(cut)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from popgate.cli import main
 from popgate.dataset import read_dataset
+from popgate.evaluation import PredictionRecord, write_records
 from popgate.util import write_jsonl
 
 from mockserver import pageviews_server
@@ -42,7 +45,87 @@ class TestUsageErrors:
         assert run_cli(["index"]) == 2
 
 
+def one_question_dataset(tmp_path):
+    path = tmp_path / "dataset.jsonl"
+    write_jsonl(
+        path,
+        [
+            {
+                "id": "S0:director",
+                "question": "Who was the director of X?",
+                "answers": ["Y"],
+                "subj": "X",
+                "subj_id": "S0",
+                "relation": "director",
+                "popularity": 100,
+            }
+        ],
+    )
+    return path
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
 class TestRuntimeErrors:
+    @pytest.mark.parametrize(
+        "text", ['{"thresholds": {"director": 1.', '{"thresholds": {"director": "nan"}}']
+    )
+    def test_route_rejects_truncated_or_nan_policy(self, tmp_path, capsys, text):
+        policy = tmp_path / "policy.json"
+        policy.write_text(text)
+        out = tmp_path / "decisions.jsonl"
+        code = run_cli(
+            ["route", "--dataset", one_question_dataset(tmp_path), "--policy", policy,
+             "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "policy.json")
+        assert not out.exists()
+
+    def test_report_rejects_two_runs_of_one_mode(self, tmp_path, capsys):
+        run = tmp_path / "a.jsonl"
+        write_records([PredictionRecord("S0:director", "vanilla", "Y", True)], run)
+        out = tmp_path / "report"
+        code = run_cli(
+            ["report", "--dataset", one_question_dataset(tmp_path), "--runs", run, run,
+             "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "vanilla")
+        assert not out.exists()
+
+    def test_index_rejects_non_finite_k1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"doc_id": "d1", "title": "t", "text": "cat"}])
+        out = tmp_path / "index.pgidx"
+        assert run_cli(["index", "--corpus", corpus, "--k1", "nan", "--out", out]) == 1
+        assert_one_line_error(capsys, "k1=nan")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, fragment",
+        [
+            ({"doc_id": 5, "title": "t", "text": "cat"}, "doc_id"),
+            ({"doc_id": "d1", "title": None, "text": "cat"}, "title"),
+            ({"doc_id": "d1", "title": "t", "text": 5}, "text"),
+            (["d1", "t", "cat"], "object"),
+        ],
+    )
+    def test_index_rejects_malformed_corpus_row(self, tmp_path, capsys, row, fragment):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"doc_id": "d0", "title": "t", "text": "dog"}) + "\n" + json.dumps(row) + "\n"
+        )
+        out = tmp_path / "index.pgidx"
+        assert run_cli(["index", "--corpus", corpus, "--out", out]) == 1
+        assert_one_line_error(capsys, "corpus.jsonl", "row 2", fragment)
+        assert not out.exists()
+
     def test_report_missing_run_file_names_path(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
         write_jsonl(dataset, [])
