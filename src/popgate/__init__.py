@@ -1,6 +1,9 @@
 """popgate: long-tail entity QA datasets, BM25 retrieval, LM evaluation, and
 popularity-gated adaptive retrieval."""
 
+# Set before the submodule imports: util reads it for the default User-Agent.
+__version__ = "0.1.0"
+
 from .adaptive import (
     CostModel,
     ThresholdPolicy,
@@ -64,5 +67,3 @@ from .retriever import (
     save_index,
     tokenize,
 )
-
-__version__ = "0.1.0"

@@ -147,9 +147,7 @@ def _cmd_report(args) -> int:
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
     by_mode = {}
     for path in args.runs:
-        records = eval_mod.read_records(path)
-        if not records:
-            raise PopgateError(f"run file {path} holds no records")
+        records = eval_mod.read_run(path)
         mode = records[0].mode
         if mode in by_mode:
             raise ValidationError(f"--runs names two {mode} runs; {path} would overwrite the first")
@@ -180,8 +178,8 @@ def _cmd_report(args) -> int:
 def _cmd_tune(args) -> int:
     config = _load_run_config(args)
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    vanilla = eval_mod.read_records(args.vanilla)
-    retrieval = eval_mod.read_records(args.retrieval)
+    vanilla = eval_mod.read_run(args.vanilla)
+    retrieval = eval_mod.read_run(args.retrieval)
     result = adaptive_mod.tune_thresholds(
         vanilla,
         retrieval,
@@ -245,8 +243,8 @@ def _cmd_route(args) -> int:
 def _cmd_savings(args) -> int:
     config = _load_run_config(args)
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    vanilla = eval_mod.read_records(args.vanilla)
-    retrieval = eval_mod.read_records(args.retrieval)
+    vanilla = eval_mod.read_run(args.vanilla)
+    retrieval = eval_mod.read_run(args.retrieval)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     if args.cost_model:
         with open(args.cost_model, encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
-from .util import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
+from .util import atomic_write_text, dumps_stable, iter_jsonl, write_jsonl
 
 WILSON_Z = 1.96
 DEFAULT_BIN_WIDTH = 0.5
@@ -65,6 +65,11 @@ class PredictionRecord:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"record {self.question_id!r}: unknown mode {self.mode!r}")
+        if not isinstance(self.correct, bool):
+            raise ValidationError(
+                f"record {self.question_id!r}: field 'correct' must be true or false, "
+                f"got {self.correct!r}"
+            )
         if self.mode == "vanilla" and self.retrieved_doc_id is not None:
             raise ValidationError(
                 f"record {self.question_id!r}: vanilla run cannot carry a retrieved doc"
@@ -93,6 +98,8 @@ def record_to_row(record: PredictionRecord) -> dict:
 
 
 def record_from_row(row: dict) -> PredictionRecord:
+    if not isinstance(row, dict):
+        raise ValidationError("prediction row is not a JSON object")
     try:
         return PredictionRecord(
             question_id=row["question_id"],
@@ -115,7 +122,24 @@ def write_records(records: Sequence[PredictionRecord], path: str | Path) -> int:
 
 
 def read_records(path: str | Path) -> list[PredictionRecord]:
-    return [record_from_row(row) for row in read_jsonl(path)]
+    records = []
+    for lineno, row in iter_jsonl(path):
+        try:
+            records.append(record_from_row(row))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def read_run(path: str | Path) -> list[PredictionRecord]:
+    """Records of one run file, which must be non-empty and hold a single mode."""
+    records = read_records(path)
+    if not records:
+        raise ValidationError(f"run file {path} holds no records")
+    modes = sorted({r.mode for r in records})
+    if len(modes) > 1:
+        raise ValidationError(f"run file {path} mixes modes {' and '.join(modes)}")
+    return records
 
 
 def _join(

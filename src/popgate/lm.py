@@ -14,19 +14,16 @@ import logging
 import math
 import os
 import random
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import requests
-
 from .dataset import QAExample
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
 from .evaluation import PredictionRecord, is_correct
 from .retriever import Bm25Index, recall_at_k
-from .util import RateLimiter, atomic_write_text, dumps_stable, sha256_hex
+from .util import HttpClient, JsonCache, dumps_stable, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -176,27 +173,33 @@ class CompletionClient:
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        self._limiter = RateLimiter(config.requests_per_second)
-        self._session = requests.Session()
+        headers = {}
         if config.api_key_env:
             key = os.environ.get(config.api_key_env, "")
             if key:
-                self._session.headers["Authorization"] = f"Bearer {key}"
-
-    def _cache_path(self, key: str) -> Path | None:
-        if self.config.cache_dir is None:
-            return None
-        return Path(self.config.cache_dir) / f"{key}.json"
+                headers["Authorization"] = f"Bearer {key}"
+        self._http = HttpClient(
+            timeout_s=config.timeout_s,
+            max_retries=config.max_retries,
+            backoff_s=config.backoff_s,
+            requests_per_second=config.requests_per_second,
+            logger=logger,
+            headers=headers,
+        )
+        self._cache = None
+        if config.cache_dir is not None:
+            self._cache = JsonCache(
+                config.cache_dir, lambda entry: Completion(**entry["completion"]), logger
+            )
 
     def complete(self, prompt: str) -> Completion:
         key = completion_cache_key(self.config, prompt)
-        path = self._cache_path(key)
-        if path is not None and path.exists():
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-            return Completion(**entry["completion"])
+        if self._cache is not None:
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
         completion = self._request(prompt)
-        if path is not None:
+        if self._cache is not None:
             entry = {
                 "model": self.config.model,
                 "endpoint": self.config.effective_id(),
@@ -208,7 +211,7 @@ class CompletionClient:
                     "latency_ms": completion.latency_ms,
                 },
             }
-            atomic_write_text(path, dumps_stable(entry))
+            self._cache.put(key, entry)
         return completion
 
     def _request(self, prompt: str) -> Completion:
@@ -219,37 +222,15 @@ class CompletionClient:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        began = time.monotonic()
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
-            if attempt:
-                delay = self.config.backoff_s * (2 ** (attempt - 1))
-                logger.info("completion retry %d after %.2fs: %s", attempt, delay, last_error)
-                time.sleep(delay)
-            self._limiter.acquire()
-            call_start = time.monotonic()
-            try:
-                resp = self._session.post(url, json=body, timeout=self.config.timeout_s)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            latency_ms = int((time.monotonic() - call_start) * 1000)
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = TransportError(f"HTTP {resp.status_code} from {url}")
-                continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code} from {url}")
-            return self._parse(resp, prompt, latency_ms)
-        elapsed = time.monotonic() - began
-        raise TransportError(
-            f"completion request failed after {self.config.max_retries + 1} attempts "
-            f"({elapsed:.1f}s elapsed): {last_error}"
-        )
+        resp = self._http.request("POST", url, "completion request", json_body=body)
+        if resp.status != 200:
+            raise TransportError(f"HTTP {resp.status} from {url}")
+        return self._parse(resp.body, prompt, int(resp.elapsed_s * 1000))
 
     @staticmethod
-    def _parse(resp: requests.Response, prompt: str, latency_ms: int) -> Completion:
+    def _parse(body: bytes, prompt: str, latency_ms: int) -> Completion:
         try:
-            payload = resp.json()
+            payload = json.loads(body)
         except ValueError as exc:
             raise ProtocolError(f"endpoint returned non-JSON body: {exc}") from exc
         try:
@@ -265,10 +246,6 @@ class CompletionClient:
             completion_tokens=int(usage.get("completion_tokens", len(text.split()))),
             latency_ms=latency_ms,
         )
-
-
-def complete(endpoint_config: EndpointConfig, prompt: str) -> Completion:
-    return CompletionClient(endpoint_config).complete(prompt)
 
 
 def genread_answer(

@@ -7,9 +7,7 @@ import calendar
 import json
 import logging
 import math
-import os
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
@@ -17,18 +15,15 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 from urllib.parse import quote
 
-import requests
-
 from .dataset import QAExample
 from .errors import TransportError, ValidationError
-from .util import RateLimiter, atomic_write_text, dumps_stable, sha256_hex
+from .util import HttpClient, JsonCache, sha256_hex
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_PAGEVIEWS_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews"
 # Pinned so unconfigured runs are reproducible; override via config/CLI.
 DEFAULT_PAGEVIEWS_MONTH = "2022-12"
-USER_AGENT_ENV = "POPGATE_USER_AGENT"
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
@@ -101,13 +96,6 @@ def relative_popularity(
     return (example.log10_popularity - st.mean_log10_pop) / st.std_log10_pop
 
 
-def fetch_pageviews(
-    entity_title: str, month: str, config: "PageviewsConfig | None" = None
-) -> PopularityRecord:
-    """One-shot fetch with the default (or given) client configuration."""
-    return PageviewsClient(config).fetch(entity_title, month)
-
-
 @dataclass(frozen=True)
 class PageviewsConfig:
     base_url: str = DEFAULT_PAGEVIEWS_BASE_URL
@@ -139,24 +127,24 @@ class PageviewsClient:
 
     def __init__(self, config: PageviewsConfig | None = None):
         self.config = config or PageviewsConfig()
-        self._limiter = RateLimiter(self.config.requests_per_second)
-        self._session = requests.Session()
-        user_agent = os.environ.get(USER_AGENT_ENV)
-        if user_agent:
-            self._session.headers["User-Agent"] = user_agent
-
-    def _cache_path(self, title: str, month: str) -> Path:
-        key = sha256_hex(f"{title}\x00{month}")[:24]
-        return Path(self.config.cache_dir) / f"{key}.json"
+        self._http = HttpClient(
+            timeout_s=self.config.timeout_s,
+            max_retries=self.config.max_retries,
+            backoff_s=self.config.backoff_s,
+            requests_per_second=self.config.requests_per_second,
+            logger=logger,
+        )
+        self._cache = JsonCache(
+            self.config.cache_dir, lambda entry: PopularityRecord(**entry), logger
+        )
 
     def fetch(self, entity_title: str, month: str) -> PopularityRecord:
         """Return the cached record if present, otherwise fetch and cache it."""
-        path = self._cache_path(entity_title, month)
-        if path.exists():
-            with open(path, encoding="utf-8") as fh:
-                return PopularityRecord(**json.load(fh))
-        record = self._fetch_remote(entity_title, month)
-        atomic_write_text(path, dumps_stable(asdict(record)))
+        key = sha256_hex(f"{entity_title}\x00{month}")[:24]
+        record = self._cache.get(key)
+        if record is None:
+            record = self._fetch_remote(entity_title, month)
+            self._cache.put(key, asdict(record))
         return record
 
     def fetch_many(self, titles: Sequence[str], month: str) -> dict[str, PopularityRecord]:
@@ -178,37 +166,17 @@ class PageviewsClient:
             f"/{self.config.access}/{self.config.agent}"
             f"/{quote(title, safe='')}/monthly/{start}/{end}"
         )
-        began = time.monotonic()
-        last_error: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
-            if attempt:
-                delay = self.config.backoff_s * (2 ** (attempt - 1))
-                logger.info("pageviews retry %d for %r after %.2fs", attempt, title, delay)
-                time.sleep(delay)
-            self._limiter.acquire()
-            try:
-                resp = self._session.get(url, timeout=self.config.timeout_s)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if resp.status_code == 404:
-                return self._record(title, month, views=0, missing=True)
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = TransportError(f"HTTP {resp.status_code} from {url}")
-                continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code} from {url}")
-            try:
-                items = resp.json()["items"]
-                views = sum(int(item["views"]) for item in items)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise TransportError(f"unexpected pageviews payload from {url}: {exc}") from exc
-            return self._record(title, month, views=views, missing=False)
-        elapsed = time.monotonic() - began
-        raise TransportError(
-            f"pageviews fetch for {title!r} failed after "
-            f"{self.config.max_retries + 1} attempts ({elapsed:.1f}s): {last_error}"
-        )
+        resp = self._http.request("GET", url, f"pageviews fetch for {title!r}")
+        if resp.status == 404:
+            return self._record(title, month, views=0, missing=True)
+        if resp.status != 200:
+            raise TransportError(f"HTTP {resp.status} from {url}")
+        try:
+            items = json.loads(resp.body)["items"]
+            views = sum(int(item["views"]) for item in items)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise TransportError(f"unexpected pageviews payload from {url}: {exc}") from exc
+        return self._record(title, month, views=views, missing=False)
 
     @staticmethod
     def _record(title: str, month: str, views: int, missing: bool) -> PopularityRecord:

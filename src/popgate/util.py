@@ -1,18 +1,29 @@
-"""Small shared helpers: atomic file writes, JSONL I/O, hashing, rate limiting."""
+"""Small shared helpers: atomic file writes, JSONL I/O, hashing, rate limiting,
+and the keep-alive HTTP, retry and JSON-file cache core of the API clients."""
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import logging
 import os
+import ssl
 import tempfile
 import threading
 import time
+import urllib.request
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from urllib.parse import SplitResult, urlsplit
 
-from .errors import ValidationError
+from . import __version__
+from .errors import ConfigError, TransportError, ValidationError
+
+USER_AGENT_ENV = "POPGATE_USER_AGENT"
+DEFAULT_USER_AGENT = f"popgate/{__version__}"
 
 
 def dumps_stable(obj: Any) -> str:
@@ -57,18 +68,21 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     return len(lines)
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    rows = []
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
+    """(line number, parsed value) for each non-blank line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON line: {exc}") from exc
-    return rows
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    return [row for _lineno, row in iter_jsonl(path)]
 
 
 def sha256_hex(text: str) -> str:
@@ -98,3 +112,204 @@ class RateLimiter:
             self._next_slot = max(now, self._next_slot) + self._interval
         if wait > 0:
             time.sleep(wait)
+
+
+class JsonCache:
+    """One JSON file per key under `directory`, each written atomically.
+
+    `decode` turns a parsed entry into the cached value. An entry that is not
+    valid JSON, or that `decode` rejects with ValueError, TypeError, KeyError
+    or ValidationError, is logged as a warning and treated as a miss; the
+    caller's `put` then replaces it.
+    """
+
+    def __init__(
+        self, directory: str | Path, decode: Callable[[Any], Any], logger: logging.Logger
+    ):
+        self._directory = Path(directory)
+        self._decode = decode
+        self._logger = logger
+
+    def _path(self, key: str) -> Path:
+        return self._directory / f"{key}.json"
+
+    def get(self, key: str) -> Any:
+        """The decoded entry for `key`, or None on a miss."""
+        path = self._path(key)
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
+            return None
+        try:
+            return self._decode(json.loads(raw))
+        except (ValueError, TypeError, KeyError, ValidationError) as exc:
+            self._logger.warning("%s: unreadable cache entry (%s); fetching again", path, exc)
+            return None
+
+    def put(self, key: str, obj: Any) -> None:
+        atomic_write_text(self._path(key), dumps_stable(obj))
+
+
+@dataclass(frozen=True)
+class HttpResponse:
+    """A response with a status the retry loop hands back to the caller."""
+
+    status: int
+    body: bytes
+    elapsed_s: float  # the attempt that produced this response, not the retries
+
+
+class _Connections(dict):
+    """One thread's connections by (scheme, host, port); closed when the
+    thread ends and its thread-local storage is dropped."""
+
+    def __del__(self):
+        for conn, _absolute in self.values():
+            conn.close()
+
+
+class HttpClient:
+    """HTTP/1.1 with keep-alive, bounded retries and rate limiting.
+
+    Each thread keeps one connection per (scheme, host, port) and reuses it.
+    A reused connection that the server closed while idle fails before any
+    response arrives; it is reopened and the request sent once more, which
+    does not count as a retry. Transport errors, 429 and 5xx are retried up
+    to `max_retries` times with exponential backoff; a 3xx is an error, not
+    followed; every other status is returned. TLS is verified with the
+    default context, `http_proxy`/`https_proxy`/`no_proxy` are honoured, and
+    requests carry a User-Agent (`POPGATE_USER_AGENT` or popgate/<version>).
+    """
+
+    def __init__(
+        self,
+        *,
+        timeout_s: float,
+        max_retries: int,
+        backoff_s: float,
+        requests_per_second: float | None,
+        logger: logging.Logger,
+        headers: dict[str, str] | None = None,
+    ):
+        self.timeout_s = timeout_s
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
+        self._limiter = RateLimiter(requests_per_second)
+        self._logger = logger
+        user_agent = os.environ.get(USER_AGENT_ENV) or DEFAULT_USER_AGENT
+        self._headers = {"User-Agent": user_agent, **(headers or {})}
+        self._local = threading.local()
+        self._tls: ssl.SSLContext | None = None  # loading CA certificates costs ~50 ms
+        self._tls_lock = threading.Lock()
+
+    def request(self, method: str, url: str, what: str, json_body: Any = None) -> HttpResponse:
+        """Send with retries; `what` names the call in retry logs and errors."""
+        headers = dict(self._headers)
+        body = None
+        if json_body is not None:
+            body = json.dumps(json_body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        began = time.monotonic()
+        last_error: Exception | None = None
+        attempts = self.max_retries + 1
+        for attempt in range(attempts):
+            if attempt:
+                delay = self.backoff_s * (2 ** (attempt - 1))
+                self._logger.info("%s: retry %d after %.2fs: %s", what, attempt, delay, last_error)
+                time.sleep(delay)
+            self._limiter.acquire()
+            call_start = time.monotonic()
+            try:
+                status, location, data = self._send(method, url, body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+                continue
+            if status == 429 or status >= 500:
+                last_error = TransportError(f"HTTP {status} from {url}")
+                continue
+            if 300 <= status < 400:
+                raise TransportError(
+                    f"HTTP {status} from {url}: redirect to {location} not followed"
+                )
+            return HttpResponse(status, data, time.monotonic() - call_start)
+        elapsed = time.monotonic() - began
+        raise TransportError(
+            f"{what} failed after {attempts} attempts ({elapsed:.1f}s elapsed): {last_error}"
+        )
+
+    def _send(
+        self, method: str, url: str, body: bytes | None, headers: dict[str, str]
+    ) -> tuple[int, str | None, bytes]:
+        parts = urlsplit(url)
+        conn, absolute = self._connection(parts)
+        target = url if absolute else parts._replace(scheme="", netloc="").geturl() or "/"
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                resp = conn.getresponse()
+            # RemoteDisconnected is a ConnectionResetError.
+            except (ConnectionResetError, BrokenPipeError):
+                conn.close()
+                if reused:
+                    continue
+                raise
+            except BaseException:
+                conn.close()
+                raise
+            break
+        # After a response that ends the connection, http.client has already
+        # closed it; the next request on this thread opens a new one.
+        try:
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        return resp.status, resp.getheader("Location"), data
+
+    def _connection(self, parts: SplitResult) -> tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection for the URL's origin, and whether requests
+        on it name the absolute URL (plain HTTP through a proxy)."""
+        conns = getattr(self._local, "conns", None)
+        if conns is None:
+            conns = self._local.conns = _Connections()
+        try:
+            key = (parts.scheme, parts.hostname, parts.port)
+        except ValueError as exc:
+            raise ConfigError(f"bad URL {parts.geturl()!r}: {exc}") from exc
+        entry = conns.get(key)
+        if entry is None:
+            entry = conns[key] = self._connect(*key)
+        return entry
+
+    def _connect(
+        self, scheme: str, host: str | None, port: int | None
+    ) -> tuple[http.client.HTTPConnection, bool]:
+        if scheme not in ("http", "https") or not host:
+            raise ConfigError(f"unsupported URL {scheme}://{host}: need http(s)://host")
+        port = port or (443 if scheme == "https" else 80)
+        proxy = urllib.request.getproxies().get(scheme)
+        if proxy and urllib.request.proxy_bypass(host):
+            proxy = None
+        conn_host, conn_port = host, port
+        if proxy:
+            proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+                raise ConfigError(f"unsupported {scheme}_proxy {proxy!r}: need http://host:port")
+            conn_host, conn_port = proxy_parts.hostname, proxy_parts.port or 80
+        if scheme == "http":
+            conn = http.client.HTTPConnection(conn_host, conn_port, timeout=self.timeout_s)
+            return conn, bool(proxy)
+        conn = http.client.HTTPSConnection(
+            conn_host, conn_port, timeout=self.timeout_s, context=self._tls_context()
+        )
+        if proxy:
+            conn.set_tunnel(host, port)
+        return conn, False
+
+    def _tls_context(self) -> ssl.SSLContext:
+        with self._tls_lock:
+            if self._tls is None:
+                self._tls = ssl.create_default_context()
+            return self._tls

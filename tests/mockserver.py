@@ -8,16 +8,24 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class MockServer:
-    """Serves responses from a callable (method, path, body) -> (status, payload);
-    records every request it sees."""
+    """Serves responses from a callable (method, path, body) -> (status, payload)
+    or (status, payload, extra headers); records every request it sees.
 
-    def __init__(self, respond):
+    By default it answers in HTTP/1.0 and closes each connection. With
+    `keep_alive` it answers in HTTP/1.1 and keeps connections open; adding
+    `drop_idle` closes each one right after its response without saying so,
+    as a server does when it times out an idle keep-alive connection.
+    """
+
+    def __init__(self, respond, keep_alive: bool = False, drop_idle: bool = False):
         self.respond = respond
         self.requests: list[dict] = []
         self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def _serve(self, method: str):
                 length = int(self.headers.get("Content-Length") or 0)
                 raw = self.rfile.read(length) if length else b""
@@ -29,18 +37,23 @@ class MockServer:
                             "path": self.path,
                             "body": body,
                             "headers": dict(self.headers),
+                            "client": self.client_address,
                         }
                     )
-                status, payload = outer.respond(method, self.path, body)
+                status, payload, *extra = outer.respond(method, self.path, body)
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 try:
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in (extra[0] if extra else {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
                 except OSError:
                     pass  # client gave up (timeout tests)
+                if drop_idle:
+                    self.close_connection = True
 
             def do_GET(self):
                 self._serve("GET")
@@ -68,7 +81,7 @@ class MockServer:
         self._server.server_close()
 
 
-def completions_server(reply_fn):
+def completions_server(reply_fn, **server_kwargs):
     """MockServer emulating a /completions endpoint.
 
     reply_fn(prompt) -> completion text; usage is whitespace token counts.
@@ -87,10 +100,10 @@ def completions_server(reply_fn):
             },
         }
 
-    return MockServer(respond)
+    return MockServer(respond, **server_kwargs)
 
 
-def pageviews_server(views_by_title):
+def pageviews_server(views_by_title, **server_kwargs):
     """MockServer emulating the per-article monthly pageviews API.
 
     Unknown titles get a 404, mirroring the real endpoint.
@@ -108,4 +121,4 @@ def pageviews_server(views_by_title):
             return 404, {"type": "not_found"}
         return 200, {"items": [{"article": title, "views": views_by_title[title]}]}
 
-    return MockServer(respond)
+    return MockServer(respond, **server_kwargs)

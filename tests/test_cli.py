@@ -99,6 +99,41 @@ class TestRuntimeErrors:
         assert_one_line_error(capsys, "vanilla")
         assert not out.exists()
 
+    def test_report_rejects_run_file_mixing_modes(self, tmp_path, capsys):
+        run = tmp_path / "mixed.jsonl"
+        write_records(
+            [
+                PredictionRecord("S0:director", "vanilla", "Y", True),
+                PredictionRecord("S0:director", "retrieval", "Y", True, retrieved_doc_id="d1"),
+            ],
+            run,
+        )
+        out = tmp_path / "report"
+        code = run_cli(
+            ["report", "--dataset", one_question_dataset(tmp_path), "--runs", run, "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "mixed.jsonl", "retrieval", "vanilla")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "report"])
+    def test_non_boolean_correct_is_one_line_error(self, tmp_path, capsys, command):
+        row = {"question_id": "S0:director", "mode": "vanilla", "prediction": "Y"}
+        vanilla = tmp_path / "run_vanilla.jsonl"
+        write_jsonl(vanilla, [{**row, "correct": "yes"}])
+        retrieval = tmp_path / "run_retrieval.jsonl"
+        write_jsonl(retrieval, [{**row, "mode": "retrieval", "correct": True}])
+        dataset = one_question_dataset(tmp_path)
+        out = tmp_path / "out"
+        if command == "tune":
+            argv = ["tune", "--dataset", dataset, "--vanilla", vanilla, "--retrieval", retrieval,
+                    "--out", out]
+        else:
+            argv = ["report", "--dataset", dataset, "--runs", vanilla, retrieval, "--out", out]
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, "run_vanilla.jsonl:1", "'correct'", "'yes'")
+        assert not out.exists()
+
     def test_index_rejects_non_finite_k1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl(corpus, [{"doc_id": "d1", "title": "t", "text": "cat"}])

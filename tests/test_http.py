@@ -1,0 +1,114 @@
+"""The shared HTTP core of the API clients: headers, redirects, proxies and
+keep-alive, seen from a localhost server."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from popgate import __version__
+from popgate.errors import TransportError
+from popgate.lm import CompletionClient, EndpointConfig
+from popgate.popularity import PageviewsClient, PageviewsConfig
+
+from mockserver import MockServer, completions_server, pageviews_server
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def pageviews_client(base_url, tmp_path, **kwargs) -> PageviewsClient:
+    defaults = dict(
+        base_url=base_url, cache_dir=tmp_path / "cache", requests_per_second=None, backoff_s=0.01
+    )
+    defaults.update(kwargs)
+    return PageviewsClient(PageviewsConfig(**defaults))
+
+
+def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
+    defaults = dict(
+        base_url=base_url, model="m", cache_dir=tmp_path / "cache", backoff_s=0.01, timeout_s=5.0
+    )
+    defaults.update(kwargs)
+    return CompletionClient(EndpointConfig(**defaults))
+
+
+def test_import_does_not_load_requests():
+    code = "import sys, popgate, popgate.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_default_user_agent_and_override(tmp_path, monkeypatch):
+    monkeypatch.delenv("POPGATE_USER_AGENT", raising=False)
+    with pageviews_server({"A": 1, "B": 2}) as server:
+        pageviews_client(server.base_url, tmp_path).fetch("A", "2022-12")
+        monkeypatch.setenv("POPGATE_USER_AGENT", "research-bot/1.0 (ops@example.org)")
+        pageviews_client(server.base_url, tmp_path).fetch("B", "2022-12")
+    agents = [r["headers"]["User-Agent"] for r in server.requests]
+    assert agents == [f"popgate/{__version__}", "research-bot/1.0 (ops@example.org)"]
+
+
+def test_bearer_token_from_api_key_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("POPGATE_TEST_KEY", "sekret")
+    with completions_server(lambda prompt: "ok") as server:
+        completion_client(server.base_url, tmp_path, api_key_env="POPGATE_TEST_KEY").complete("hi")
+    assert server.requests[0]["headers"]["Authorization"] == "Bearer sekret"
+
+
+def test_redirect_is_transport_error_naming_status_and_location(tmp_path):
+    def respond(method, path, body):
+        return 302, {}, {"Location": "/moved/completions"}
+
+    with MockServer(respond) as server:
+        client = completion_client(server.base_url, tmp_path, max_retries=2)
+        with pytest.raises(TransportError, match="302.*/moved/completions"):
+            client.complete("hi")
+    assert [r["path"] for r in server.requests] == ["/completions"]
+
+
+def test_http_proxy_receives_absolute_url(tmp_path, monkeypatch):
+    for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    with completions_server(lambda prompt: "via proxy") as proxy:
+        monkeypatch.setenv("http_proxy", proxy.base_url)
+        client = completion_client("http://completions.invalid/v1", tmp_path)
+        assert client.complete("hi").text == "via proxy"
+    assert proxy.requests[0]["path"] == "http://completions.invalid/v1/completions"
+    assert proxy.requests[0]["headers"]["Host"] == "completions.invalid"
+
+
+def test_sequential_calls_reuse_one_connection(tmp_path):
+    with pageviews_server({"A": 1, "B": 2, "C": 3}, keep_alive=True) as server:
+        client = pageviews_client(server.base_url, tmp_path)
+        for title in ("A", "B", "C"):
+            client.fetch(title, "2022-12")
+    assert len({r["client"] for r in server.requests}) == 1
+
+
+@pytest.mark.parametrize("kind", ["pageviews", "completions"])
+def test_server_dropping_idle_connections_costs_no_retry(tmp_path, caplog, kind):
+    with caplog.at_level("INFO", logger="popgate"):
+        if kind == "pageviews":
+            views = {"A": 1, "B": 2, "C": 3}
+            with pageviews_server(views, keep_alive=True, drop_idle=True) as server:
+                client = pageviews_client(server.base_url, tmp_path, max_retries=0)
+                for title in ("A", "B", "C"):
+                    client.fetch(title, "2022-12")
+        else:
+            with completions_server(lambda p: "ok", keep_alive=True, drop_idle=True) as server:
+                client = completion_client(server.base_url, tmp_path, max_retries=0)
+                for prompt in ("a", "b", "c"):
+                    client.complete(prompt)
+    assert len(server.requests) == 3
+    assert len({r["client"] for r in server.requests}) == 3
+    assert not [r for r in caplog.records if "retry" in r.getMessage()]

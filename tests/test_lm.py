@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from popgate.errors import ConfigError, ProtocolError, TransportError, ValidationError
 from popgate.lm import (
+    Completion,
     CompletionClient,
     EndpointConfig,
     OracleParams,
@@ -351,3 +353,22 @@ class TestRunPredictions:
         assert [r.question_id for r in records] == [ex.id for ex in dataset]
         assert all(r.correct for r in records)
         assert len(server.requests) == len(dataset)
+
+
+class TestCorruptCompletionCache:
+    @pytest.mark.parametrize(
+        "corrupt", [lambda text: text[: len(text) // 2], lambda text: '{"completion": {"txt": 1}}']
+    )
+    def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
+        with completions_server(lambda prompt: "fresh answer") as server:
+            config = make_endpoint(server.base_url, tmp_path / "cache")
+            path = tmp_path / "cache" / f"{completion_cache_key(config, 'hi')}.json"
+            CompletionClient(config).complete("hi")
+            path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+            with caplog.at_level("WARNING", logger="popgate.lm"):
+                completion = CompletionClient(config).complete("hi")
+            assert len(server.requests) == 2
+        assert completion.text == "fresh answer"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert Completion(**entry["completion"]) == completion
+        assert [r for r in caplog.records if str(path) in r.getMessage()]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -152,3 +153,26 @@ class TestPopularityRecord:
     def test_malformed_month_rejected(self):
         with pytest.raises(ValidationError):
             PopularityRecord("X", "202201", 1, "2022-01-01T00:00:00+00:00")
+
+
+class TestCorruptPageviewsCache:
+    @pytest.mark.parametrize(
+        "corrupt", [lambda text: text[: len(text) // 2], lambda text: '{"title": "Black"}']
+    )
+    def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
+        with pageviews_server({"Black": 10000}) as server:
+            config = PageviewsConfig(
+                base_url=server.base_url,
+                cache_dir=tmp_path / "cache",
+                requests_per_second=None,
+                backoff_s=0.01,
+            )
+            PageviewsClient(config).fetch("Black", "2022-12")
+            (path,) = (tmp_path / "cache").iterdir()
+            path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+            with caplog.at_level("WARNING", logger="popgate.popularity"):
+                record = PageviewsClient(config).fetch("Black", "2022-12")
+            assert len(server.requests) == 2
+        assert record.views == 10000
+        assert PopularityRecord(**json.loads(path.read_text(encoding="utf-8"))) == record
+        assert [r for r in caplog.records if str(path) in r.getMessage()]
