@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ValidationError
-from .util import read_jsonl, write_jsonl
+from .util import iter_jsonl, read_jsonl, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
@@ -223,19 +223,36 @@ def example_to_row(example: QAExample) -> dict:
     }
 
 
+_EXAMPLE_STRING_KEYS = ("id", "question", "subj", "subj_id", "relation")
+
+
 def example_from_row(row: dict) -> QAExample:
+    if not isinstance(row, dict):
+        raise ValidationError("dataset row is not a JSON object")
     try:
-        return QAExample(
-            id=row["id"],
-            question=row["question"],
-            gold_answers=frozenset(row["answers"]),
-            subject_id=row["subj_id"],
-            subject_label=row["subj"],
-            relation_type=row["relation"],
-            popularity=row.get("popularity"),
-        )
+        for key in _EXAMPLE_STRING_KEYS:
+            if not isinstance(row[key], str):
+                raise ValidationError(f"dataset row field {key!r} is not a string")
+        answers = row["answers"]
     except KeyError as exc:
         raise ValidationError(f"dataset row missing key {exc}") from exc
+    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+        raise ValidationError("dataset row field 'answers' is not a list of strings")
+    # QAExample rejects an empty answer list and a negative popularity.
+    popularity = row.get("popularity")
+    if popularity is not None and type(popularity) is not int:
+        raise ValidationError(
+            f"dataset row field 'popularity' is not null or an integer: {popularity!r}"
+        )
+    return QAExample(
+        id=row["id"],
+        question=row["question"],
+        gold_answers=frozenset(answers),
+        subject_id=row["subj_id"],
+        subject_label=row["subj"],
+        relation_type=row["relation"],
+        popularity=popularity,
+    )
 
 
 def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
@@ -247,7 +264,13 @@ def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
 
 
 def read_dataset(path: str | Path) -> list[QAExample]:
-    return [example_from_row(row) for row in read_jsonl(path)]
+    examples = []
+    for lineno, row in iter_jsonl(path):
+        try:
+            examples.append(example_from_row(row))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return examples
 
 
 def triple_from_row(row: dict) -> KnowledgeTriple:

@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -80,9 +79,9 @@ def build_fewshot_pool(
     """Pick few-shot (question, answer) pairs for one target question.
 
     On a dataset with exactly 16 relation types the pool is stratified: one
-    random pair per relation other than the target's. Otherwise it is a
-    uniform sample of `shots` pairs. The target example itself is never
-    eligible; shots=0 returns an empty list.
+    random pair per relation other than the target's, so `shots` must be 0
+    or 15 there. Otherwise it is a uniform sample of `shots` pairs. The
+    target example itself is never eligible; shots=0 returns an empty list.
     """
     if shots < 0:
         raise ValidationError("shots must be non-negative")
@@ -92,6 +91,11 @@ def build_fewshot_pool(
     candidates = [ex for ex in dataset if ex.id != target.id]
     relations = {ex.relation_type for ex in dataset}
     if len(relations) == 16:
+        if shots != 15:
+            raise ValidationError(
+                f"shots={shots}: a dataset with 16 relations takes 0 or 15 shots "
+                f"(one per relation other than the question's)"
+            )
         by_relation: dict[str, list[QAExample]] = {}
         for ex in candidates:
             by_relation.setdefault(ex.relation_type, []).append(ex)
@@ -405,6 +409,8 @@ def run_predictions(
     # Endpoint calls are dispatched with bounded parallelism; results are
     # collected back in dataset order so records never depend on arrival order.
     if client is not None and client.config.max_parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=client.config.max_parallelism) as pool:
             answers = list(pool.map(answer, items))
     else:

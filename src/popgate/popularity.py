@@ -8,7 +8,6 @@ import json
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -149,6 +148,8 @@ class PageviewsClient:
 
     def fetch_many(self, titles: Sequence[str], month: str) -> dict[str, PopularityRecord]:
         """Fetch several titles with bounded parallelism; returns title -> record."""
+        from concurrent.futures import ThreadPoolExecutor
+
         unique = list(dict.fromkeys(titles))
         with ThreadPoolExecutor(max_workers=self.config.max_parallelism) as pool:
             records = pool.map(lambda t: self.fetch(t, month), unique)

@@ -4,23 +4,27 @@ and the keep-alive HTTP, retry and JSON-file cache core of the API clients."""
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
-import ssl
 import tempfile
 import threading
 import time
-import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator
 from urllib.parse import SplitResult, urlsplit
 
 from . import __version__
 from .errors import ConfigError, TransportError, ValidationError
+
+# The HTTP stack (http.client, ssl, urllib.request and the email package they
+# pull in) costs about 30 ms of CPU to import; HttpClient imports it on first
+# use, so processes that send no request never load it.
+if TYPE_CHECKING:
+    import http.client
+    import ssl
 
 USER_AGENT_ENV = "POPGATE_USER_AGENT"
 DEFAULT_USER_AGENT = f"popgate/{__version__}"
@@ -205,6 +209,8 @@ class HttpClient:
 
     def request(self, method: str, url: str, what: str, json_body: Any = None) -> HttpResponse:
         """Send with retries; `what` names the call in retry logs and errors."""
+        import http.client
+
         headers = dict(self._headers)
         body = None
         if json_body is not None:
@@ -286,6 +292,9 @@ class HttpClient:
     def _connect(
         self, scheme: str, host: str | None, port: int | None
     ) -> tuple[http.client.HTTPConnection, bool]:
+        import http.client
+        import urllib.request
+
         if scheme not in ("http", "https") or not host:
             raise ConfigError(f"unsupported URL {scheme}://{host}: need http(s)://host")
         port = port or (443 if scheme == "https" else 80)
@@ -309,6 +318,8 @@ class HttpClient:
         return conn, False
 
     def _tls_context(self) -> ssl.SSLContext:
+        import ssl
+
         with self._tls_lock:
             if self._tls is None:
                 self._tls = ssl.create_default_context()

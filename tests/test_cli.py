@@ -5,7 +5,7 @@ import json
 import pytest
 
 from popgate.cli import main
-from popgate.dataset import read_dataset
+from popgate.dataset import read_dataset, write_dataset
 from popgate.evaluation import PredictionRecord, write_records
 from popgate.util import write_jsonl
 
@@ -160,6 +160,60 @@ class TestRuntimeErrors:
         assert run_cli(["index", "--corpus", corpus, "--out", out]) == 1
         assert_one_line_error(capsys, "corpus.jsonl", "row 2", fragment)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            ({"answers": "Paris"}, "'answers'"),
+            ({"popularity": "100"}, "'popularity'"),
+            ({"popularity": True}, "'popularity'"),
+            ({"id": 7}, "'id'"),
+            (None, "not a JSON object"),
+        ],
+    )
+    def test_run_rejects_malformed_dataset_row(self, tmp_path, capsys, change, fragment):
+        good = json.loads(one_question_dataset(tmp_path).read_text())
+        row = list(good.values()) if change is None else {**good, **change}
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "run.jsonl"
+        code = run_cli(
+            ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle", "--shots", 0,
+             "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "dataset.jsonl:1:", fragment)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", [3, 16])
+    def test_run_rejects_shots_other_than_0_or_15_on_16_relations(
+        self, tmp_path, capsys, sixteen_relation_dataset, shots
+    ):
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset(sixteen_relation_dataset, dataset)
+        out = tmp_path / "run.jsonl"
+        code = run_cli(
+            ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle", "--shots", shots,
+             "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, f"shots={shots}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shots", [0, 15])
+    def test_run_accepts_0_or_15_shots_on_16_relations(
+        self, tmp_path, sixteen_relation_dataset, shots
+    ):
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset(sixteen_relation_dataset, dataset)
+        out = tmp_path / "run.jsonl"
+        code = run_cli(
+            ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle", "--shots", shots,
+             "--out", out]
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == len(sixteen_relation_dataset)
 
     def test_report_missing_run_file_names_path(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from popgate.dataset import (
     QuestionTemplate,
     RELATIONS,
     default_templates,
+    example_from_row,
     inclusion_probability,
     read_dataset,
     sample_triples,
@@ -177,6 +179,62 @@ class TestDatasetIO:
             write_dataset([verbalize(t, default_templates()) for t in kept], path)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+GOOD_ROW = {
+    "id": "S0:capital",
+    "question": "What is the capital of X?",
+    "answers": ["Paris"],
+    "subj": "X",
+    "subj_id": "S0",
+    "relation": "capital",
+    "popularity": 100,
+}
+
+
+class TestExampleRowTypes:
+    @pytest.mark.parametrize("popularity", [None, 0, 100])
+    def test_good_row_accepted(self, popularity):
+        example = example_from_row({**GOOD_ROW, "popularity": popularity})
+        assert example.gold_answers == frozenset({"Paris"})
+        assert example.popularity == popularity
+
+    def test_popularity_may_be_absent(self):
+        row = {k: v for k, v in GOOD_ROW.items() if k != "popularity"}
+        assert example_from_row(row).popularity is None
+
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [
+            ({"answers": "Paris"}, "'answers'"),
+            ({"answers": []}, "empty gold answer"),
+            ({"answers": ["Paris", 5]}, "'answers'"),
+            ({"popularity": "100"}, "'popularity'"),
+            ({"popularity": True}, "'popularity'"),
+            ({"popularity": 1.5}, "'popularity'"),
+            ({"popularity": -1}, "negative popularity"),
+            ({"id": 7}, "'id'"),
+            ({"question": None}, "'question'"),
+            ({"subj": ["X"]}, "'subj'"),
+            ({"subj_id": 0}, "'subj_id'"),
+            ({"relation": {"name": "capital"}}, "'relation'"),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, change, fragment):
+        with pytest.raises(ValidationError, match=fragment):
+            example_from_row({**GOOD_ROW, **change})
+
+    def test_row_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValidationError, match="not a JSON object"):
+            example_from_row(list(GOOD_ROW.values()))
+
+    def test_read_dataset_names_path_and_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            json.dumps(GOOD_ROW) + "\n\n" + json.dumps({**GOOD_ROW, "answers": "Paris"}) + "\n"
+        )
+        with pytest.raises(ValidationError, match=f"{path}:3: .*'answers'"):
+            read_dataset(path)
 
 
 class TestCorpusTermFrequency:

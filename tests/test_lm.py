@@ -90,6 +90,14 @@ class TestFewshotPool:
         target = sixteen_relation_dataset[0]
         assert build_fewshot_pool(sixteen_relation_dataset, target, 0, rng_seed=1) == []
 
+    @pytest.mark.parametrize("shots", [1, 3, 14, 16])
+    def test_sixteen_relations_take_only_zero_or_fifteen_shots(
+        self, sixteen_relation_dataset, shots
+    ):
+        target = sixteen_relation_dataset[0]
+        with pytest.raises(ValidationError, match=f"shots={shots}: .*0 or 15"):
+            build_fewshot_pool(sixteen_relation_dataset, target, shots, rng_seed=1)
+
     def test_twenty_relations_uniform_sample(self):
         relations = tuple(f"rel{i}" for i in range(20))
         dataset = synthetic_examples(200, relations=relations, seed=2)
