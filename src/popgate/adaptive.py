@@ -21,11 +21,11 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from .dataset import QAExample
-from .errors import AccountingError, JoinError, PolicyError, ValidationError
-from .evaluation import PredictionRecord
+from .errors import AccountingError, PolicyError, ValidationError
+from .evaluation import PredictionRecord, join_runs
 from .util import atomic_write_text, dumps_stable, sha256_hex
 
 logger = logging.getLogger(__name__)
@@ -38,6 +38,8 @@ POS_INF = float("inf")
 
 DEFAULT_SPLIT_FRACTION = 0.75
 DEFAULT_REPEATS = 100
+
+T = TypeVar("T")
 
 
 def dataset_fingerprint(dataset: Sequence[QAExample]) -> str:
@@ -132,23 +134,18 @@ def route(example: QAExample, policy: ThresholdPolicy) -> str:
     return RETRIEVE if example.log10_popularity < threshold else PARAMETRIC
 
 
-def _indexed(
-    records: Sequence[PredictionRecord], dataset: Sequence[QAExample], label: str
-) -> dict[str, PredictionRecord]:
-    by_id = {}
-    for rec in records:
-        if rec.question_id in by_id:
-            raise ValidationError(f"{label} run has duplicate records for {rec.question_id!r}")
-        by_id[rec.question_id] = rec
-    dataset_ids = {ex.id for ex in dataset}
-    missing = sorted(dataset_ids - set(by_id))
-    extra = sorted(set(by_id) - dataset_ids)
-    if missing or extra:
-        raise JoinError(
-            f"{label} run does not cover the dataset "
-            f"(missing: {missing[:10]}, unknown: {extra[:10]})"
-        )
-    return by_id
+def routed_records(
+    vanilla: Sequence[T],
+    retrieval: Sequence[T],
+    dataset: Sequence[QAExample],
+    policy: ThresholdPolicy,
+) -> list[T]:
+    """`retrieval[i]` where `dataset[i]` routes to RETRIEVE, else `vanilla[i]`:
+    each question's answer under `policy`, for runs joined as `join_runs` does."""
+    return [
+        ret if route(ex, policy) == RETRIEVE else van
+        for ex, van, ret in zip(dataset, vanilla, retrieval, strict=True)
+    ]
 
 
 def adaptive_accuracy(
@@ -159,13 +156,11 @@ def adaptive_accuracy(
 ) -> float:
     """Accuracy when questions routed to RETRIEVE take the retrieval-augmented
     answer and the rest take the parametric one."""
-    van = _indexed(vanilla_records, dataset, "vanilla")
-    ret = _indexed(retrieval_records, dataset, "retrieval")
+    van, ret = join_runs(dataset, vanilla_records, retrieval_records)
     if not dataset:
         raise ValidationError("cannot score an empty dataset")
     hits = 0
-    for ex in dataset:
-        rec = ret[ex.id] if route(ex, policy) == RETRIEVE else van[ex.id]
+    for rec in routed_records(van, ret, dataset, policy):
         hits += rec.correct
     return hits / len(dataset)
 
@@ -287,7 +282,6 @@ def tune_thresholds(
     split_fraction: float = DEFAULT_SPLIT_FRACTION,
     repeats: int = DEFAULT_REPEATS,
     rng_seed: int | str = 0,
-    retrieval_mode: str = "retrieval",
 ) -> TuneResult:
     """Tune per-relation thresholds over repeated random splits.
 
@@ -301,19 +295,17 @@ def tune_thresholds(
         raise ValidationError("split_fraction must be in (0, 1)")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
-    van = _indexed(vanilla_records, dataset, "vanilla")
-    ret = _indexed(retrieval_records, dataset, "retrieval")
-    grouped: dict[str, list[QAExample]] = {}
-    for ex in dataset:
-        grouped.setdefault(ex.relation_type, []).append(ex)
+    grouped: dict[str, list[tuple[QAExample, PredictionRecord, PredictionRecord]]] = {}
+    for row in zip(dataset, *join_runs(dataset, vanilla_records, retrieval_records)):
+        grouped.setdefault(row[0].relation_type, []).append(row)
     relations = {
         relation: _SortedRelation.of(
-            [ex.log10_popularity for ex in examples],
-            [int(van[ex.id].correct) for ex in examples],
-            [int(ret[ex.id].correct) for ex in examples],
-            [ex.id for ex in examples],
+            [ex.log10_popularity for ex, _, _ in rows],
+            [int(van.correct) for _, van, _ in rows],
+            [int(ret.correct) for _, _, ret in rows],
+            [ex.id for ex, _, _ in rows],
         )
-        for relation, examples in sorted(grouped.items())
+        for relation, rows in sorted(grouped.items())
     }
     outcomes = []
     for i in range(repeats):
@@ -361,7 +353,6 @@ def tune_thresholds(
             for relation, rows in relations.items()
         },
         tuned_on=dataset_fingerprint(dataset),
-        retrieval_mode=retrieval_mode,
     )
     mean_test = math.fsum(o.test_accuracy for o in outcomes) / len(outcomes)
     return TuneResult(policy=policy, mean_test_accuracy=mean_test, repeat_outcomes=outcomes)
@@ -396,6 +387,16 @@ class CostModel:
         )
 
 
+def _totals(rows: Sequence[tuple[float, int, int]]) -> tuple[float, int, int]:
+    """Column sums of (cost, latency, retrieved) rows, adding in row order."""
+    cost, ms, retrieved = 0.0, 0, 0
+    for row_cost, row_ms, row_retrieved in rows:
+        cost += row_cost
+        ms += row_ms
+        retrieved += row_retrieved
+    return cost, ms, retrieved
+
+
 def cost_report(
     vanilla_records: Sequence[PredictionRecord],
     retrieval_records: Sequence[PredictionRecord],
@@ -404,11 +405,10 @@ def cost_report(
     cost_model: CostModel,
 ) -> dict:
     """Token-cost and latency totals of the routed system vs. both baselines."""
-    van = _indexed(vanilla_records, dataset, "vanilla")
-    ret = _indexed(retrieval_records, dataset, "retrieval")
+    van, ret = join_runs(dataset, vanilla_records, retrieval_records)
     incomplete = sorted(
         rec.question_id
-        for rec in list(van.values()) + list(ret.values())
+        for rec in van + ret
         if rec.prompt_tokens is None
         or rec.completion_tokens is None
         or rec.latency_ms is None
@@ -417,26 +417,13 @@ def cost_report(
         raise AccountingError(
             f"records lacking token counts or latency: {incomplete[:10]}"
         )
-    adaptive_cost = 0.0
-    vanilla_cost = 0.0
-    always_cost = 0.0
-    adaptive_ms = 0
-    vanilla_ms = 0
-    always_ms = 0
-    routed = 0
-    for ex in dataset:
-        v, r = van[ex.id], ret[ex.id]
-        vanilla_cost += cost_model.record_cost(v)
-        always_cost += cost_model.record_cost(r)
-        vanilla_ms += v.latency_ms
-        always_ms += r.latency_ms + cost_model.retrieval_latency_ms
-        if route(ex, policy) == RETRIEVE:
-            routed += 1
-            adaptive_cost += cost_model.record_cost(r)
-            adaptive_ms += r.latency_ms + cost_model.retrieval_latency_ms
-        else:
-            adaptive_cost += cost_model.record_cost(v)
-            adaptive_ms += v.latency_ms
+    # Per question: (token cost, latency, retrieved?) when answered from each run.
+    lookup = cost_model.retrieval_latency_ms
+    vanilla = [(cost_model.record_cost(v), v.latency_ms, 0) for v in van]
+    always = [(cost_model.record_cost(r), r.latency_ms + lookup, 1) for r in ret]
+    vanilla_cost, vanilla_ms, _ = _totals(vanilla)
+    always_cost, always_ms, _ = _totals(always)
+    adaptive_cost, adaptive_ms, routed = _totals(routed_records(vanilla, always, dataset, policy))
     savings = 0.0 if always_cost == 0 else 1.0 - adaptive_cost / always_cost
     return {
         "adaptive_cost": adaptive_cost,

@@ -23,7 +23,7 @@ from . import retriever as retriever_mod
 from .config import RunConfig, load_config, parse_cost_model, parse_endpoint_config
 from .errors import ConfigError, PopgateError, ValidationError
 from .popularity import DEFAULT_PAGEVIEWS_BASE_URL, PageviewsClient, PageviewsConfig
-from .util import atomic_write_text, dumps_stable, write_jsonl
+from .util import atomic_write_text, dumps_stable, read_text, write_jsonl
 
 logger = logging.getLogger("popgate")
 
@@ -53,9 +53,7 @@ def _cmd_build_dataset(args) -> int:
         else dataset_mod.default_templates()
     )
     if args.freq_corpus:
-        term_frequency = dataset_mod.CorpusTermFrequency(
-            Path(args.freq_corpus).read_text(encoding="utf-8")
-        )
+        term_frequency = dataset_mod.CorpusTermFrequency(read_text(args.freq_corpus))
     else:
         # Without a frequency corpus every triple passes the sampler.
         term_frequency = lambda triple: math.e**2
@@ -116,10 +114,8 @@ def _cmd_run(args) -> int:
     if args.endpoint and args.oracle:
         raise ConfigError("--endpoint and --oracle are mutually exclusive")
     if args.endpoint:
-        with open(args.endpoint, encoding="utf-8") as fh:
-            client = lm_mod.CompletionClient(
-                parse_endpoint_config(json.load(fh), prefix="")
-            )
+        endpoint = parse_endpoint_config(json.loads(read_text(args.endpoint)), prefix="")
+        client = lm_mod.CompletionClient(endpoint)
     elif config.endpoint is not None and not args.oracle:
         client = lm_mod.CompletionClient(config.endpoint)
     else:
@@ -160,16 +156,16 @@ def _cmd_report(args) -> int:
             quadrants = eval_mod.quadrant_analysis(
                 by_mode["vanilla"], by_mode[augmented_mode], examples
             )
-    for mode, records in by_mode.items():
-        summary = eval_mod.evaluate_run(records, examples, min_bin_n=args.min_bin_n)
-        report = eval_mod.EvalReport(
-            overall_accuracy=summary.overall_accuracy,
-            per_relation=summary.per_relation,
-            bins=summary.bins,
-            quadrants=quadrants,
-        )
+    # Every report is computed before any is written, so a run that fails
+    # to join leaves no report files behind.
+    reports = {
+        mode: eval_mod.evaluate_run(records, examples, min_bin_n=args.min_bin_n)
+        for mode, records in by_mode.items()
+    }
+    for mode, report in reports.items():
+        report.quadrants = quadrants
         path = eval_mod.write_report(report, out_dir, stem=f"report_{mode}")
-        logger.info("mode=%s accuracy=%.4f -> %s", mode, summary.overall_accuracy, path)
+        logger.info("mode=%s accuracy=%.4f -> %s", mode, report.overall_accuracy, path)
     if quadrants is not None:
         print(eval_mod.format_quadrants(quadrants))
     return 0
@@ -247,8 +243,7 @@ def _cmd_savings(args) -> int:
     retrieval = eval_mod.read_run(args.retrieval)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     if args.cost_model:
-        with open(args.cost_model, encoding="utf-8") as fh:
-            cost_model = parse_cost_model(json.load(fh), prefix="")
+        cost_model = parse_cost_model(json.loads(read_text(args.cost_model)), prefix="")
     else:
         cost_model = config.cost_model
     report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)

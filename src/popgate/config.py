@@ -7,33 +7,19 @@ every seed default is an explicit constant, never wall-clock derived.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
 
 from .adaptive import CostModel
 from .errors import ConfigError, ValidationError
 from .lm import DEFAULT_GENREAD_INSTRUCTION, EndpointConfig, OracleParams
 from .popularity import DEFAULT_PAGEVIEWS_MONTH
 from .retriever import DEFAULT_B, DEFAULT_K1
-from .util import atomic_write_text, dumps_stable
+from .util import read_text
 
-_PATH_KEYS = ("dataset", "corpus", "index", "cache_dir", "output_dir", "triples")
+_PATH_KEYS = ("dataset", "corpus", "index", "cache_dir", "triples")
 
-_ENDPOINT_KEYS = {
-    "base_url",
-    "model",
-    "api_key_env",
-    "cache_dir",
-    "endpoint_id",
-    "temperature",
-    "max_tokens",
-    "timeout_s",
-    "max_retries",
-    "backoff_s",
-    "max_parallelism",
-    "requests_per_second",
-}
+_ENDPOINT_KEYS = {f.name for f in fields(EndpointConfig)}
 
 
 @dataclass
@@ -55,44 +41,6 @@ class RunConfig:
             retrieval_latency_ms=50,
         )
     )
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "paths": dict(sorted(self.paths.items())),
-            "run": {"mode": self.mode, "shots": self.shots, "seed": self.seed},
-            "bm25": {"k1": self.bm25_k1, "b": self.bm25_b},
-            "pageviews": {"month": self.pageviews_month},
-            "genread_instruction": self.genread_instruction,
-            "oracle": {
-                "a": self.oracle.a,
-                "b": self.oracle.b,
-                "readout": self.oracle.readout,
-            },
-            "cost_model": {
-                "price_per_1k_prompt_tokens": self.cost_model.price_per_1k_prompt_tokens,
-                "price_per_1k_completion_tokens": self.cost_model.price_per_1k_completion_tokens,
-                "retrieval_latency_ms": self.cost_model.retrieval_latency_ms,
-            },
-        }
-        if self.endpoint is not None:
-            ep = {
-                "base_url": self.endpoint.base_url,
-                "model": self.endpoint.model,
-                "api_key_env": self.endpoint.api_key_env,
-                "cache_dir": None
-                if self.endpoint.cache_dir is None
-                else str(self.endpoint.cache_dir),
-                "endpoint_id": self.endpoint.endpoint_id,
-                "temperature": self.endpoint.temperature,
-                "max_tokens": self.endpoint.max_tokens,
-                "timeout_s": self.endpoint.timeout_s,
-                "max_retries": self.endpoint.max_retries,
-                "backoff_s": self.endpoint.backoff_s,
-                "max_parallelism": self.endpoint.max_parallelism,
-                "requests_per_second": self.endpoint.requests_per_second,
-            }
-            out["endpoint"] = ep
-        return out
 
 
 def _require_keys(section: dict, allowed: set[str], prefix: str) -> None:
@@ -130,15 +78,7 @@ def parse_endpoint_config(payload: dict, prefix: str = "endpoint.") -> EndpointC
 
 
 def parse_cost_model(payload: dict, prefix: str = "cost_model.") -> CostModel:
-    _require_keys(
-        payload,
-        {
-            "price_per_1k_prompt_tokens",
-            "price_per_1k_completion_tokens",
-            "retrieval_latency_ms",
-        },
-        prefix,
-    )
+    _require_keys(payload, {f.name for f in fields(CostModel)}, prefix)
     defaults = RunConfig().cost_model
     try:
         return CostModel(
@@ -164,8 +104,7 @@ def parse_cost_model(payload: dict, prefix: str = "cost_model.") -> CostModel:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a config file; unknown keys are rejected."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(payload, dict):
@@ -218,7 +157,3 @@ def load_config(path: str | Path) -> RunConfig:
     if config.bm25_k1 < 0 or not 0 <= config.bm25_b <= 1:
         raise ConfigError("bm25: k1 must be >= 0 and b in [0, 1]")
     return config
-
-
-def save_config(config: RunConfig, path: str | Path) -> None:
-    atomic_write_text(path, dumps_stable(config.to_dict()) + "\n")

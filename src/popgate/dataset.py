@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ValidationError
-from .util import iter_jsonl, read_jsonl, write_jsonl
+from .util import iter_jsonl, read_text, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
@@ -295,18 +295,17 @@ def triple_from_row(row: dict) -> KnowledgeTriple:
 
 
 def read_triples(path: str | Path) -> list[KnowledgeTriple]:
-    return [triple_from_row(row) for row in read_jsonl(path)]
+    return [triple_from_row(row) for _lineno, row in iter_jsonl(path)]
 
 
 def load_templates(path: str | Path) -> dict[str, QuestionTemplate]:
     """Load {relation: pattern} JSON, e.g. {"director": "Who was the director of [subj]?"}."""
     import json
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid templates JSON: {exc}") from exc
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid templates JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: templates file must be a JSON object")
     return {rel: QuestionTemplate(rel, pattern) for rel, pattern in raw.items()}

@@ -21,10 +21,10 @@ from .adaptive import (
     adaptive_accuracy,
     cost_report,
     retrieval_fraction,
-    route,
+    routed_records,
     tune_thresholds,
-    RETRIEVE,
 )
+from .config import RunConfig
 from .dataset import (
     KnowledgeTriple,
     QAExample,
@@ -37,6 +37,7 @@ from .dataset import (
 from .evaluation import (
     EvalReport,
     evaluate_run,
+    join_runs,
     overall_accuracy,
     quadrant_analysis,
     write_records,
@@ -55,7 +56,6 @@ _DEMO_MIN_BIN_N = 20
 
 @dataclass
 class SyntheticWorld:
-    triples: list[KnowledgeTriple]
     examples: list[QAExample]
     passages: list[Passage]
 
@@ -63,15 +63,13 @@ class SyntheticWorld:
 def generate_world(
     seed: int | str,
     size: int = DEMO_SIZE,
-    low_hit_rate: float = LOW_POP_HIT_RATE,
-    high_hit_rate: float = HIGH_POP_HIT_RATE,
     pop_boundary: float = 3.5,
 ) -> SyntheticWorld:
     """Build `size` synthetic questions plus a one-passage-per-subject corpus.
 
     Each subject gets a unique label token so BM25 retrieves its own passage;
     whether that passage contains the gold answer is a popularity-dependent
-    coin flip (low_hit_rate below pop_boundary, high_hit_rate above).
+    coin flip (LOW_POP_HIT_RATE below pop_boundary, HIGH_POP_HIT_RATE above).
     """
     rng = random.Random(f"demo\x00{seed}")
     triples = []
@@ -101,7 +99,8 @@ def generate_world(
         example = verbalize(triple, templates)
         log10_pop = rng.uniform(_MIN_LOG10_POP, _MAX_LOG10_POP)
         example = example.with_popularity(round(10.0**log10_pop))
-        hit_rate = low_hit_rate if example.log10_popularity < pop_boundary else high_hit_rate
+        rare = example.log10_popularity < pop_boundary
+        hit_rate = LOW_POP_HIT_RATE if rare else HIGH_POP_HIT_RATE
         answer = sorted(example.gold_answers)[0]
         detail = answer if rng.random() < hit_rate else "unverified"
         passages.append(
@@ -112,7 +111,7 @@ def generate_world(
             )
         )
         examples.append(example)
-    return SyntheticWorld(triples=triples, examples=examples, passages=passages)
+    return SyntheticWorld(examples=examples, passages=passages)
 
 
 def run_demo(
@@ -126,11 +125,7 @@ def run_demo(
 ) -> EvalReport:
     """Run the full synthetic pipeline and write every artifact under out_dir."""
     oracle = oracle or OracleParams()
-    cost_model = cost_model or CostModel(
-        price_per_1k_prompt_tokens=0.02,
-        price_per_1k_completion_tokens=0.02,
-        retrieval_latency_ms=50,
-    )
+    cost_model = cost_model or RunConfig().cost_model
     out_dir = Path(out_dir)
     world = generate_world(seed, size=size, pop_boundary=oracle.b)
     dataset = world.examples
@@ -150,36 +145,27 @@ def run_demo(
     )
     policy = tuned.policy
 
-    van_by_id = {r.question_id: r for r in vanilla}
-    ret_by_id = {r.question_id: r for r in retrieval}
-    routed_records = [
-        (ret_by_id if route(ex, policy) == RETRIEVE else van_by_id)[ex.id]
-        for ex in dataset
-    ]
-    summary = evaluate_run(routed_records, dataset, min_bin_n=_DEMO_MIN_BIN_N)
-    report = EvalReport(
-        overall_accuracy=summary.overall_accuracy,
-        per_relation=summary.per_relation,
-        bins=summary.bins,
-        quadrants=quadrant_analysis(vanilla, retrieval, dataset),
-        retrieval_fraction=retrieval_fraction(dataset, policy),
-        cost=cost_report(vanilla, retrieval, dataset, policy, cost_model),
-        baselines={
-            "vanilla": overall_accuracy(vanilla),
-            "retrieval": overall_accuracy(retrieval),
-        },
-        adaptive={
-            "mean_test_adaptive_accuracy": tuned.mean_test_accuracy,
-            "full_fit_adaptive_accuracy": adaptive_accuracy(
-                vanilla, retrieval, dataset, policy
-            ),
-            "per_repeat_test_accuracies": tuned.per_repeat_test_accuracies,
-            "split_fraction": split_fraction,
-            "repeats": repeats,
-            "seed": seed,
-            "thresholds": policy.to_dict()["thresholds"],
-        },
+    report = evaluate_run(
+        routed_records(*join_runs(dataset, vanilla, retrieval), dataset, policy),
+        dataset,
+        min_bin_n=_DEMO_MIN_BIN_N,
     )
+    report.quadrants = quadrant_analysis(vanilla, retrieval, dataset)
+    report.retrieval_fraction = retrieval_fraction(dataset, policy)
+    report.cost = cost_report(vanilla, retrieval, dataset, policy, cost_model)
+    report.baselines = {
+        "vanilla": overall_accuracy(vanilla),
+        "retrieval": overall_accuracy(retrieval),
+    }
+    report.adaptive = {
+        "mean_test_adaptive_accuracy": tuned.mean_test_accuracy,
+        "full_fit_adaptive_accuracy": adaptive_accuracy(vanilla, retrieval, dataset, policy),
+        "per_repeat_test_accuracies": tuned.per_repeat_test_accuracies,
+        "split_fraction": split_fraction,
+        "repeats": repeats,
+        "seed": seed,
+        "thresholds": policy.to_dict()["thresholds"],
+    }
 
     write_dataset(dataset, out_dir / "dataset.jsonl")
     write_corpus(world.passages, out_dir / "corpus.jsonl")

@@ -142,17 +142,39 @@ def read_run(path: str | Path) -> list[PredictionRecord]:
     return records
 
 
-def _join(
-    records: Sequence[PredictionRecord], dataset: Sequence[QAExample]
-) -> list[tuple[PredictionRecord, QAExample]]:
-    by_id = {ex.id: ex for ex in dataset}
-    pairs = []
-    for rec in records:
-        ex = by_id.get(rec.question_id)
-        if ex is None:
-            raise JoinError(f"record references unknown question id {rec.question_id!r}")
-        pairs.append((rec, ex))
-    return pairs
+def join_runs(
+    dataset: Sequence[QAExample], *runs: Sequence[PredictionRecord]
+) -> list[list[PredictionRecord]]:
+    """Each run's record for every question, in dataset order: one list per run.
+
+    Raises JoinError when a run holds two records for one question, a record
+    for a question outside the dataset, or no record for some question.
+    """
+    joined = []
+    for run in runs:
+        by_id = {rec.question_id: rec for rec in run}
+        rows = [by_id.get(ex.id) for ex in dataset]
+        if not (len(by_id) == len(run) == len(dataset) and all(rows)):
+            _require_cover(dataset, run)
+        joined.append(rows)
+    return joined
+
+
+def _require_cover(dataset: Sequence[QAExample], run: Sequence[PredictionRecord]) -> None:
+    label = run[0].mode if run else "empty"
+    seen: set[str] = set()
+    for rec in run:
+        if rec.question_id in seen:
+            raise JoinError(f"{label} run has duplicate records for {rec.question_id!r}")
+        seen.add(rec.question_id)
+    dataset_ids = {ex.id for ex in dataset}
+    missing = sorted(dataset_ids - seen)
+    extra = sorted(seen - dataset_ids)
+    if missing or extra:
+        raise JoinError(
+            f"{label} run does not cover the dataset "
+            f"(missing: {missing[:10]}, unknown: {extra[:10]})"
+        )
 
 
 def overall_accuracy(records: Sequence[PredictionRecord]) -> float:
@@ -165,12 +187,8 @@ def accuracy_by_relation(
     records: Sequence[PredictionRecord], dataset: Sequence[QAExample]
 ) -> dict[str, tuple[float, int]]:
     """Per-relation (accuracy, n)."""
-    grouped: dict[str, list[bool]] = {}
-    for rec, ex in _join(records, dataset):
-        grouped.setdefault(ex.relation_type, []).append(rec.correct)
-    return {
-        rel: (sum(flags) / len(flags), len(flags)) for rel, flags in sorted(grouped.items())
-    }
+    per_relation = _per_relation(dataset, *join_runs(dataset, records))
+    return {rel: (acc, n) for rel, (acc, _corr, n) in per_relation.items()}
 
 
 def popularity_correlation(
@@ -181,22 +199,26 @@ def popularity_correlation(
     Relations where either side has zero variance (or fewer than two records)
     map to None rather than an arbitrary number.
     """
-    grouped: dict[str, list[tuple[float, int]]] = {}
-    for rec, ex in _join(records, dataset):
-        grouped.setdefault(ex.relation_type, []).append(
-            (ex.log10_popularity, int(rec.correct))
-        )
-    out: dict[str, float | None] = {}
-    for rel, points in sorted(grouped.items()):
-        if len(points) < 2:
-            out[rel] = None
-            continue
-        xs = [p[0] for p in points]
-        ys = [float(p[1]) for p in points]
+    per_relation = _per_relation(dataset, *join_runs(dataset, records))
+    return {rel: corr for rel, (_acc, corr, _n) in per_relation.items()}
+
+
+def _per_relation(
+    dataset: Sequence[QAExample], rows: Sequence[PredictionRecord]
+) -> dict[str, tuple[float, float | None, int]]:
+    """Per-relation (accuracy, popularity correlation, n) of a joined run."""
+    grouped: dict[str, tuple[list[float], list[bool]]] = {}
+    for ex, rec in zip(dataset, rows):
+        pops, flags = grouped.setdefault(ex.relation_type, ([], []))
+        pops.append(ex.log10_popularity)
+        flags.append(rec.correct)
+    out = {}
+    for rel, (pops, flags) in sorted(grouped.items()):
         try:
-            out[rel] = statistics.correlation(xs, ys)
-        except statistics.StatisticsError:
-            out[rel] = None
+            corr = statistics.correlation(pops, [float(flag) for flag in flags])
+        except statistics.StatisticsError:  # fewer than two points, or a constant side
+            corr = None
+        out[rel] = (sum(flags) / len(flags), corr, len(flags))
     return out
 
 
@@ -232,22 +254,28 @@ def binned_accuracy(
 
     Bins with fewer than min_bin_n records are omitted.
     """
-    if bin_width_log10 <= 0:
+    return _binned_accuracy(dataset, *join_runs(dataset, records), bin_width_log10, min_bin_n)
+
+
+def _binned_accuracy(
+    dataset: Sequence[QAExample], rows: Sequence[PredictionRecord], width: float, min_n: int
+) -> list[PopularityBin]:
+    if width <= 0:
         raise ValidationError("bin_width_log10 must be positive")
     buckets: dict[int, list[bool]] = {}
-    for rec, ex in _join(records, dataset):
-        idx = math.floor(ex.log10_popularity / bin_width_log10)
+    for ex, rec in zip(dataset, rows):
+        idx = math.floor(ex.log10_popularity / width)
         buckets.setdefault(idx, []).append(rec.correct)
     bins = []
     for idx in sorted(buckets):
         flags = buckets[idx]
-        if len(flags) < min_bin_n:
+        if len(flags) < min_n:
             continue
         successes = sum(flags)
         low, high = wilson_interval(successes, len(flags))
         bins.append(
             PopularityBin(
-                center_log10_pop=(idx + 0.5) * bin_width_log10,
+                center_log10_pop=(idx + 0.5) * width,
                 accuracy=successes / len(flags),
                 wilson_low=low,
                 wilson_high=high,
@@ -278,36 +306,24 @@ def quadrant_analysis(
     Each cell reports its fraction of all questions and the mean recall@1 of
     the retrieval run restricted to that cell.
     """
-    dataset_ids = {ex.id for ex in dataset}
-    van_by_id = {r.question_id: r for r in vanilla_records}
-    ret_by_id = {r.question_id: r for r in retrieval_records}
-    for label, ids in (("vanilla", set(van_by_id)), ("retrieval", set(ret_by_id))):
-        missing = sorted(dataset_ids - ids)
-        extra = sorted(ids - dataset_ids)
-        if missing or extra:
-            raise JoinError(
-                f"{label} run does not cover the dataset "
-                f"(missing: {missing[:10]}, unknown: {extra[:10]})"
-            )
-    lacking = sorted(
-        qid for qid, rec in ret_by_id.items() if rec.retrieval_recall1 is None
-    )
+    van, ret = join_runs(dataset, vanilla_records, retrieval_records)
+    lacking = sorted(rec.question_id for rec in ret if rec.retrieval_recall1 is None)
     if lacking:
         raise ValidationError(f"retrieval records without recall@1: {lacking[:10]}")
-    cells: dict[tuple[bool, bool], list[str]] = {
+    cells: dict[tuple[bool, bool], list[PredictionRecord]] = {
         (v, r): [] for v in (True, False) for r in (True, False)
     }
-    for ex in dataset:
-        cells[(van_by_id[ex.id].correct, ret_by_id[ex.id].correct)].append(ex.id)
+    for v, r in zip(van, ret):
+        cells[(v.correct, r.correct)].append(r)
     total = len(dataset)
     table: QuadrantTable = {}
-    for key, ids in cells.items():
-        recalls = [ret_by_id[qid].retrieval_recall1 for qid in ids]
+    for key, recs in cells.items():
+        recalls = [rec.retrieval_recall1 for rec in recs]
         table[key] = QuadrantCell(
-            fraction=len(ids) / total,
+            fraction=len(recs) / total,
             mean_recall1=(sum(recalls) / len(recalls)) if recalls else None,
-            n=len(ids),
-            question_ids=tuple(ids),
+            n=len(recs),
+            question_ids=tuple(rec.question_id for rec in recs),
         )
     return table
 
@@ -334,30 +350,6 @@ _QUADRANT_NAMES = {
     (False, True): "lm_wrong_retrieval_correct",
     (False, False): "lm_wrong_retrieval_wrong",
 }
-
-
-@dataclass
-class RunSummary:
-    overall_accuracy: float
-    per_relation: dict[str, tuple[float, float | None, int]]
-    bins: list[PopularityBin]
-
-
-def evaluate_run(
-    records: Sequence[PredictionRecord],
-    dataset: Sequence[QAExample],
-    bin_width_log10: float = DEFAULT_BIN_WIDTH,
-    min_bin_n: int = DEFAULT_MIN_BIN_N,
-) -> RunSummary:
-    """Overall accuracy, per-relation accuracy/correlation, and popularity bins."""
-    acc = accuracy_by_relation(records, dataset)
-    corr = popularity_correlation(records, dataset)
-    per_relation = {rel: (acc[rel][0], corr[rel], acc[rel][1]) for rel in acc}
-    return RunSummary(
-        overall_accuracy=overall_accuracy(records),
-        per_relation=per_relation,
-        bins=binned_accuracy(records, dataset, bin_width_log10, min_bin_n),
-    )
 
 
 @dataclass
@@ -411,6 +403,22 @@ class EvalReport:
 
     def to_json(self) -> str:
         return dumps_stable(self.to_dict())
+
+
+def evaluate_run(
+    records: Sequence[PredictionRecord],
+    dataset: Sequence[QAExample],
+    bin_width_log10: float = DEFAULT_BIN_WIDTH,
+    min_bin_n: int = DEFAULT_MIN_BIN_N,
+) -> EvalReport:
+    """Overall accuracy, per-relation accuracy/correlation, and popularity bins
+    of a run holding one record per dataset question."""
+    (rows,) = join_runs(dataset, records)
+    return EvalReport(
+        overall_accuracy=overall_accuracy(rows),
+        per_relation=_per_relation(dataset, rows),
+        bins=_binned_accuracy(dataset, rows, bin_width_log10, min_bin_n),
+    )
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

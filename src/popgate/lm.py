@@ -357,7 +357,6 @@ def run_predictions(
     shots: int = 0,
     rng_seed: int | str = 0,
     genread_instruction: str = DEFAULT_GENREAD_INSTRUCTION,
-    strict_match: bool = False,
 ) -> list[PredictionRecord]:
     """Run one mode over the dataset and return scored prediction records."""
     if mode not in ("vanilla", "retrieval", "genread"):
@@ -425,7 +424,7 @@ def run_predictions(
                 question_id=ex.id,
                 mode=mode,
                 prediction=completion.text,
-                correct=is_correct(completion.text, ex.gold_answers, strict=strict_match),
+                correct=is_correct(completion.text, ex.gold_answers),
                 prompt_tokens=completion.prompt_tokens,
                 completion_tokens=completion.completion_tokens,
                 latency_ms=completion.latency_ms,

@@ -1,17 +1,19 @@
-"""Entity popularity: monthly page-view fetching with an on-disk cache,
-plus log and relation-normalized popularity scores."""
+"""Entity popularity: monthly page views per subject, fetched with bounded
+parallelism and cached on disk, one JSON file per (title, month).
+
+`PageviewsClient.annotate` fills each question's `popularity`; its log10
+score is `QAExample.log10_popularity`."""
 
 from __future__ import annotations
 
 import calendar
 import json
 import logging
-import math
 import re
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 from urllib.parse import quote
 
 from .dataset import QAExample
@@ -42,57 +44,6 @@ class PopularityRecord:
             raise ValidationError(f"{self.entity_title!r}: negative views")
         if not _MONTH_RE.match(self.month):
             raise ValidationError(f"malformed month {self.month!r}, expected YYYY-MM")
-
-
-@dataclass(frozen=True)
-class RelationPopularityStats:
-    relation_type: str
-    mean_log10_pop: float
-    std_log10_pop: float
-    count: int
-
-    def __post_init__(self):
-        if self.std_log10_pop < 0 or self.count < 1:
-            raise ValidationError(f"bad stats for relation {self.relation_type!r}")
-
-
-def log_popularity(views: int) -> float:
-    """log10 of the view count, flooring at one view so the result stays finite."""
-    if views < 0:
-        raise ValidationError(f"negative views: {views}")
-    return math.log10(max(views, 1))
-
-
-def compute_relation_stats(
-    examples: Iterable[QAExample],
-) -> dict[str, RelationPopularityStats]:
-    """Mean/std of log10 popularity per relation (population std, ddof=0)."""
-    pops: dict[str, list[float]] = {}
-    for ex in examples:
-        pops.setdefault(ex.relation_type, []).append(ex.log10_popularity)
-    stats = {}
-    for relation, values in pops.items():
-        mean = math.fsum(values) / len(values)
-        var = math.fsum((v - mean) ** 2 for v in values) / len(values)
-        stats[relation] = RelationPopularityStats(
-            relation_type=relation,
-            mean_log10_pop=mean,
-            std_log10_pop=math.sqrt(var),
-            count=len(values),
-        )
-    return stats
-
-
-def relative_popularity(
-    example: QAExample, stats: Mapping[str, RelationPopularityStats]
-) -> float:
-    """Standardize an example's log-popularity against its relation; 0 when std is 0."""
-    st = stats.get(example.relation_type)
-    if st is None:
-        raise LookupError(f"no popularity stats for relation {example.relation_type!r}")
-    if st.std_log10_pop == 0:
-        return 0.0
-    return (example.log10_popularity - st.mean_log10_pop) / st.std_log10_pop
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexFormatError, ValidationError
 from .evaluation import normalize_text
-from .util import atomic_writer, dumps_stable, read_jsonl, write_jsonl
+from .util import atomic_writer, dumps_stable, iter_jsonl, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -377,7 +377,7 @@ def _load_v2(path, body) -> Bm25Index:
 
 def read_corpus(path: str | Path) -> list[Passage]:
     passages = []
-    for n, row in enumerate(read_jsonl(path), start=1):
+    for n, row in iter_jsonl(path):
         if not isinstance(row, dict):
             raise ValidationError(f"{path}: corpus row {n} is not a JSON object")
         try:

@@ -75,18 +75,29 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
     """(line number, parsed value) for each non-blank line."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON line: {exc}") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"{path}:{lineno}: invalid JSON line: {exc}") from exc
+        except UnicodeDecodeError:
+            read_text(path)  # raises the error naming the line
+            raise
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    return [row for _lineno, row in iter_jsonl(path)]
+def read_text(path: str | Path) -> str:
+    """The whole file decoded as UTF-8; bytes that are not UTF-8 are a
+    ValidationError naming `path:line`."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
 def sha256_hex(text: str) -> str:

@@ -21,6 +21,7 @@ from popgate.adaptive import (
     dataset_fingerprint,
     retrieval_fraction,
     route,
+    routed_records,
     tune_thresholds,
 )
 from popgate.dataset import QAExample
@@ -110,6 +111,57 @@ class TestAdaptiveAccuracy:
         vanilla, retrieval = run_pair(dataset, lambda ex: True, lambda ex: True)
         with pytest.raises(JoinError, match=dataset[3].id):
             adaptive_accuracy(vanilla[:3], retrieval, dataset, ThresholdPolicy({}))
+
+
+class TestRoutedRecords:
+    def test_takes_retrieval_record_below_threshold(self):
+        dataset = [make_example(0, popularity=10), make_example(1, popularity=10**6)]
+        vanilla, retrieval = run_pair(dataset, lambda ex: True, lambda ex: False)
+        policy = ThresholdPolicy({"director": 3.0})
+        assert routed_records(vanilla, retrieval, dataset, policy) == [retrieval[0], vanilla[1]]
+
+    def test_runs_must_align_with_dataset(self):
+        dataset = [make_example(i) for i in range(2)]
+        vanilla, retrieval = run_pair(dataset, lambda ex: True, lambda ex: True)
+        with pytest.raises(ValueError):
+            routed_records(vanilla[:1], retrieval, dataset, ThresholdPolicy({"director": 3.0}))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=7.0),
+                st.sampled_from([NEG_INF, POS_INF]),
+            ),
+            min_size=4,
+            max_size=4,
+        ),
+    )
+    def test_accuracy_and_cost_fraction_match_oracle(self, seed, thresholds):
+        dataset = synthetic_examples(60, seed=seed % 997)
+        rng = random.Random(seed)
+        vanilla, retrieval = run_pair(
+            dataset, lambda ex: rng.random() < 0.5, lambda ex: rng.random() < 0.5
+        )
+        relations = sorted({ex.relation_type for ex in dataset})
+        policy = ThresholdPolicy(dict(zip(relations, thresholds)))
+        per_relation: dict[str, list] = {}
+        for ex, v, r in zip(dataset, vanilla, retrieval):
+            per_relation.setdefault(ex.relation_type, []).append(
+                (ex.log10_popularity, v.correct, r.correct)
+            )
+        want = sum(
+            adaptive_correct_count(entries, policy.thresholds[rel])
+            for rel, entries in per_relation.items()
+        )
+        rng.shuffle(vanilla)
+        rng.shuffle(retrieval)
+        assert adaptive_accuracy(vanilla, retrieval, dataset, policy) == want / len(dataset)
+        report = cost_report(
+            vanilla, retrieval, dataset, policy, CostModel(1.0, 1.0, retrieval_latency_ms=5)
+        )
+        assert report["retrieval_fraction"] == retrieval_fraction(dataset, policy)
 
 
 class TestChooseThreshold:

@@ -9,6 +9,7 @@ from popgate.dataset import read_dataset, write_dataset
 from popgate.evaluation import PredictionRecord, write_records
 from popgate.util import write_jsonl
 
+from conftest import synthetic_examples
 from mockserver import pageviews_server
 
 
@@ -246,6 +247,122 @@ class TestRuntimeErrors:
         )
         assert code == 1
         assert "oracle" in capsys.readouterr().err
+
+
+def eight_question_runs(tmp_path):
+    """An 8-question dataset and vanilla/retrieval records for it (retrieval
+    records carry no recall@1, so report computes no quadrant table)."""
+    examples = synthetic_examples(8)
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset(examples, dataset)
+    vanilla = [PredictionRecord(ex.id, "vanilla", "x", i < 2) for i, ex in enumerate(examples)]
+    retrieval = [
+        PredictionRecord(ex.id, "retrieval", "x", True, retrieved_doc_id="d") for ex in examples
+    ]
+    return dataset, vanilla, retrieval
+
+
+class TestReportJoin:
+    """`report` scores only runs holding one record per dataset question."""
+
+    @pytest.mark.parametrize(
+        "damage, fragment",
+        [
+            (lambda recs: recs + [recs[0]] * 40, "vanilla run has duplicate records"),
+            (lambda recs: recs[:3], "vanilla run does not cover the dataset"),
+        ],
+        ids=["duplicated", "partial"],
+    )
+    def test_run_not_one_record_per_question(self, tmp_path, capsys, damage, fragment):
+        dataset, vanilla, _ = eight_question_runs(tmp_path)
+        run = tmp_path / "run_vanilla.jsonl"
+        write_records(damage(vanilla), run)
+        out = tmp_path / "report"
+        assert run_cli(["report", "--dataset", dataset, "--runs", run, "--out", out]) == 1
+        assert_one_line_error(capsys, fragment)
+        assert not out.exists()
+
+    def test_bad_second_run_leaves_no_report_files(self, tmp_path, capsys):
+        dataset, vanilla, retrieval = eight_question_runs(tmp_path)
+        runs = [tmp_path / "run_vanilla.jsonl", tmp_path / "run_retrieval.jsonl"]
+        write_records(vanilla, runs[0])
+        write_records(retrieval[1:], runs[1])
+        out = tmp_path / "report"
+        assert run_cli(["report", "--dataset", dataset, "--runs", *runs, "--out", out]) == 1
+        assert_one_line_error(capsys, "retrieval run does not cover", "S00000")
+        assert not out.exists()
+
+    def test_whole_runs_in_any_order_are_scored(self, tmp_path):
+        dataset, vanilla, retrieval = eight_question_runs(tmp_path)
+        runs = [tmp_path / "run_vanilla.jsonl", tmp_path / "run_retrieval.jsonl"]
+        write_records(vanilla[::-1], runs[0])
+        write_records(retrieval, runs[1])
+        out = tmp_path / "report"
+        assert run_cli(["report", "--dataset", dataset, "--runs", *runs, "--out", out]) == 0
+        report = json.loads((out / "report_vanilla.json").read_text())
+        assert report["overall_accuracy"] == 0.25
+        assert json.loads((out / "report_retrieval.json").read_text())["overall_accuracy"] == 1.0
+
+
+NOT_UTF8 = b"caf\xe9"
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is a one-line error naming `path:line`."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dataset", "run", "corpus", "triples", "config", "templates", "freq-corpus",
+         "endpoint", "cost-model"],
+    )
+    def test_one_line_error_naming_path_and_line(self, tmp_path, capsys, name):
+        dataset = tmp_path / "dataset.jsonl"
+        write_dataset(synthetic_examples(2), dataset)
+        triples = tmp_path / "triples.jsonl"
+        write_jsonl(triples, triples_rows(2))
+        run = tmp_path / "run.jsonl"
+        write_records(
+            [PredictionRecord(ex.id, "vanilla", "x", True) for ex in synthetic_examples(2)], run
+        )
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"doc_id": f"d{i}", "title": "t", "text": "x"} for i in range(2)])
+        policy = tmp_path / "policy.json"
+        policy.write_text('{"thresholds": {}}')
+        bad = {
+            "dataset": dataset,
+            "run": run,
+            "corpus": corpus,
+            "triples": triples,
+            "config": tmp_path / "config.json",
+            "templates": tmp_path / "templates.json",
+            "freq-corpus": tmp_path / "freq.txt",
+            "endpoint": tmp_path / "endpoint.json",
+            "cost-model": tmp_path / "costs.json",
+        }[name]
+        # Line 1 stays readable; line 2 holds a byte that is not UTF-8.
+        first = bad.read_bytes().splitlines(keepends=True)[0] if bad.exists() else b"{\n"
+        bad.write_bytes(first + b'"' + NOT_UTF8 + b'": 1}\n')
+        out = tmp_path / "out"
+        argv = {
+            "dataset": ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle",
+                        "--shots", 0, "--out", out],
+            "run": ["report", "--dataset", dataset, "--runs", run, "--out", out],
+            "corpus": ["index", "--corpus", corpus, "--out", out],
+            "triples": ["build-dataset", "--triples", triples, "--out", out],
+            "config": ["route", "--config", bad, "--dataset", dataset, "--policy", policy,
+                       "--out", out],
+            "templates": ["build-dataset", "--triples", triples, "--templates", bad,
+                          "--out", out],
+            "freq-corpus": ["build-dataset", "--triples", triples, "--freq-corpus", bad,
+                            "--out", out],
+            "endpoint": ["run", "--dataset", dataset, "--endpoint", bad, "--shots", 0,
+                         "--out", out],
+            "cost-model": ["savings", "--dataset", dataset, "--vanilla", run, "--retrieval", run,
+                           "--policy", policy, "--cost-model", bad, "--out", out],
+        }[name]
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, f"{bad.name}:2: not UTF-8 text")
+        assert not out.exists()
 
 
 class TestPipeline:

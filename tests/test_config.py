@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from popgate.config import RunConfig, load_config, save_config
+from popgate.config import RunConfig, load_config
 from popgate.errors import ConfigError
 
 
@@ -44,17 +44,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
 
-    def test_round_trip(self, tmp_path):
-        payload = {
-            "paths": {"dataset": "d.jsonl", "corpus": "c.jsonl"},
-            "run": {"mode": "retrieval", "shots": 0, "seed": 13},
-            "bm25": {"k1": 0.9, "b": 0.4},
-            "endpoint": {"base_url": "http://x", "model": "m"},
+    def test_unused_output_dir_path_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"paths\.output_dir"):
+            load_config(write_config(tmp_path, {"paths": {"output_dir": "out"}}))
+
+    def test_endpoint_keys_are_the_endpoint_config_fields(self, tmp_path):
+        endpoint = {
+            "base_url": "http://x", "model": "m", "api_key_env": "KEY", "cache_dir": "c",
+            "endpoint_id": "e", "temperature": 0.5, "max_tokens": 8, "timeout_s": 2.0,
+            "max_retries": 1, "backoff_s": 0.1, "max_parallelism": 2, "requests_per_second": 3,
         }
-        first = load_config(write_config(tmp_path, payload))
-        save_config(first, tmp_path / "saved.json")
-        second = load_config(tmp_path / "saved.json")
-        assert first == second
+        config = load_config(write_config(tmp_path, {"endpoint": endpoint}))
+        assert config.endpoint.api_key_env == "KEY" and config.endpoint.max_tokens == 8
+        with pytest.raises(ConfigError, match=r"endpoint\.retries"):
+            load_config(write_config(tmp_path, {"endpoint": {**endpoint, "retries": 1}}))
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):

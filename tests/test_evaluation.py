@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 
 from popgate.errors import JoinError, ValidationError
 from popgate.evaluation import (
-    EvalReport,
     PredictionRecord,
     accuracy_by_relation,
     binned_accuracy,
     evaluate_run,
     format_quadrants,
     is_correct,
+    join_runs,
     overall_accuracy,
     popularity_correlation,
     quadrant_analysis,
@@ -81,6 +81,58 @@ class TestIsCorrect:
         assert is_correct(prediction, gold) == is_correct(mangled, gold)
 
 
+class TestJoinRuns:
+    def test_records_come_back_in_dataset_order(self):
+        dataset = [make_example(i) for i in range(5)]
+        vanilla = [record(ex.id, i % 2 == 0) for i, ex in enumerate(dataset)]
+        retrieval = [record(ex.id, True, mode="retrieval") for ex in dataset]
+        shuffled = vanilla[3:] + vanilla[:3]
+        assert join_runs(dataset, shuffled, retrieval[::-1]) == [vanilla, retrieval]
+
+    def test_no_runs_and_empty_dataset(self):
+        assert join_runs([make_example(0)]) == []
+        assert join_runs([], []) == [[]]
+
+    def test_duplicate_record_names_mode_and_id(self):
+        dataset = [make_example(i) for i in range(2)]
+        run = [record(ex.id, True, mode="retrieval") for ex in dataset]
+        message = f"retrieval run has duplicate records for '{dataset[1].id}'"
+        with pytest.raises(JoinError, match=message):
+            join_runs(dataset, run + run[1:])
+
+    def test_duplicate_with_a_question_missing(self):
+        dataset = [make_example(i) for i in range(2)]
+        run = [record(dataset[0].id, True), record(dataset[0].id, False)]
+        with pytest.raises(JoinError, match="vanilla run has duplicate records"):
+            join_runs(dataset, run)
+
+    def test_unknown_id_listed(self):
+        dataset = [make_example(0)]
+        run = [record(dataset[0].id, True), record("ghost", True)]
+        message = r"vanilla run does not cover the dataset \(missing: \[\], unknown: \['ghost'\]\)"
+        with pytest.raises(JoinError, match=message):
+            join_runs(dataset, run)
+
+    def test_missing_id_listed(self):
+        dataset = [make_example(i) for i in range(3)]
+        run = [record(ex.id, True) for ex in dataset[:2]]
+        with pytest.raises(JoinError, match=rf"missing: \['{dataset[2].id}'\], unknown: \[\]"):
+            join_runs(dataset, run)
+
+    def test_swapped_id_is_both_missing_and_unknown(self):
+        dataset = [make_example(i) for i in range(2)]
+        run = [record(dataset[0].id, True), record("ghost", True)]
+        message = rf"missing: \['{dataset[1].id}'\], unknown: \['ghost'\]"
+        with pytest.raises(JoinError, match=message):
+            join_runs(dataset, run)
+
+    def test_second_run_checked_too(self):
+        dataset = [make_example(i) for i in range(2)]
+        vanilla = [record(ex.id, True) for ex in dataset]
+        with pytest.raises(JoinError, match="retrieval run does not cover"):
+            join_runs(dataset, vanilla, [record(dataset[0].id, True, mode="retrieval")])
+
+
 class TestAccuracyByRelation:
     def test_two_of_four(self):
         dataset = [make_example(i) for i in range(4)]
@@ -88,7 +140,8 @@ class TestAccuracyByRelation:
         assert accuracy_by_relation(records, dataset) == {"director": (0.5, 4)}
 
     def test_empty_records(self):
-        assert accuracy_by_relation([], [make_example(0)]) == {}
+        with pytest.raises(JoinError, match="does not cover"):
+            accuracy_by_relation([], [make_example(0)])
 
     def test_unknown_question_id_is_join_error(self):
         with pytest.raises(JoinError, match="ghost"):
@@ -296,12 +349,7 @@ class TestReport:
     def test_write_report_files(self, tmp_path):
         dataset = synthetic_examples(120, relations=("director", "genre"), seed=8)
         records = [record(ex.id, i % 2 == 0) for i, ex in enumerate(dataset)]
-        summary = evaluate_run(records, dataset, min_bin_n=5)
-        report = EvalReport(
-            overall_accuracy=summary.overall_accuracy,
-            per_relation=summary.per_relation,
-            bins=summary.bins,
-        )
+        report = evaluate_run(records, dataset, min_bin_n=5)
         path = write_report(report, tmp_path)
         assert path.exists()
         assert (tmp_path / "report_per_relation.csv").exists()

@@ -1,8 +1,11 @@
 """What `import popgate.<module>` loads: the HTTP stack and the thread pool
-only once a client sends a request or a pool is created, never at import."""
+only once a client sends a request or a pool is created, never at import.
+Also, every popgate attribute the benchmark tracer hooks still exists."""
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -14,7 +17,8 @@ from popgate.retriever import Passage, write_corpus
 from conftest import synthetic_examples
 from mockserver import completions_server
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 DEFERRED = ("http.client", "ssl", "urllib.request", "email", "concurrent.futures")
 
@@ -87,3 +91,33 @@ def test_first_completion_loads_http_client(tmp_path):
             "assert CompletionClient(config).complete('hi').text == 'ok'\n"
         )
         assert "http.client" in loaded_after(code)
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    """(owner, attribute) of every `wrap(owner, "attr", ...)` call in
+    perfbench/spans.py, read with ast: importing it needs `requests`. An
+    attribute named by a loop variable stands for each name in the loop's tuple."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    loops = {
+        node.target.id: [elt.value for elt in node.iter.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+    }
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "wrap":
+            owner, attr = node.args[:2]
+            names = [attr.value] if isinstance(attr, ast.Constant) else loops[attr.id]
+            targets.extend((ast.unparse(owner), name) for name in names)
+    return targets
+
+
+def test_every_traced_hook_point_exists():
+    targets = [t for t in traced_targets() if not t[0].startswith("requests.")]
+    assert len(targets) >= 20
+    for owner, attr in targets:
+        module, *path = owner.split(".")
+        obj = importlib.import_module(f"popgate.{module}")
+        for name in path:
+            obj = getattr(obj, name)
+        assert callable(getattr(obj, attr, None)), f"perfbench traces missing {owner}.{attr}"

@@ -1,75 +1,40 @@
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from popgate.errors import TransportError, ValidationError
-from popgate.popularity import (
-    PageviewsClient,
-    PageviewsConfig,
-    PopularityRecord,
-    compute_relation_stats,
-    log_popularity,
-    relative_popularity,
-)
+from popgate.popularity import PageviewsClient, PageviewsConfig, PopularityRecord
 
-from conftest import make_example, synthetic_examples
+from conftest import make_example
 from mockserver import pageviews_server
 
 
 class TestLogPopularity:
+    """`QAExample.log10_popularity`: log10 of the views, floored at one view."""
+
     def test_ten_thousand(self):
-        assert log_popularity(10000) == 4.0
+        assert make_example(0, popularity=10000).log10_popularity == 4.0
 
     def test_zero_floored_to_one_view(self):
-        assert log_popularity(0) == 0.0
+        assert make_example(0, popularity=0).log10_popularity == 0.0
 
     def test_one(self):
-        assert log_popularity(1) == 0.0
+        assert make_example(0, popularity=1).log10_popularity == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            log_popularity(-1)
+            make_example(0, popularity=-1)
 
     @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=0, max_value=10**12))
     def test_monotone_non_decreasing(self, a, b):
         lo, hi = sorted((a, b))
-        assert log_popularity(lo) <= log_popularity(hi)
-
-
-class TestRelativePopularity:
-    def test_at_relation_mean_is_zero(self):
-        examples = [make_example(i, popularity=10**i) for i in (2, 4)]
-        stats = compute_relation_stats(examples)
-        centered = make_example(9, popularity=1000)
-        assert relative_popularity(centered, stats) == pytest.approx(0.0)
-
-    def test_one_std_above_mean(self):
-        examples = [make_example(i, popularity=10**i) for i in (2, 4)]
-        stats = compute_relation_stats(examples)  # mean 3.0, std 1.0
-        assert relative_popularity(make_example(9, popularity=10000), stats) == pytest.approx(1.0)
-
-    def test_zero_std_relation_maps_to_zero(self):
-        examples = [make_example(1, popularity=500)]
-        stats = compute_relation_stats(examples)
-        assert relative_popularity(examples[0], stats) == 0.0
-
-    def test_missing_relation_is_lookup_error(self):
-        stats = compute_relation_stats([make_example(1, relation="genre")])
-        with pytest.raises(LookupError, match="director"):
-            relative_popularity(make_example(2, relation="director"), stats)
-
-    def test_standardized_moments_over_own_relation(self):
-        examples = synthetic_examples(400, relations=("director",), seed=9)
-        stats = compute_relation_stats(examples)
-        scores = [relative_popularity(ex, stats) for ex in examples]
-        mean = math.fsum(scores) / len(scores)
-        std = math.sqrt(math.fsum((s - mean) ** 2 for s in scores) / len(scores))
-        assert abs(mean) <= 1e-9
-        assert abs(std - 1.0) <= 1e-9
+        assert (
+            make_example(0, popularity=lo).log10_popularity
+            <= make_example(0, popularity=hi).log10_popularity
+        )
 
 
 class TestPageviewsClient:
