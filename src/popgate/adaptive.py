@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
@@ -165,21 +165,6 @@ def adaptive_accuracy(
     return hits / len(dataset)
 
 
-def choose_threshold(
-    entries: Sequence[tuple[float, bool, bool]]
-) -> tuple[float, int]:
-    """Best threshold for one relation by exhaustive candidate evaluation.
-
-    `entries` are (log10_pop, vanilla_correct, retrieval_correct) rows for the
-    tuning questions of this relation. Returns (threshold, correct_count); at
-    equal counts the smallest threshold wins.
-    """
-    rows = _SortedRelation.of(
-        [e[0] for e in entries], [int(e[1]) for e in entries], [int(e[2]) for e in entries]
-    )
-    return _fit(rows, bytearray([1]) * len(entries))
-
-
 def candidate_thresholds(pops: Sequence[float]) -> list[float]:
     """Sentinels plus midpoints between consecutive distinct sorted popularities."""
     out = [NEG_INF]
@@ -205,7 +190,7 @@ class _SortedRelation:
 
     @classmethod
     def of(
-        cls, pops: list[float], van: list[int], ret: list[int], ids: Sequence[str] = ()
+        cls, pops: list[float], van: list[int], ret: list[int], ids: Sequence[str]
     ) -> "_SortedRelation":
         order = sorted(range(len(pops)), key=pops.__getitem__)
         rank = [0] * len(order)
@@ -217,7 +202,7 @@ class _SortedRelation:
             ret=[ret[i] for i in order],
             gain=[ret[i] - van[i] for i in order],
             rank=rank,
-            ids=[ids[i] for i in order] if ids else [],
+            ids=[ids[i] for i in order],
         )
 
 
@@ -269,6 +254,8 @@ class TuneResult:
     policy: ThresholdPolicy
     mean_test_accuracy: float
     repeat_outcomes: list[RepeatOutcome]
+    # The tuning settings and mean test accuracy, as saved with the policy.
+    metadata: dict
 
     @property
     def per_repeat_test_accuracies(self) -> list[float]:
@@ -355,7 +342,13 @@ def tune_thresholds(
         tuned_on=dataset_fingerprint(dataset),
     )
     mean_test = math.fsum(o.test_accuracy for o in outcomes) / len(outcomes)
-    return TuneResult(policy=policy, mean_test_accuracy=mean_test, repeat_outcomes=outcomes)
+    metadata = {
+        "seed": rng_seed,
+        "split_fraction": split_fraction,
+        "repeats": repeats,
+        "mean_test_adaptive_accuracy": mean_test,
+    }
+    return TuneResult(policy, mean_test, outcomes, metadata)
 
 
 def retrieval_fraction(dataset: Sequence[QAExample], policy: ThresholdPolicy) -> float:
@@ -368,17 +361,15 @@ def retrieval_fraction(dataset: Sequence[QAExample], policy: ThresholdPolicy) ->
 
 @dataclass(frozen=True)
 class CostModel:
-    price_per_1k_prompt_tokens: float
-    price_per_1k_completion_tokens: float
-    retrieval_latency_ms: int
+    price_per_1k_prompt_tokens: float = 0.02
+    price_per_1k_completion_tokens: float = 0.02
+    retrieval_latency_ms: int = 50
 
     def __post_init__(self):
-        if (
-            self.price_per_1k_prompt_tokens < 0
-            or self.price_per_1k_completion_tokens < 0
-            or self.retrieval_latency_ms < 0
-        ):
-            raise ValidationError("cost model values must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0:
+                raise ValidationError(f"{f.name} must be non-negative, got {value}")
 
     def record_cost(self, record: PredictionRecord) -> float:
         return (

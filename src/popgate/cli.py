@@ -8,7 +8,6 @@ are always written atomically.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
@@ -20,7 +19,7 @@ from . import demo as demo_mod
 from . import evaluation as eval_mod
 from . import lm as lm_mod
 from . import retriever as retriever_mod
-from .config import RunConfig, load_config, parse_cost_model, parse_endpoint_config
+from .config import RunConfig, load_file
 from .errors import ConfigError, PopgateError, ValidationError
 from .popularity import DEFAULT_PAGEVIEWS_BASE_URL, PageviewsClient, PageviewsConfig
 from .util import atomic_write_text, dumps_stable, read_text, write_jsonl
@@ -30,7 +29,7 @@ logger = logging.getLogger("popgate")
 
 def _load_run_config(args) -> RunConfig:
     if getattr(args, "config", None):
-        return load_config(args.config)
+        return load_file(RunConfig, args.config)
     return RunConfig()
 
 
@@ -38,7 +37,7 @@ def _resolve_path(args, config: RunConfig, key: str, required: bool = True) -> s
     """Flag value if given, else the config's paths section; flags win."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is None:
-        value = config.paths.get(key)
+        value = getattr(config.paths, key)
     if value is None and required:
         raise ConfigError(f"missing --{key} (not on the command line nor in config paths)")
     return value
@@ -57,7 +56,7 @@ def _cmd_build_dataset(args) -> int:
     else:
         # Without a frequency corpus every triple passes the sampler.
         term_frequency = lambda triple: math.e**2
-    seed = args.seed if args.seed is not None else config.seed
+    seed = args.seed if args.seed is not None else config.run.seed
     sampled = dataset_mod.sample_triples(
         triples, term_frequency, per_relation_cap=args.cap, rng_seed=seed
     )
@@ -70,10 +69,10 @@ def _cmd_build_dataset(args) -> int:
 def _cmd_fetch_popularity(args) -> int:
     config = _load_run_config(args)
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    cache_dir = args.cache or config.paths.get("cache_dir")
+    cache_dir = args.cache or config.paths.cache_dir
     if cache_dir is None:
         raise ConfigError("missing --cache (not on the command line nor in config paths)")
-    month = args.month or config.pageviews_month
+    month = args.month or config.pageviews.month
     client = PageviewsClient(
         PageviewsConfig(
             base_url=args.endpoint or DEFAULT_PAGEVIEWS_BASE_URL,
@@ -90,8 +89,8 @@ def _cmd_fetch_popularity(args) -> int:
 def _cmd_index(args) -> int:
     config = _load_run_config(args)
     passages = retriever_mod.read_corpus(_resolve_path(args, config, "corpus"))
-    k1 = args.k1 if args.k1 is not None else config.bm25_k1
-    b = args.b if args.b is not None else config.bm25_b
+    k1 = args.k1 if args.k1 is not None else config.bm25.k1
+    b = args.b if args.b is not None else config.bm25.b
     index = retriever_mod.build_index(passages, k1=k1, b=b)
     retriever_mod.save_index(index, args.out)
     logger.info("indexed %d passages (k1=%s, b=%s) into %s", index.doc_count, k1, b, args.out)
@@ -101,9 +100,9 @@ def _cmd_index(args) -> int:
 def _cmd_run(args) -> int:
     config = _load_run_config(args)
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    mode = args.mode or config.mode
-    shots = args.shots if args.shots is not None else config.shots
-    seed = args.seed if args.seed is not None else config.seed
+    mode = args.mode or config.run.mode
+    shots = args.shots if args.shots is not None else config.run.shots
+    seed = args.seed if args.seed is not None else config.run.seed
     index_path = _resolve_path(args, config, "index", required=False)
     index = (
         retriever_mod.load_index(index_path) if index_path and mode == "retrieval" else None
@@ -114,8 +113,7 @@ def _cmd_run(args) -> int:
     if args.endpoint and args.oracle:
         raise ConfigError("--endpoint and --oracle are mutually exclusive")
     if args.endpoint:
-        endpoint = parse_endpoint_config(json.loads(read_text(args.endpoint)), prefix="")
-        client = lm_mod.CompletionClient(endpoint)
+        client = lm_mod.CompletionClient(load_file(lm_mod.EndpointConfig, args.endpoint))
     elif config.endpoint is not None and not args.oracle:
         client = lm_mod.CompletionClient(config.endpoint)
     else:
@@ -171,11 +169,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _read_vanilla_and_retrieval(args) -> list[list]:
+    """The --vanilla and --retrieval runs. Swapped files are an error:
+    --vanilla must hold vanilla records, --retrieval retrieval or genread ones."""
+    runs = []
+    for flag, path in (("--vanilla", args.vanilla), ("--retrieval", args.retrieval)):
+        records = eval_mod.read_run(path)
+        if (records[0].mode == "vanilla") != (flag == "--vanilla"):
+            raise ValidationError(f"{flag} {path} holds {records[0].mode} records")
+        runs.append(records)
+    return runs
+
+
 def _cmd_tune(args) -> int:
     config = _load_run_config(args)
     examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    vanilla = eval_mod.read_run(args.vanilla)
-    retrieval = eval_mod.read_run(args.retrieval)
+    vanilla, retrieval = _read_vanilla_and_retrieval(args)
     result = adaptive_mod.tune_thresholds(
         vanilla,
         retrieval,
@@ -184,15 +193,7 @@ def _cmd_tune(args) -> int:
         repeats=args.repeats,
         rng_seed=args.seed,
     )
-    result.policy.save(
-        args.out,
-        metadata={
-            "seed": args.seed,
-            "split_fraction": args.split,
-            "repeats": args.repeats,
-            "mean_test_adaptive_accuracy": result.mean_test_accuracy,
-        },
-    )
+    result.policy.save(args.out, metadata=result.metadata)
     full_fit = adaptive_mod.adaptive_accuracy(vanilla, retrieval, examples, result.policy)
     logger.info(
         "tuned %d relations: mean test adaptive accuracy %.4f, full-fit %.4f -> %s",
@@ -238,14 +239,13 @@ def _cmd_route(args) -> int:
 
 def _cmd_savings(args) -> int:
     config = _load_run_config(args)
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    vanilla = eval_mod.read_run(args.vanilla)
-    retrieval = eval_mod.read_run(args.retrieval)
-    policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     if args.cost_model:
-        cost_model = parse_cost_model(json.loads(read_text(args.cost_model)), prefix="")
+        cost_model = load_file(adaptive_mod.CostModel, args.cost_model)
     else:
         cost_model = config.cost_model
+    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
+    vanilla, retrieval = _read_vanilla_and_retrieval(args)
+    policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)
     text = dumps_stable(report)
     if args.out:

@@ -133,15 +133,6 @@ class QAExample:
         return replace(self, popularity=views)
 
 
-def inclusion_probability(frequency: float) -> float:
-    """Probability that the rejection rule keeps a triple of the given frequency."""
-    if frequency < 0:
-        raise ValidationError(f"negative term frequency: {frequency}")
-    if frequency == 0:
-        return 0.0
-    return min(1.0, max(0.0, (math.log(frequency) + 6.0) / 8.0))
-
-
 def sample_triples(
     triple_stream: Iterable[KnowledgeTriple],
     term_frequency: Callable[[KnowledgeTriple], float],

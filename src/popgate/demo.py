@@ -24,7 +24,6 @@ from .adaptive import (
     routed_records,
     tune_thresholds,
 )
-from .config import RunConfig
 from .dataset import (
     KnowledgeTriple,
     QAExample,
@@ -125,7 +124,7 @@ def run_demo(
 ) -> EvalReport:
     """Run the full synthetic pipeline and write every artifact under out_dir."""
     oracle = oracle or OracleParams()
-    cost_model = cost_model or RunConfig().cost_model
+    cost_model = cost_model or CostModel()
     out_dir = Path(out_dir)
     world = generate_world(seed, size=size, pop_boundary=oracle.b)
     dataset = world.examples
@@ -135,14 +134,7 @@ def run_demo(
     retrieval = run_predictions(
         dataset, "retrieval", oracle=oracle, index=index, rng_seed=seed
     )
-    tuned = tune_thresholds(
-        vanilla,
-        retrieval,
-        dataset,
-        split_fraction=split_fraction,
-        repeats=repeats,
-        rng_seed=seed,
-    )
+    tuned = tune_thresholds(vanilla, retrieval, dataset, split_fraction, repeats, rng_seed=seed)
     policy = tuned.policy
 
     report = evaluate_run(
@@ -158,12 +150,9 @@ def run_demo(
         "retrieval": overall_accuracy(retrieval),
     }
     report.adaptive = {
-        "mean_test_adaptive_accuracy": tuned.mean_test_accuracy,
+        **tuned.metadata,
         "full_fit_adaptive_accuracy": adaptive_accuracy(vanilla, retrieval, dataset, policy),
         "per_repeat_test_accuracies": tuned.per_repeat_test_accuracies,
-        "split_fraction": split_fraction,
-        "repeats": repeats,
-        "seed": seed,
         "thresholds": policy.to_dict()["thresholds"],
     }
 
@@ -172,14 +161,6 @@ def run_demo(
     save_index(index, out_dir / "index.pgidx")
     write_records(vanilla, out_dir / "run_vanilla.jsonl")
     write_records(retrieval, out_dir / "run_retrieval.jsonl")
-    policy.save(
-        out_dir / "policy.json",
-        metadata={
-            "seed": seed,
-            "split_fraction": split_fraction,
-            "repeats": repeats,
-            "mean_test_adaptive_accuracy": tuned.mean_test_accuracy,
-        },
-    )
+    policy.save(out_dir / "policy.json", metadata=tuned.metadata)
     write_report(report, out_dir)
     return report

@@ -13,7 +13,7 @@ import io
 import math
 import statistics
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -63,37 +63,38 @@ class PredictionRecord:
     genread_empty_context: bool | None = None
 
     def __post_init__(self):
+        if type(self.question_id) is not str:
+            raise ValidationError(f"field 'question_id' must be a string, got {self.question_id!r}")
         if self.mode not in MODES:
             raise ValidationError(f"record {self.question_id!r}: unknown mode {self.mode!r}")
-        if not isinstance(self.correct, bool):
-            raise ValidationError(
-                f"record {self.question_id!r}: field 'correct' must be true or false, "
-                f"got {self.correct!r}"
-            )
+        if type(self.prediction) is not str:
+            self._reject("prediction", "a string")
+        if type(self.correct) is not bool:
+            self._reject("correct", "true or false")
+        for name in ("retrieval_recall1", "genread_empty_context"):
+            if getattr(self, name) is not None and type(getattr(self, name)) is not bool:
+                self._reject(name, "null, true or false")
         if self.mode == "vanilla" and self.retrieved_doc_id is not None:
             raise ValidationError(
                 f"record {self.question_id!r}: vanilla run cannot carry a retrieved doc"
             )
         for name in ("prompt_tokens", "completion_tokens", "latency_ms"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValidationError(f"record {self.question_id!r}: negative {name}")
+            if value is not None and (type(value) is not int or value < 0):
+                self._reject(name, "null or a non-negative integer")
+
+    def _reject(self, name: str, expected: str):
+        raise ValidationError(
+            f"record {self.question_id!r}: field {name!r} must be {expected}, "
+            f"got {getattr(self, name)!r}"
+        )
 
 
 def record_to_row(record: PredictionRecord) -> dict:
-    row = {
-        "question_id": record.question_id,
-        "mode": record.mode,
-        "prediction": record.prediction,
-        "correct": record.correct,
-        "prompt_tokens": record.prompt_tokens,
-        "completion_tokens": record.completion_tokens,
-        "latency_ms": record.latency_ms,
-        "retrieved_doc_id": record.retrieved_doc_id,
-        "retrieval_recall1": record.retrieval_recall1,
-    }
-    if record.genread_empty_context is not None:
-        row["genread_empty_context"] = record.genread_empty_context
+    """The record's fields, without `genread_empty_context` when it is None."""
+    row = vars(record).copy()
+    if record.genread_empty_context is None:
+        del row["genread_empty_context"]
     return row
 
 
@@ -101,20 +102,13 @@ def record_from_row(row: dict) -> PredictionRecord:
     if not isinstance(row, dict):
         raise ValidationError("prediction row is not a JSON object")
     try:
-        return PredictionRecord(
-            question_id=row["question_id"],
-            mode=row["mode"],
-            prediction=row["prediction"],
-            correct=row["correct"],
-            prompt_tokens=row.get("prompt_tokens"),
-            completion_tokens=row.get("completion_tokens"),
-            latency_ms=row.get("latency_ms"),
-            retrieved_doc_id=row.get("retrieved_doc_id"),
-            retrieval_recall1=row.get("retrieval_recall1"),
-            genread_empty_context=row.get("genread_empty_context"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"prediction row missing key {exc}") from exc
+        return PredictionRecord(**row)
+    except TypeError:  # a key that is no field, or a field without a default missing
+        names = {f.name: f.default is MISSING for f in fields(PredictionRecord)}
+        unknown = sorted(set(row) - set(names))
+        missing = [name for name, required in names.items() if required and name not in row]
+        problem = f"has unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
+        raise ValidationError(f"prediction row {problem}") from None
 
 
 def write_records(records: Sequence[PredictionRecord], path: str | Path) -> int:
@@ -183,14 +177,6 @@ def overall_accuracy(records: Sequence[PredictionRecord]) -> float:
     return sum(r.correct for r in records) / len(records)
 
 
-def accuracy_by_relation(
-    records: Sequence[PredictionRecord], dataset: Sequence[QAExample]
-) -> dict[str, tuple[float, int]]:
-    """Per-relation (accuracy, n)."""
-    per_relation = _per_relation(dataset, *join_runs(dataset, records))
-    return {rel: (acc, n) for rel, (acc, _corr, n) in per_relation.items()}
-
-
 def popularity_correlation(
     records: Sequence[PredictionRecord], dataset: Sequence[QAExample]
 ) -> dict[str, float | None]:
@@ -199,26 +185,36 @@ def popularity_correlation(
     Relations where either side has zero variance (or fewer than two records)
     map to None rather than an arbitrary number.
     """
-    per_relation = _per_relation(dataset, *join_runs(dataset, records))
-    return {rel: corr for rel, (_acc, corr, _n) in per_relation.items()}
+    rows = _per_relation(dataset, *join_runs(dataset, records))
+    return {row.relation: row.correlation for row in rows}
+
+
+@dataclass(frozen=True)
+class RelationRow:
+    """One relation's line of a report; fields in CSV column order."""
+
+    relation: str
+    n: int
+    accuracy: float
+    correlation: float | None
 
 
 def _per_relation(
     dataset: Sequence[QAExample], rows: Sequence[PredictionRecord]
-) -> dict[str, tuple[float, float | None, int]]:
-    """Per-relation (accuracy, popularity correlation, n) of a joined run."""
+) -> list[RelationRow]:
+    """One row per relation of a joined run, sorted by relation."""
     grouped: dict[str, tuple[list[float], list[bool]]] = {}
     for ex, rec in zip(dataset, rows):
         pops, flags = grouped.setdefault(ex.relation_type, ([], []))
         pops.append(ex.log10_popularity)
         flags.append(rec.correct)
-    out = {}
+    out = []
     for rel, (pops, flags) in sorted(grouped.items()):
         try:
             corr = statistics.correlation(pops, [float(flag) for flag in flags])
         except statistics.StatisticsError:  # fewer than two points, or a constant side
             corr = None
-        out[rel] = (sum(flags) / len(flags), corr, len(flags))
+        out.append(RelationRow(rel, len(flags), sum(flags) / len(flags), corr))
     return out
 
 
@@ -237,29 +233,20 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
 
 @dataclass(frozen=True)
 class PopularityBin:
+    """One log10-popularity bin of a report; fields in CSV column order."""
+
     center_log10_pop: float
+    n: int
     accuracy: float
     wilson_low: float
     wilson_high: float
-    n: int
-
-
-def binned_accuracy(
-    records: Sequence[PredictionRecord],
-    dataset: Sequence[QAExample],
-    bin_width_log10: float = DEFAULT_BIN_WIDTH,
-    min_bin_n: int = DEFAULT_MIN_BIN_N,
-) -> list[PopularityBin]:
-    """Accuracy by log10-popularity bin with Wilson 95% intervals.
-
-    Bins with fewer than min_bin_n records are omitted.
-    """
-    return _binned_accuracy(dataset, *join_runs(dataset, records), bin_width_log10, min_bin_n)
 
 
 def _binned_accuracy(
     dataset: Sequence[QAExample], rows: Sequence[PredictionRecord], width: float, min_n: int
 ) -> list[PopularityBin]:
+    """Accuracy by log10-popularity bin with Wilson 95% intervals; bins with
+    fewer than `min_n` records are omitted."""
     if width <= 0:
         raise ValidationError("bin_width_log10 must be positive")
     buckets: dict[int, list[bool]] = {}
@@ -273,24 +260,22 @@ def _binned_accuracy(
             continue
         successes = sum(flags)
         low, high = wilson_interval(successes, len(flags))
-        bins.append(
-            PopularityBin(
-                center_log10_pop=(idx + 0.5) * width,
-                accuracy=successes / len(flags),
-                wilson_low=low,
-                wilson_high=high,
-                n=len(flags),
-            )
-        )
+        center = (idx + 0.5) * width
+        bins.append(PopularityBin(center, len(flags), successes / len(flags), low, high))
     return bins
 
 
 @dataclass(frozen=True)
 class QuadrantCell:
+    """One cell of the quadrant table; fields in CSV column order. The
+    question ids are no column."""
+
+    lm_correct: bool
+    retrieval_correct: bool
     fraction: float
     mean_recall1: float | None
     n: int
-    question_ids: tuple[str, ...] = field(repr=False, default=())
+    question_ids: tuple[str, ...] = field(repr=False, default=(), metadata={"column": False})
 
 
 QuadrantTable = dict[tuple[bool, bool], QuadrantCell]
@@ -320,6 +305,7 @@ def quadrant_analysis(
     for key, recs in cells.items():
         recalls = [rec.retrieval_recall1 for rec in recs]
         table[key] = QuadrantCell(
+            *key,
             fraction=len(recs) / total,
             mean_recall1=(sum(recalls) / len(recalls)) if recalls else None,
             n=len(recs),
@@ -351,13 +337,26 @@ _QUADRANT_NAMES = {
     (False, False): "lm_wrong_retrieval_wrong",
 }
 
+# Columns that name a row; in JSON they are the row's key, not its values.
+_KEY_COLUMNS = ("relation", "lm_correct", "retrieval_correct")
+
+
+def _columns(row_class: type) -> list[str]:
+    """A report table's CSV header: its row class's fields, in order."""
+    return [f.name for f in fields(row_class) if f.metadata.get("column", True)]
+
+
+def _values(row) -> dict:
+    """A report row's JSON object: every column but the key columns."""
+    return {c: getattr(row, c) for c in _columns(type(row)) if c not in _KEY_COLUMNS}
+
 
 @dataclass
 class EvalReport:
     """Aggregated evaluation artifacts for a run (or an adaptive system)."""
 
     overall_accuracy: float
-    per_relation: dict[str, tuple[float, float | None, int]]
+    per_relation: list[RelationRow]
     bins: list[PopularityBin]
     quadrants: QuadrantTable | None = None
     retrieval_fraction: float | None = None
@@ -368,33 +367,14 @@ class EvalReport:
     def to_dict(self) -> dict:
         out: dict = {
             "overall_accuracy": self.overall_accuracy,
-            "per_relation": {
-                rel: {"accuracy": a, "correlation": c, "n": n}
-                for rel, (a, c, n) in sorted(self.per_relation.items())
+            "per_relation": {row.relation: _values(row) for row in self.per_relation},
+            "bins": [_values(b) for b in self.bins],
+            "quadrants": None if self.quadrants is None else {
+                _QUADRANT_NAMES[key]: _values(cell) for key, cell in self.quadrants.items()
             },
-            "bins": [
-                {
-                    "center_log10_pop": b.center_log10_pop,
-                    "accuracy": b.accuracy,
-                    "wilson_low": b.wilson_low,
-                    "wilson_high": b.wilson_high,
-                    "n": b.n,
-                }
-                for b in self.bins
-            ],
-            "quadrants": None,
             "retrieval_fraction": self.retrieval_fraction,
             "cost": self.cost,
         }
-        if self.quadrants is not None:
-            out["quadrants"] = {
-                _QUADRANT_NAMES[key]: {
-                    "fraction": cell.fraction,
-                    "mean_recall1": cell.mean_recall1,
-                    "n": cell.n,
-                }
-                for key, cell in self.quadrants.items()
-            }
         if self.baselines is not None:
             out["baselines"] = self.baselines
         if self.adaptive is not None:
@@ -421,11 +401,15 @@ def evaluate_run(
     )
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def _csv_text(row_class: type, rows: Iterable) -> str:
+    """The table as CSV; the header comes from the class, so a table with no
+    rows still has one. None is written as an empty cell."""
+    header = _columns(row_class)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow(["" if v is None else v for v in map(row.__getattribute__, header)])
     return buf.getvalue()
 
 
@@ -434,41 +418,11 @@ def write_report(report: EvalReport, out_dir: str | Path, stem: str = "report") 
     out_dir = Path(out_dir)
     json_path = out_dir / f"{stem}.json"
     atomic_write_text(json_path, report.to_json() + "\n")
-    atomic_write_text(
-        out_dir / f"{stem}_per_relation.csv",
-        _csv_text(
-            ["relation", "n", "accuracy", "correlation"],
-            [
-                [rel, n, a, "" if c is None else c]
-                for rel, (a, c, n) in sorted(report.per_relation.items())
-            ],
-        ),
-    )
-    atomic_write_text(
-        out_dir / f"{stem}_bins.csv",
-        _csv_text(
-            ["center_log10_pop", "n", "accuracy", "wilson_low", "wilson_high"],
-            [
-                [b.center_log10_pop, b.n, b.accuracy, b.wilson_low, b.wilson_high]
-                for b in report.bins
-            ],
-        ),
-    )
+    tables = [("per_relation", RelationRow, report.per_relation),
+              ("bins", PopularityBin, report.bins)]
     if report.quadrants is not None:
-        atomic_write_text(
-            out_dir / f"{stem}_quadrants.csv",
-            _csv_text(
-                ["lm_correct", "retrieval_correct", "fraction", "mean_recall1", "n"],
-                [
-                    [
-                        key[0],
-                        key[1],
-                        cell.fraction,
-                        "" if cell.mean_recall1 is None else cell.mean_recall1,
-                        cell.n,
-                    ]
-                    for key, cell in sorted(report.quadrants.items(), reverse=True)
-                ],
-            ),
-        )
+        cells = [cell for _key, cell in sorted(report.quadrants.items(), reverse=True)]
+        tables.append(("quadrants", QuadrantCell, cells))
+    for name, row_class, rows in tables:
+        atomic_write_text(out_dir / f"{stem}_{name}.csv", _csv_text(row_class, rows))
     return json_path

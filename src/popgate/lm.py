@@ -147,6 +147,12 @@ class EndpointConfig:
     max_parallelism: int = 4
     requests_per_second: float | None = None
 
+    def __post_init__(self):
+        for name in ("temperature", "timeout_s", "backoff_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
     def effective_id(self) -> str:
         return self.endpoint_id or self.base_url
 
@@ -208,12 +214,7 @@ class CompletionClient:
                 "model": self.config.model,
                 "endpoint": self.config.effective_id(),
                 "prompt": prompt,
-                "completion": {
-                    "text": completion.text,
-                    "prompt_tokens": completion.prompt_tokens,
-                    "completion_tokens": completion.completion_tokens,
-                    "latency_ms": completion.latency_ms,
-                },
+                "completion": vars(completion),
             }
             self._cache.put(key, entry)
         return completion
@@ -301,6 +302,13 @@ class OracleParams:
     a: float = 2.0
     b: float = 3.5
     readout: float = 0.9
+
+    def __post_init__(self):
+        for name in ("a", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.readout <= 1:
+            raise ValidationError(f"readout must lie in [0, 1], got {self.readout}")
 
 
 def _sigmoid(x: float) -> float:

@@ -25,6 +25,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_PAGEVIEWS_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews"
 # Pinned so unconfigured runs are reproducible; override via config/CLI.
 DEFAULT_PAGEVIEWS_MONTH = "2022-12"
+# Views of English Wikipedia articles from every access method, by users.
+_PROJECT = "en.wikipedia"
+_ACCESS = "all-access"
+_AGENT = "user"
 
 _MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
@@ -49,9 +53,6 @@ class PopularityRecord:
 @dataclass(frozen=True)
 class PageviewsConfig:
     base_url: str = DEFAULT_PAGEVIEWS_BASE_URL
-    project: str = "en.wikipedia"
-    access: str = "all-access"
-    agent: str = "user"
     cache_dir: str | Path = "pageviews-cache"
     timeout_s: float = 30.0
     max_retries: int = 3
@@ -114,8 +115,7 @@ class PageviewsClient:
     def _fetch_remote(self, title: str, month: str) -> PopularityRecord:
         start, end = _month_bounds(month)
         url = (
-            f"{self.config.base_url}/per-article/{self.config.project}"
-            f"/{self.config.access}/{self.config.agent}"
+            f"{self.config.base_url}/per-article/{_PROJECT}/{_ACCESS}/{_AGENT}"
             f"/{quote(title, safe='')}/monthly/{start}/{end}"
         )
         resp = self._http.request("GET", url, f"pageviews fetch for {title!r}")

@@ -16,7 +16,6 @@ from popgate.adaptive import (
     ThresholdPolicy,
     adaptive_accuracy,
     candidate_thresholds,
-    choose_threshold,
     cost_report,
     dataset_fingerprint,
     retrieval_fraction,
@@ -164,12 +163,34 @@ class TestRoutedRecords:
         assert report["retrieval_fraction"] == retrieval_fraction(dataset, policy)
 
 
+def full_fit(entries):
+    """(threshold, correct count) of the full-dataset refit of one relation
+    whose (log10_pop, vanilla_correct, retrieval_correct) rows are `entries`."""
+    dataset = [
+        LogPopExample(
+            id=f"Q{i}",
+            question="q?",
+            gold_answers=frozenset({"a"}),
+            subject_id=f"Q{i}",
+            subject_label=f"Q{i}",
+            relation_type="rel",
+            popularity=1,
+            log_pop=pop,
+        )
+        for i, (pop, _, _) in enumerate(entries)
+    ]
+    vanilla = [record(ex.id, van) for ex, (_, van, _) in zip(dataset, entries)]
+    retrieval = [record(ex.id, ret, mode="retrieval") for ex, (_, _, ret) in zip(dataset, entries)]
+    threshold = tune_thresholds(vanilla, retrieval, dataset, repeats=1).policy.thresholds["rel"]
+    return threshold, adaptive_correct_count(entries, threshold)
+
+
 class TestChooseThreshold:
     def test_worked_four_question_relation(self):
         # popularity-sorted vanilla [0,0,1,1], retrieval [1,1,0,0]
         pops = [1.0, 2.0, 3.0, 4.0]
         entries = list(zip(pops, [False, False, True, True], [True, True, False, False]))
-        threshold, count = choose_threshold(entries)
+        threshold, count = full_fit(entries)
         assert threshold == pytest.approx(2.5)
         assert count == 4
         candidates = candidate_thresholds(pops)
@@ -182,11 +203,15 @@ class TestChooseThreshold:
         # retrieval and vanilla identical: every candidate scores the same,
         # so the fitted threshold must be -inf (least retrieval).
         entries = [(1.0, True, True), (2.0, False, False)]
-        threshold, _ = choose_threshold(entries)
+        threshold, _ = full_fit(entries)
         assert threshold == NEG_INF
 
     def test_empty_entries_default_to_never_retrieve(self):
-        assert choose_threshold([]) == (NEG_INF, 0)
+        # One question and a 0.5 split leave the relation no tuning rows.
+        dataset = [make_example(0)]
+        vanilla, retrieval = run_pair(dataset, lambda ex: False, lambda ex: True)
+        result = tune_thresholds(vanilla, retrieval, dataset, split_fraction=0.5, repeats=3)
+        assert all(o.thresholds == {"director": NEG_INF} for o in result.repeat_outcomes)
 
 
 class TestTuneThresholds:
@@ -425,13 +450,6 @@ class TestTuneEquivalence:
             assert got.test_ids == test
             assert got.tuning_accuracy == tuning_acc
             assert got.test_accuracy == test_acc
-        for rel in {ex.relation_type for ex in dataset}:
-            entries = [
-                (ex.log10_popularity, v.correct, r.correct)
-                for ex, v, r in zip(dataset, vanilla, retrieval)
-                if ex.relation_type == rel
-            ]
-            assert choose_threshold(entries) == reference_choose_threshold(entries)
 
     def test_midpoint_rounding_down_routes_only_rows_below_it(self):
         lo = 2.5
@@ -444,7 +462,7 @@ class TestTuneEquivalence:
         # scores 1 like the sentinels; counting the lo row below it would
         # wrongly score 2.
         entries = [(lo, False, True), (hi, True, False)]
-        assert choose_threshold(entries) == reference_choose_threshold(entries) == (NEG_INF, 1)
+        assert full_fit(entries) == reference_choose_threshold(entries) == (NEG_INF, 1)
 
 
 class TestRetrievalFraction:

@@ -365,6 +365,162 @@ class TestNonUtf8Input:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def demo_out(tmp_path_factory):
+    """Dataset, runs and policy of a 64-question demo (seed 3); read only."""
+    out = tmp_path_factory.mktemp("demo")
+    assert run_cli(["demo", "--seed", 3, "--size", 64, "--repeats", 5, "--out", out]) == 0
+    return out
+
+
+def savings_argv(demo_out, out, vanilla=None, retrieval=None, *extra):
+    return [
+        "savings", "--dataset", demo_out / "dataset.jsonl",
+        "--vanilla", vanilla or demo_out / "run_vanilla.jsonl",
+        "--retrieval", retrieval or demo_out / "run_retrieval.jsonl",
+        "--policy", demo_out / "policy.json", "--out", out, *extra,
+    ]
+
+
+def tune_argv(demo_out, out, vanilla=None, retrieval=None):
+    return [
+        "tune", "--dataset", demo_out / "dataset.jsonl",
+        "--vanilla", vanilla or demo_out / "run_vanilla.jsonl",
+        "--retrieval", retrieval or demo_out / "run_retrieval.jsonl",
+        "--repeats", 5, "--out", out,
+    ]
+
+
+ENDPOINT = '"base_url": "http://127.0.0.1:9", "model": "m"'
+
+
+class TestBadSettingsFiles:
+    """Config, endpoint and cost-model files are decoded against their
+    dataclasses: a bad one is one `error:` line naming the file and the
+    dotted key, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "kind, text, fragment",
+        [
+            ("cost-model", '{"base_url": ', "line 1, column 14"),
+            ("cost-model", "[1]", "the file must be a JSON object, got [1]"),
+            ("cost-model", '{"price_per_1k_prompt_tokens": "abc"}',
+             "price_per_1k_prompt_tokens must be a number, got 'abc'"),
+            ("cost-model", '{"price_per_1k_prompt_tokens": NaN}',
+             "price_per_1k_prompt_tokens must be non-negative, got nan"),
+            ("cost-model", '{"retrieval_latency_ms": "5"}',
+             "retrieval_latency_ms must be an integer, got '5'"),
+            ("endpoint", "[1]", "the file must be a JSON object, got [1]"),
+            ("endpoint", "{" + ENDPOINT + ', "requests_per_second": "abc"}',
+             "requests_per_second must be a number or null, got 'abc'"),
+            ("endpoint", "{" + ENDPOINT + ', "max_tokens": "x"}',
+             "max_tokens must be an integer, got 'x'"),
+            ("endpoint", '{"base_url": 5, "model": "m"}', "base_url must be a string, got 5"),
+            ("endpoint", "{" + ENDPOINT + ', "timeout_s": NaN}',
+             "timeout_s must be finite and >= 0, got nan"),
+            ("config", '{"run": {"shots": "x"}}', "run.shots must be an integer, got 'x'"),
+            ("config", '{"run": {"seed": "abc"}}', "run.seed must be an integer, got 'abc'"),
+            ("config", '{"oracle": {"a": null}}', "oracle.a must be a number, got None"),
+            ("config", '{"run": {"shots": 1.7}}', "run.shots must be an integer, got 1.7"),
+            ("config", '{"run": {"seed": true}}', "run.seed must be an integer, got True"),
+            ("config", '{"paths": {"dataset": 5}}', "paths.dataset must be a string or null"),
+            ("config", '{"genread_instruction": 7}', "genread_instruction must be a string"),
+            ("config", '{"endpoint": [1]}', "endpoint must be a JSON object, got [1]"),
+            ("config", '{"oracle": {"readout": 1.5}}', "oracle.readout must lie in [0, 1]"),
+        ],
+    )
+    def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        dataset = demo_out / "dataset.jsonl"
+        argv = {
+            "cost-model": savings_argv(demo_out, out, None, None, "--cost-model", bad),
+            "endpoint": ["run", "--dataset", dataset, "--endpoint", bad, "--shots", 0,
+                         "--out", out],
+            "config": ["run", "--config", bad, "--dataset", dataset, "--oracle", "--out", out],
+        }[kind]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, f"{bad.name}: {fragment}")
+        assert not out.exists()
+
+    def test_whole_number_cost_is_a_float(self, demo_out, tmp_path, capsys):
+        outputs = []
+        for price in ("2", "2.0"):
+            costs = tmp_path / "costs.json"
+            costs.write_text('{"price_per_1k_prompt_tokens": %s}' % price)
+            out = tmp_path / f"savings-{price}.json"
+            assert run_cli(savings_argv(demo_out, out, None, None, "--cost-model", costs)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("argv", [tune_argv, savings_argv], ids=["tune", "savings"])
+    @pytest.mark.parametrize(
+        "vanilla, retrieval, fragment",
+        [
+            ("run_retrieval", "run_vanilla", "--vanilla {}run_retrieval.jsonl holds retrieval"),
+            ("run_vanilla", "run_vanilla", "--retrieval {}run_vanilla.jsonl holds vanilla"),
+        ],
+        ids=["swapped", "two-vanilla"],
+    )
+    def test_run_of_the_wrong_mode_is_rejected(
+        self, demo_out, tmp_path, capsys, argv, vanilla, retrieval, fragment
+    ):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(
+            argv(demo_out, out, demo_out / f"{vanilla}.jsonl", demo_out / f"{retrieval}.jsonl")
+        )
+        assert code == 1
+        assert_one_line_error(capsys, fragment.format(f"{demo_out}/"), "records")
+        assert not out.exists()
+
+    def test_genread_run_passes_for_retrieval(self, demo_out, tmp_path):
+        rows = [
+            {**json.loads(line), "mode": "genread"}
+            for line in (demo_out / "run_retrieval.jsonl").read_text().splitlines()
+        ]
+        genread = tmp_path / "run_genread.jsonl"
+        write_jsonl(genread, rows)
+        assert run_cli(tune_argv(demo_out, tmp_path / "policy.json", None, genread)) == 0
+
+    @pytest.mark.parametrize(
+        "command, mode, key, value",
+        [
+            ("report", "vanilla", "prompt_tokens", "5"),
+            ("savings", "vanilla", "prompt_tokens", "5"),
+            ("report", "retrieval", "retrieval_recall1", "yes"),
+            ("savings", "vanilla", "latency_ms", True),
+            ("tune", "retrieval", "completion_tokens", -1),
+            ("tune", "vanilla", "question_id", 7),
+            ("report", "vanilla", "prediction", None),
+            ("report", "retrieval", "genread_empty_context", 0),
+        ],
+    )
+    def test_bad_field_type_in_run_row(self, demo_out, tmp_path, capsys, command, mode, key, value):
+        text = (demo_out / f"run_{mode}.jsonl").read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
+        rows[0][key] = value
+        run = tmp_path / f"run_{mode}.jsonl"
+        write_jsonl(run, rows)
+        out = tmp_path / "out"
+        runs = {"vanilla": None, "retrieval": None, mode: run}
+        argv = {
+            "report": ["report", "--dataset", demo_out / "dataset.jsonl", "--runs",
+                       runs["vanilla"] or demo_out / "run_vanilla.jsonl",
+                       runs["retrieval"] or demo_out / "run_retrieval.jsonl", "--out", out],
+            "tune": tune_argv(demo_out, out, runs["vanilla"], runs["retrieval"]),
+            "savings": savings_argv(demo_out, out, runs["vanilla"], runs["retrieval"]),
+        }[command]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, f"{run.name}:1: ", f"field {key!r} must be", repr(value))
+        assert not out.exists()
+
+
 class TestPipeline:
     def test_full_cli_pipeline(self, tmp_path, capsys):
         triples = tmp_path / "triples.jsonl"

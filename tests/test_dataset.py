@@ -12,7 +12,6 @@ from popgate.dataset import (
     RELATIONS,
     default_templates,
     example_from_row,
-    inclusion_probability,
     read_dataset,
     sample_triples,
     verbalize,
@@ -73,10 +72,6 @@ class TestSampling:
         second = make_triple(1, objects=("Beta",))
         kept = sample_triples([first, second], lambda t: math.e**2, rng_seed=0)
         assert kept == [first]
-
-    def test_inclusion_probability_closed_form(self):
-        for f in (0.0, math.e**-6, 0.5, 1.0, math.e, math.e**2, 100.0):
-            assert inclusion_probability(f) == pytest.approx(sampling_probability(f), abs=1e-12)
 
 
 class TestVerbalize:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +10,7 @@ from hypothesis import given, strategies as st
 from popgate.errors import JoinError, ValidationError
 from popgate.evaluation import (
     PredictionRecord,
-    accuracy_by_relation,
-    binned_accuracy,
+    RelationRow,
     evaluate_run,
     format_quadrants,
     is_correct,
@@ -18,6 +19,8 @@ from popgate.evaluation import (
     popularity_correlation,
     quadrant_analysis,
     read_records,
+    record_from_row,
+    record_to_row,
     wilson_interval,
     write_records,
     write_report,
@@ -137,27 +140,29 @@ class TestAccuracyByRelation:
     def test_two_of_four(self):
         dataset = [make_example(i) for i in range(4)]
         records = [record(ex.id, i < 2) for i, ex in enumerate(dataset)]
-        assert accuracy_by_relation(records, dataset) == {"director": (0.5, 4)}
+        rows = evaluate_run(records, dataset).per_relation
+        assert rows == [RelationRow("director", n=4, accuracy=0.5, correlation=None)]
 
     def test_empty_records(self):
         with pytest.raises(JoinError, match="does not cover"):
-            accuracy_by_relation([], [make_example(0)])
+            evaluate_run([], [make_example(0)])
 
     def test_unknown_question_id_is_join_error(self):
         with pytest.raises(JoinError, match="ghost"):
-            accuracy_by_relation([record("ghost", True)], [make_example(0)])
+            evaluate_run([record("ghost", True)], [make_example(0)])
 
     def test_overall_equals_weighted_mean_over_sixteen_relations(
         self, sixteen_relation_dataset
     ):
         dataset = sixteen_relation_dataset
         records = [record(ex.id, i % 3 == 0) for i, ex in enumerate(dataset)]
-        by_relation = accuracy_by_relation(records, dataset)
-        assert len(by_relation) == 16
-        weighted = sum(a * n for a, n in by_relation.values()) / sum(
-            n for _, n in by_relation.values()
-        )
+        report = evaluate_run(records, dataset)
+        rows = report.per_relation
+        assert len(rows) == 16
+        assert [row.relation for row in rows] == sorted({ex.relation_type for ex in dataset})
+        weighted = sum(row.accuracy * row.n for row in rows) / sum(row.n for row in rows)
         assert abs(weighted - overall_accuracy(records)) <= 1e-12
+        assert report.overall_accuracy == overall_accuracy(records)
 
 
 class TestPopularityCorrelation:
@@ -213,7 +218,7 @@ class TestBinnedAccuracy:
     def test_zero_of_ten_bin(self):
         dataset = [make_example(i, popularity=1000) for i in range(10)]
         records = [record(ex.id, False) for ex in dataset]
-        bins = binned_accuracy(records, dataset, bin_width_log10=0.5, min_bin_n=10)
+        bins = evaluate_run(records, dataset, bin_width_log10=0.5, min_bin_n=10).bins
         assert len(bins) == 1
         b = bins[0]
         assert b.accuracy == 0.0
@@ -224,18 +229,18 @@ class TestBinnedAccuracy:
     def test_small_bins_omitted(self):
         dataset = [make_example(i, popularity=1000) for i in range(9)]
         records = [record(ex.id, True) for ex in dataset]
-        assert binned_accuracy(records, dataset, min_bin_n=10) == []
+        assert evaluate_run(records, dataset, min_bin_n=10).bins == []
 
     def test_perfect_bin_upper_bound_is_one(self):
         dataset = [make_example(i, popularity=100) for i in range(10)]
         records = [record(ex.id, True) for ex in dataset]
-        bins = binned_accuracy(records, dataset, min_bin_n=10)
+        bins = evaluate_run(records, dataset, min_bin_n=10).bins
         assert bins[0].wilson_high == pytest.approx(1.0, abs=1e-12)
 
     def test_default_min_bin_n_is_forty(self):
         dataset = [make_example(i, popularity=1000) for i in range(39)]
         records = [record(ex.id, True) for ex in dataset]
-        assert binned_accuracy(records, dataset) == []
+        assert evaluate_run(records, dataset).bins == []
 
 
 class TestQuadrants:
@@ -334,6 +339,30 @@ class TestRecordsIO:
         assert write_records(records, path) == 2
         assert read_records(path) == records
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda row: row.pop("correct"), "prediction row missing key 'correct'"),
+            (lambda row: row.update(score=1), "prediction row has unknown key 'score'"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_missing_or_unknown_key(self, tmp_path, change, message):
+        row = record_to_row(record("q1", True))
+        change(row)
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ValidationError) as info:
+            read_records(path)
+        assert str(info.value) == f"{path}:1: {message}"
+
+    def test_row_is_the_fields_without_empty_genread_flag(self):
+        rec = record("q1", True, mode="retrieval", recall1=False)
+        assert list(record_to_row(rec)) == [f.name for f in fields(PredictionRecord)][:-1]
+        genread = replace(rec, mode="genread", genread_empty_context=True)
+        assert record_to_row(genread)["genread_empty_context"] is True
+        assert record_from_row(record_to_row(genread)) == genread
+
     def test_vanilla_with_retrieved_doc_rejected(self):
         with pytest.raises(ValidationError):
             PredictionRecord(
@@ -357,3 +386,36 @@ class TestReport:
         text = (tmp_path / "report_per_relation.csv").read_text()
         assert text.splitlines()[0] == "relation,n,accuracy,correlation"
         assert "director" in text
+
+    def test_tables_match_the_json_and_empty_tables_keep_their_header(self, tmp_path):
+        dataset = [make_example(i, popularity=10 ** (i % 4)) for i in range(4)]
+        vanilla = [record(ex.id, i < 2) for i, ex in enumerate(dataset)]
+        retrieval = [
+            record(ex.id, i % 2 == 0, mode="retrieval", recall1=i == 0)
+            for i, ex in enumerate(dataset)
+        ]
+        report = evaluate_run(vanilla, dataset)
+        report.quadrants = quadrant_analysis(vanilla, retrieval, dataset)
+        assert report.bins == []
+        write_report(report, tmp_path)
+        assert (tmp_path / "report_bins.csv").read_text() == (
+            "center_log10_pop,n,accuracy,wilson_low,wilson_high\n"
+        )
+        assert (tmp_path / "report_per_relation.csv").read_text() == (
+            "relation,n,accuracy,correlation\ndirector,4,0.5,-0.8944271909999159\n"
+        )
+        assert (tmp_path / "report_quadrants.csv").read_text() == (
+            "lm_correct,retrieval_correct,fraction,mean_recall1,n\n"
+            "True,True,0.25,1.0,1\n"
+            "True,False,0.25,0.0,1\n"
+            "False,True,0.25,0.0,1\n"
+            "False,False,0.25,0.0,1\n"
+        )
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["per_relation"] == {
+            "director": {"n": 4, "accuracy": 0.5, "correlation": -0.8944271909999159}
+        }
+        assert payload["bins"] == []
+        assert payload["quadrants"]["lm_correct_retrieval_correct"] == {
+            "fraction": 0.25, "mean_recall1": 1.0, "n": 1
+        }
