@@ -18,8 +18,9 @@ import json
 import logging
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import accumulate, compress
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
 
@@ -179,14 +180,17 @@ def candidate_thresholds(pops: Sequence[float]) -> list[float]:
 @dataclass
 class _SortedRelation:
     """One relation's rows stably sorted by log10 popularity. `rank[i]` is the
-    sorted position of the relation's i-th row in dataset order."""
+    sorted position of the relation's i-th row in dataset order; `hits[c]` is
+    the correct count of all rows when the `c` first retrieve; `draws` are
+    the steps of a shuffle of the rows."""
 
     pops: list[float]
     van: list[int]
-    ret: list[int]
     gain: list[int]
     rank: list[int]
     ids: list[str]
+    hits: list[int]
+    draws: list[tuple[int, int]]
 
     @classmethod
     def of(
@@ -196,14 +200,33 @@ class _SortedRelation:
         rank = [0] * len(order)
         for position, row in enumerate(order):
             rank[row] = position
+        gain = [ret[i] - van[i] for i in order]
         return cls(
             pops=[pops[i] for i in order],
             van=[van[i] for i in order],
-            ret=[ret[i] for i in order],
-            gain=[ret[i] - van[i] for i in order],
+            gain=gain,
             rank=rank,
             ids=[ids[i] for i in order],
+            hits=list(accumulate(gain, initial=sum(van))),
+            draws=_shuffle_draws(len(order)),
         )
+
+
+def _shuffle_draws(n: int) -> list[tuple[int, int]]:
+    """The (j, bits) steps of `random.shuffle` on `n` items: step j swaps
+    item j with one drawn below j + 1, from `getrandbits(bits)` values."""
+    return [(j, (j + 1).bit_length()) for j in range(n - 1, 0, -1)]
+
+
+def _shuffle(items: list, draws: list[tuple[int, int]], getrandbits) -> None:
+    """`random.Random.shuffle(items)`, inlined: each step takes getrandbits(bits)
+    until it is at most j, as `Random._randbelow(j + 1)` does, so it draws the
+    same permutation from the same generator state, with the same calls."""
+    for j, bits in draws:
+        q = getrandbits(bits)
+        while q > j:
+            q = getrandbits(bits)
+        items[j], items[q] = items[q], items[j]
 
 
 def _fit(rows: _SortedRelation, mask: bytearray) -> tuple[float, int]:
@@ -296,7 +319,7 @@ def tune_thresholds(
     }
     outcomes = []
     for i in range(repeats):
-        rng = random.Random(f"{rng_seed}\x00{i}")
+        getrandbits = random.Random(f"{rng_seed}\x00{i}").getrandbits
         thresholds: dict[str, float] = {}
         tuning_ids: list[str] = []
         test_ids: list[str] = []
@@ -306,12 +329,14 @@ def tune_thresholds(
             # draws the same permutation as shuffling their ids would:
             # shuffle depends only on the length and the generator state.
             positions = rows.rank[:]
-            rng.shuffle(positions)
+            _shuffle(positions, rows.draws, getrandbits)
             k = int(len(positions) * split_fraction)
             tuning, test = positions[:k], positions[k:]
-            mask = bytearray(len(positions))
-            for position in tuning:
-                mask[position] = 1
+            # positions is a permutation, so clearing the test rows leaves
+            # exactly the tuning rows set.
+            mask = bytearray(b"\x01") * len(positions)
+            for position in test:
+                mask[position] = 0
             if not k:
                 logger.warning(
                     "relation %r has no tuning questions; defaulting its threshold to -inf",
@@ -320,9 +345,9 @@ def tune_thresholds(
             threshold, hits = _fit(rows, mask)
             thresholds[relation] = threshold
             tuning_hits += hits
-            test_hits += sum(
-                rows.ret[p] if rows.pops[p] < threshold else rows.van[p] for p in test
-            )
+            # `hits` routes the tuning rows as the threshold does, so the
+            # test rows score the rest of all rows' routed count.
+            test_hits += rows.hits[bisect_left(rows.pops, threshold)] - hits
             tuning_ids.extend(map(rows.ids.__getitem__, tuning))
             test_ids.extend(map(rows.ids.__getitem__, test))
         outcomes.append(

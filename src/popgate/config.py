@@ -118,7 +118,13 @@ def _value(hint: Any, value: Any, key: str) -> Any:
         if is_dataclass(option):
             return _decode(option, value, key + ".")
         if option is float and type(value) in (int, float):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigError(
+                    f"{key} must be a number a float can hold, "
+                    f"got an integer of {len(str(value))} digits"
+                ) from None
         if type(value) is option:
             return value
     expected = " or ".join(dict.fromkeys(_TYPE_NAMES[o] for o in options))
@@ -133,6 +139,8 @@ def load_file(cls: type[T], path: str | Path) -> T:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ConfigError(f"{path}: {exc}") from exc
     try:
         return _decode(cls, payload, "")
     except ConfigError as exc:

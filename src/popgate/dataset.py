@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ValidationError
-from .util import iter_jsonl, read_text, write_jsonl
+from .util import read_jsonl, read_text, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
@@ -105,9 +105,11 @@ def default_templates() -> dict[str, QuestionTemplate]:
     return {rel: QuestionTemplate(rel, pat) for rel, pat in DEFAULT_TEMPLATE_PATTERNS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QAExample:
-    """One question with its gold answer set and popularity annotation."""
+    """One question with its gold answer set and popularity annotation: a
+    plain slotted record, checked when built. Callers must not mutate one;
+    `with_popularity` returns an annotated copy."""
 
     id: str
     question: str
@@ -217,6 +219,10 @@ def example_to_row(example: QAExample) -> dict:
 _EXAMPLE_STRING_KEYS = ("id", "question", "subj", "subj_id", "relation")
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def example_from_row(row: dict) -> QAExample:
     if not isinstance(row, dict):
         raise ValidationError("dataset row is not a JSON object")
@@ -227,7 +233,7 @@ def example_from_row(row: dict) -> QAExample:
         answers = row["answers"]
     except KeyError as exc:
         raise ValidationError(f"dataset row missing key {exc}") from exc
-    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+    if not _is_strings(answers):
         raise ValidationError("dataset row field 'answers' is not a list of strings")
     # QAExample rejects an empty answer list and a negative popularity.
     popularity = row.get("popularity")
@@ -236,13 +242,8 @@ def example_from_row(row: dict) -> QAExample:
             f"dataset row field 'popularity' is not null or an integer: {popularity!r}"
         )
     return QAExample(
-        id=row["id"],
-        question=row["question"],
-        gold_answers=frozenset(answers),
-        subject_id=row["subj_id"],
-        subject_label=row["subj"],
-        relation_type=row["relation"],
-        popularity=popularity,
+        row["id"], row["question"], frozenset(answers), row["subj_id"], row["subj"],
+        row["relation"], popularity,
     )
 
 
@@ -255,38 +256,56 @@ def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
 
 
 def read_dataset(path: str | Path) -> list[QAExample]:
-    examples = []
-    for lineno, row in iter_jsonl(path):
-        try:
-            examples.append(example_from_row(row))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return examples
+    return read_jsonl(path, example_from_row)
+
+
+_TRIPLE_STRING_KEYS = ("subj_id", "subj", "relation")
+_NOT_OBJECTS = (
+    "triple row field 'objects' is not a list of objects with string 'id' and 'label' "
+    "and an optional list of string 'aliases'"
+)
 
 
 def triple_from_row(row: dict) -> KnowledgeTriple:
+    if not isinstance(row, dict):
+        raise ValidationError("triple row is not a JSON object")
     try:
+        for key in _TRIPLE_STRING_KEYS:
+            if not isinstance(row[key], str):
+                raise ValidationError(f"triple row field {key!r} is not a string")
         objects = row["objects"]
-        labels: set[str] = set()
-        ids: set[str] = set()
-        for obj in objects:
-            ids.add(obj["id"])
-            labels.add(obj["label"])
-            labels.update(obj.get("aliases", []))
-        return KnowledgeTriple(
-            subject_id=row["subj_id"],
-            subject_label=row["subj"],
-            subject_aliases=frozenset(row.get("subj_aliases", [])),
-            relation_type=row["relation"],
-            object_ids=frozenset(ids),
-            object_labels_and_aliases=frozenset(l for l in labels if l),
-        )
     except KeyError as exc:
         raise ValidationError(f"triple row missing key {exc}") from exc
+    subj_aliases = row.get("subj_aliases", [])
+    if not _is_strings(subj_aliases):
+        raise ValidationError("triple row field 'subj_aliases' is not a list of strings")
+    if not isinstance(objects, list):
+        raise ValidationError(_NOT_OBJECTS)
+    labels: set[str] = set()
+    ids: set[str] = set()
+    for obj in objects:
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("id"), str)
+            and isinstance(obj.get("label"), str)
+            and _is_strings(obj.get("aliases", []))
+        ):
+            raise ValidationError(_NOT_OBJECTS)
+        ids.add(obj["id"])
+        labels.add(obj["label"])
+        labels.update(obj.get("aliases", []))
+    return KnowledgeTriple(
+        subject_id=row["subj_id"],
+        subject_label=row["subj"],
+        subject_aliases=frozenset(subj_aliases),
+        relation_type=row["relation"],
+        object_ids=frozenset(ids),
+        object_labels_and_aliases=frozenset(l for l in labels if l),
+    )
 
 
 def read_triples(path: str | Path) -> list[KnowledgeTriple]:
-    return [triple_from_row(row) for _lineno, row in iter_jsonl(path)]
+    return read_jsonl(path, triple_from_row)
 
 
 def load_templates(path: str | Path) -> dict[str, QuestionTemplate]:

@@ -14,12 +14,13 @@ import math
 import statistics
 import unicodedata
 from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
-from .util import atomic_write_text, dumps_stable, iter_jsonl, write_jsonl
+from .util import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
 DEFAULT_BIN_WIDTH = 0.5
@@ -47,9 +48,10 @@ def is_correct(prediction: str, gold_answers: Iterable[str], strict: bool = Fals
     return any(g in pred for g in (normalize_text(g) for g in golds) if g)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PredictionRecord:
-    """One (question, mode) model run."""
+    """One (question, mode) model run: a plain slotted record, checked when
+    built. Callers must not mutate one; nothing re-checks it."""
 
     question_id: str
     mode: str
@@ -71,17 +73,26 @@ class PredictionRecord:
             self._reject("prediction", "a string")
         if type(self.correct) is not bool:
             self._reject("correct", "true or false")
-        for name in ("retrieval_recall1", "genread_empty_context"):
-            if getattr(self, name) is not None and type(getattr(self, name)) is not bool:
-                self._reject(name, "null, true or false")
+        if self.retrieval_recall1 is not None and type(self.retrieval_recall1) is not bool:
+            self._reject("retrieval_recall1", "null, true or false")
+        if self.genread_empty_context is not None and type(self.genread_empty_context) is not bool:
+            self._reject("genread_empty_context", "null, true or false")
         if self.mode == "vanilla" and self.retrieved_doc_id is not None:
             raise ValidationError(
                 f"record {self.question_id!r}: vanilla run cannot carry a retrieved doc"
             )
-        for name in ("prompt_tokens", "completion_tokens", "latency_ms"):
-            value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 0):
-                self._reject(name, "null or a non-negative integer")
+        if self.prompt_tokens is not None and (
+            type(self.prompt_tokens) is not int or self.prompt_tokens < 0
+        ):
+            self._reject("prompt_tokens", "null or a non-negative integer")
+        if self.completion_tokens is not None and (
+            type(self.completion_tokens) is not int or self.completion_tokens < 0
+        ):
+            self._reject("completion_tokens", "null or a non-negative integer")
+        if self.latency_ms is not None and (
+            type(self.latency_ms) is not int or self.latency_ms < 0
+        ):
+            self._reject("latency_ms", "null or a non-negative integer")
 
     def _reject(self, name: str, expected: str):
         raise ValidationError(
@@ -90,9 +101,13 @@ class PredictionRecord:
         )
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(PredictionRecord))
+_record_values = attrgetter(*_RECORD_FIELDS)
+
+
 def record_to_row(record: PredictionRecord) -> dict:
     """The record's fields, without `genread_empty_context` when it is None."""
-    row = vars(record).copy()
+    row = dict(zip(_RECORD_FIELDS, _record_values(record)))
     if record.genread_empty_context is None:
         del row["genread_empty_context"]
     return row
@@ -116,13 +131,7 @@ def write_records(records: Sequence[PredictionRecord], path: str | Path) -> int:
 
 
 def read_records(path: str | Path) -> list[PredictionRecord]:
-    records = []
-    for lineno, row in iter_jsonl(path):
-        try:
-            records.append(record_from_row(row))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return read_jsonl(path, record_from_row)
 
 
 def read_run(path: str | Path) -> list[PredictionRecord]:

@@ -35,7 +35,7 @@ ORACLE_WRONG_ANSWER = "UNKNOWN_ENTITY"
 ORACLE_MISS_RATE = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PromptSpec:
     mode: str
     question: str
@@ -152,6 +152,13 @@ class EndpointConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        if not self.max_retries >= 0:
+            raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
+        rate = self.requests_per_second
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValidationError(
+                f"requests_per_second must be null or finite and > 0, got {rate}"
+            )
 
     def effective_id(self) -> str:
         return self.endpoint_id or self.base_url

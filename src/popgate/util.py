@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
 from urllib.parse import SplitResult, urlsplit
 
 from . import __version__
@@ -26,13 +26,22 @@ if TYPE_CHECKING:
     import http.client
     import ssl
 
+T = TypeVar("T")
+
 USER_AGENT_ENV = "POPGATE_USER_AGENT"
 DEFAULT_USER_AGENT = f"popgate/{__version__}"
 
 
+# json.dumps builds a new encoder for these options on every call; this one is
+# built once. raw_decode skips json.loads's per-call checks; iter_jsonl sends a
+# line it cannot decode whole to json.loads. Its defaults are json.loads's.
+_encode_stable = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def dumps_stable(obj: Any) -> str:
     """JSON with sorted keys so equal objects serialize byte-identically."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return _encode_stable(obj)
 
 
 @contextmanager
@@ -66,27 +75,49 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     """Write one JSON object per line (atomically); returns the line count."""
-    lines = [dumps_stable(row) for row in rows]
-    payload = "".join(line + "\n" for line in lines)
-    atomic_write_bytes(path, payload.encode("utf-8"))
+    lines = [_encode_stable(row) + "\n" for row in rows]
+    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
     return len(lines)
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(line number, parsed value) for each non-blank line."""
+    """(line number, parsed value) for each non-blank line, which must hold
+    exactly one JSON value, as `json.loads` reads it."""
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
+                # The stripped line starts and ends with no JSON whitespace, so
+                # one value spanning all of it is what json.loads accepts.
                 try:
-                    yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"{path}:{lineno}: invalid JSON line: {exc}") from exc
+                    value, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    try:
+                        value = json.loads(line)  # raises with json.loads's message
+                    except ValueError as exc:  # or int past sys.get_int_max_str_digits()
+                        raise ValidationError(
+                            f"{path}:{lineno}: invalid JSON line: {exc}"
+                        ) from exc
+                yield lineno, value
         except UnicodeDecodeError:
             read_text(path)  # raises the error naming the line
             raise
+
+
+def read_jsonl(path: str | Path, from_row: Callable[[Any], T]) -> list[T]:
+    """`from_row` of each row of a JSONL file; a ValidationError it raises
+    gains the row's `path:line`."""
+    out = []
+    for lineno, row in iter_jsonl(path):
+        try:
+            out.append(from_row(row))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    return out
 
 
 def read_text(path: str | Path) -> str:

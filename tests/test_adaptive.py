@@ -14,6 +14,8 @@ from popgate.adaptive import (
     POS_INF,
     RETRIEVE,
     ThresholdPolicy,
+    _shuffle,
+    _shuffle_draws,
     adaptive_accuracy,
     candidate_thresholds,
     cost_report,
@@ -304,7 +306,7 @@ class TestTuneThresholds:
             tune_thresholds(vanilla, retrieval, dataset, repeats=0)
 
 
-@dataclass(frozen=True)
+@dataclass
 class LogPopExample(QAExample):
     """Example whose log10 popularity is set directly, so that popularities can
     sit on adjacent floats."""
@@ -426,6 +428,23 @@ def tuning_cases(draw):
     retrieval = [record(qid, ret, mode="retrieval") for qid, _, _, _, ret in rows]
     split = draw(st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9]))
     return dataset, vanilla, retrieval, split, draw(st.integers(1, 4)), draw(st.integers(0, 99))
+
+
+class TestSplitDraw:
+    def test_inlined_shuffle_is_random_shuffle(self):
+        """The tuning split's inlined draw must give random.shuffle's
+        permutation and leave the generator where shuffle leaves it; this pins
+        CPython's Random._randbelow rejection loop on each Python it runs on."""
+        for n in range(601):
+            draws = _shuffle_draws(n)
+            for seed in range(50):
+                expected, got = list(range(n)), list(range(n))
+                reference = random.Random(f"{seed}\x00{n}")
+                reference.shuffle(expected)
+                rng = random.Random(f"{seed}\x00{n}")
+                _shuffle(got, draws, rng.getrandbits)
+                assert got == expected, (n, seed)
+                assert rng.getrandbits(32) == reference.getrandbits(32), (n, seed)
 
 
 class TestTuneEquivalence:

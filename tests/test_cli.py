@@ -186,6 +186,35 @@ class TestRuntimeErrors:
         assert_one_line_error(capsys, "dataset.jsonl:1:", fragment)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row, fragment",
+        [
+            ([1, 2], "triple row is not a JSON object"),
+            ({"objects": "x"}, "field 'objects' is not a list of objects"),
+            ({"objects": [{"id": 1, "label": "Maker"}]}, "field 'objects' is not a list of objects"),
+            ({"objects": [{"id": "O1"}]}, "field 'objects' is not a list of objects"),
+            ({"objects": [{"id": "O1", "label": "Maker", "aliases": "M"}]},
+             "field 'objects' is not a list of objects"),
+            ({"objects": ["O1"]}, "field 'objects' is not a list of objects"),
+            ({"objects": []}, "no object labels"),
+            ({"subj_aliases": "Jr"}, "field 'subj_aliases' is not a list of strings"),
+            ({"subj_aliases": None}, "field 'subj_aliases' is not a list of strings"),
+            ({"subj": 5}, "field 'subj' is not a string"),
+            ({"relation": None}, "field 'relation' is not a string"),
+            ({"subj_id": ...}, "missing key 'subj_id'"),
+            ({"objects": ...}, "missing key 'objects'"),
+        ],
+    )
+    def test_build_dataset_rejects_malformed_triple_row(self, tmp_path, capsys, row, fragment):
+        if isinstance(row, dict):  # changes to a good row; ... drops the key
+            row = {k: v for k, v in {**triples_rows(1)[0], **row}.items() if v is not ...}
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(json.dumps(row) + "\n" + json.dumps(triples_rows(2)[1]) + "\n")
+        out = tmp_path / "dataset.jsonl"
+        assert run_cli(["build-dataset", "--triples", triples, "--out", out]) == 1
+        assert_one_line_error(capsys, "triples.jsonl:1:", fragment)
+        assert not out.exists()
+
     @pytest.mark.parametrize("shots", [3, 16])
     def test_run_rejects_shots_other_than_0_or_15_on_16_relations(
         self, tmp_path, capsys, sixteen_relation_dataset, shots
@@ -427,6 +456,19 @@ class TestBadSettingsFiles:
             ("config", '{"genread_instruction": 7}', "genread_instruction must be a string"),
             ("config", '{"endpoint": [1]}', "endpoint must be a JSON object, got [1]"),
             ("config", '{"oracle": {"readout": 1.5}}', "oracle.readout must lie in [0, 1]"),
+            pytest.param("config", '{"bm25": {"k1": %s}}' % ("9" * 400),
+                         "bm25.k1 must be a number a float can hold, got an integer of 400 digits",
+                         id="config-k1-400-digits"),
+            pytest.param("config", '{"bm25": {"k1": %s}}' % ("9" * 5000),
+                         "Exceeds the limit (4300",
+                         id="config-k1-5000-digits"),
+            ("endpoint", "{" + ENDPOINT + ', "max_retries": -1}', "max_retries must be >= 0, got -1"),
+            ("endpoint", "{" + ENDPOINT + ', "requests_per_second": 0}',
+             "requests_per_second must be null or finite and > 0, got 0"),
+            ("endpoint", "{" + ENDPOINT + ', "requests_per_second": Infinity}',
+             "requests_per_second must be null or finite and > 0, got inf"),
+            ("config", '{"endpoint": {' + ENDPOINT + ', "max_retries": -2}}',
+             "endpoint.max_retries must be >= 0, got -2"),
         ],
     )
     def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):
