@@ -14,7 +14,6 @@ sorts anything.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -27,7 +26,7 @@ from typing import Mapping, Sequence, TypeVar
 from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
 from .evaluation import PredictionRecord, join_runs
-from .util import atomic_write_text, dumps_stable, sha256_hex
+from .util import atomic_write_text, dumps_stable, read_json, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -117,11 +116,7 @@ class ThresholdPolicy:
     def load(cls, path: str | Path) -> "ThresholdPolicy":
         """Raises PolicyError naming `path` when the file is not UTF-8 JSON or
         not a valid policy."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise PolicyError(f"{path}: not a JSON policy file ({exc})") from exc
+        payload = read_json(path, PolicyError)
         try:
             return cls.from_dict(payload)
         except PolicyError as exc:

@@ -27,25 +27,38 @@ from .util import atomic_write_text, dumps_stable, read_text, write_jsonl
 logger = logging.getLogger("popgate")
 
 
-def _load_run_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return load_file(RunConfig, args.config)
-    return RunConfig()
+# Every setting that both a flag and the config file can give: argparse dest
+# -> (config section, key). `_apply_config` fills each flag left unset from the
+# config file, or from the section's default; the flag wins.
+CONFIG_FLAGS = {
+    "triples": ("paths", "triples"),
+    "dataset": ("paths", "dataset"),
+    "corpus": ("paths", "corpus"),
+    "index": ("paths", "index"),
+    "cache": ("paths", "cache_dir"),
+    "mode": ("run", "mode"),
+    "shots": ("run", "shots"),
+    "seed": ("run", "seed"),
+    "k1": ("bm25", "k1"),
+    "b": ("bm25", "b"),
+    "month": ("pageviews", "month"),
+}
 
 
-def _resolve_path(args, config: RunConfig, key: str, required: bool = True) -> str | None:
-    """Flag value if given, else the config's paths section; flags win."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = getattr(config.paths, key)
-    if value is None and required:
-        raise ConfigError(f"missing --{key} (not on the command line nor in config paths)")
-    return value
+def _apply_config(args) -> None:
+    """Load `args.config` into a RunConfig and fill each unset flag of
+    CONFIG_FLAGS from it; only `--index` may stay unset."""
+    config = args.config = load_file(RunConfig, args.config) if args.config else RunConfig()
+    for dest, (section, key) in CONFIG_FLAGS.items():
+        if dest in vars(args) and getattr(args, dest) in (None, ""):
+            value = getattr(getattr(config, section), key)
+            if value in (None, "") and dest != "index":
+                raise ConfigError(f"missing --{dest} (no flag, no {section}.{key} in config)")
+            setattr(args, dest, value)
 
 
 def _cmd_build_dataset(args) -> int:
-    config = _load_run_config(args)
-    triples = dataset_mod.read_triples(_resolve_path(args, config, "triples"))
+    triples = dataset_mod.read_triples(args.triples)
     templates = (
         dataset_mod.load_templates(args.templates)
         if args.templates
@@ -56,9 +69,8 @@ def _cmd_build_dataset(args) -> int:
     else:
         # Without a frequency corpus every triple passes the sampler.
         term_frequency = lambda triple: math.e**2
-    seed = args.seed if args.seed is not None else config.run.seed
     sampled = dataset_mod.sample_triples(
-        triples, term_frequency, per_relation_cap=args.cap, rng_seed=seed
+        triples, term_frequency, per_relation_cap=args.cap, rng_seed=args.seed
     )
     examples = dataset_mod.verbalize_all(sampled, templates)
     count = dataset_mod.write_dataset(examples, args.out)
@@ -67,45 +79,30 @@ def _cmd_build_dataset(args) -> int:
 
 
 def _cmd_fetch_popularity(args) -> int:
-    config = _load_run_config(args)
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    cache_dir = args.cache or config.paths.cache_dir
-    if cache_dir is None:
-        raise ConfigError("missing --cache (not on the command line nor in config paths)")
-    month = args.month or config.pageviews.month
-    client = PageviewsClient(
-        PageviewsConfig(
-            base_url=args.endpoint or DEFAULT_PAGEVIEWS_BASE_URL,
-            cache_dir=cache_dir,
-            max_parallelism=args.parallelism,
-        )
-    )
-    annotated = client.annotate(examples, month)
+    examples = dataset_mod.read_dataset(args.dataset)
+    client = PageviewsClient(PageviewsConfig(
+        base_url=args.endpoint, cache_dir=args.cache, max_parallelism=args.parallelism
+    ))
+    annotated = client.annotate(examples, args.month)
     count = dataset_mod.write_dataset(annotated, args.out)
-    logger.info("annotated %d questions with %s page views", count, month)
+    logger.info("annotated %d questions with %s page views", count, args.month)
     return 0
 
 
 def _cmd_index(args) -> int:
-    config = _load_run_config(args)
-    passages = retriever_mod.read_corpus(_resolve_path(args, config, "corpus"))
-    k1 = args.k1 if args.k1 is not None else config.bm25.k1
-    b = args.b if args.b is not None else config.bm25.b
-    index = retriever_mod.build_index(passages, k1=k1, b=b)
+    passages = retriever_mod.read_corpus(args.corpus)
+    index = retriever_mod.build_index(passages, k1=args.k1, b=args.b)
     retriever_mod.save_index(index, args.out)
-    logger.info("indexed %d passages (k1=%s, b=%s) into %s", index.doc_count, k1, b, args.out)
+    logger.info(
+        "indexed %d passages (k1=%s, b=%s) into %s", index.doc_count, args.k1, args.b, args.out
+    )
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = _load_run_config(args)
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
-    mode = args.mode or config.run.mode
-    shots = args.shots if args.shots is not None else config.run.shots
-    seed = args.seed if args.seed is not None else config.run.seed
-    index_path = _resolve_path(args, config, "index", required=False)
+    examples = dataset_mod.read_dataset(args.dataset)
     index = (
-        retriever_mod.load_index(index_path) if index_path and mode == "retrieval" else None
+        retriever_mod.load_index(args.index) if args.index and args.mode == "retrieval" else None
     )
 
     client = None
@@ -114,31 +111,32 @@ def _cmd_run(args) -> int:
         raise ConfigError("--endpoint and --oracle are mutually exclusive")
     if args.endpoint:
         client = lm_mod.CompletionClient(load_file(lm_mod.EndpointConfig, args.endpoint))
-    elif config.endpoint is not None and not args.oracle:
-        client = lm_mod.CompletionClient(config.endpoint)
+    elif args.config.endpoint is not None and not args.oracle:
+        client = lm_mod.CompletionClient(args.config.endpoint)
     else:
         if not args.oracle:
             raise ConfigError("run needs --endpoint CFG or --oracle")
-        oracle = config.oracle
+        oracle = args.config.oracle
     records = lm_mod.run_predictions(
         examples,
-        mode,
+        args.mode,
         client=client,
         oracle=oracle,
         index=index,
-        shots=shots,
-        rng_seed=seed,
-        genread_instruction=config.genread_instruction,
+        shots=args.shots,
+        rng_seed=args.seed,
+        genread_instruction=args.config.genread_instruction,
     )
     count = eval_mod.write_records(records, args.out)
     accuracy = eval_mod.overall_accuracy(records)
-    logger.info("mode=%s accuracy=%.4f over %d questions -> %s", mode, accuracy, count, args.out)
+    logger.info(
+        "mode=%s accuracy=%.4f over %d questions -> %s", args.mode, accuracy, count, args.out
+    )
     return 0
 
 
 def _cmd_report(args) -> int:
-    config = _load_run_config(args)
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
+    examples = dataset_mod.read_dataset(args.dataset)
     by_mode = {}
     for path in args.runs:
         records = eval_mod.read_run(path)
@@ -182,8 +180,7 @@ def _read_vanilla_and_retrieval(args) -> list[list]:
 
 
 def _cmd_tune(args) -> int:
-    config = _load_run_config(args)
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
+    examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     result = adaptive_mod.tune_thresholds(
         vanilla,
@@ -219,8 +216,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    config = _load_run_config(args)
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
+    examples = dataset_mod.read_dataset(args.dataset)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     rows = [
         {
@@ -238,12 +234,11 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_savings(args) -> int:
-    config = _load_run_config(args)
     if args.cost_model:
         cost_model = load_file(adaptive_mod.CostModel, args.cost_model)
     else:
-        cost_model = config.cost_model
-    examples = dataset_mod.read_dataset(_resolve_path(args, config, "dataset"))
+        cost_model = args.config.cost_model
+    examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)
@@ -266,6 +261,14 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+def _flags(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding flags that several subcommands share."""
+    parser = argparse.ArgumentParser(add_help=False)
+    for name in names:
+        parser.add_argument(name, **kwargs)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="popgate",
@@ -273,90 +276,69 @@ def build_parser() -> argparse.ArgumentParser:
         "and popularity-gated adaptive retrieval.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config, dataset = _flags("--config", help="config JSON file"), _flags("--dataset")
+    out, seed = _flags("--out", required=True), _flags("--seed", type=int)
+    runs = _flags("--vanilla", "--retrieval", required=True)
 
-    p = sub.add_parser("build-dataset", help="sample triples and verbalize questions")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("build-dataset", _cmd_build_dataset, "sample triples and verbalize questions",
+                config, seed, out)
     p.add_argument("--triples")
     p.add_argument("--templates", help="JSON {relation: pattern}; defaults to built-ins")
     p.add_argument("--freq-corpus", help="text corpus for alias term frequencies")
     p.add_argument("--cap", type=int, default=dataset_mod.DEFAULT_PER_RELATION_CAP)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_dataset)
 
-    p = sub.add_parser("fetch-popularity", help="annotate a dataset with page views")
-    p.add_argument("--dataset")
+    p = command("fetch-popularity", _cmd_fetch_popularity, "annotate a dataset with page views",
+                config, dataset, out)
     p.add_argument("--month", help="YYYY-MM; defaults to the configured month")
     p.add_argument("--cache")
-    p.add_argument("--config")
-    p.add_argument("--endpoint", help="pageviews API base URL override")
+    p.add_argument("--endpoint", default=DEFAULT_PAGEVIEWS_BASE_URL,
+                   help="pageviews API base URL override")
     p.add_argument("--parallelism", type=int, default=4)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fetch_popularity)
 
-    p = sub.add_parser("index", help="build a BM25 index over a passage corpus")
+    p = command("index", _cmd_index, "build a BM25 index over a passage corpus", config, out)
     p.add_argument("--corpus")
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_index)
+    p.add_argument("--k1", type=float)
+    p.add_argument("--b", type=float)
 
-    p = sub.add_parser("run", help="run one answering mode over a dataset")
-    p.add_argument("--dataset")
-    p.add_argument("--mode", choices=["vanilla", "retrieval", "genread"], default=None)
+    p = command("run", _cmd_run, "run one answering mode over a dataset",
+                config, dataset, seed, out)
+    p.add_argument("--mode", choices=["vanilla", "retrieval", "genread"])
     p.add_argument("--index")
     p.add_argument("--endpoint", help="endpoint config JSON file")
     p.add_argument("--oracle", action="store_true", help="use the synthetic oracle LM")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_run)
+    p.add_argument("--shots", type=int)
 
-    p = sub.add_parser("report", help="score runs and write evaluation tables")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
+    p = command("report", _cmd_report, "score runs and write evaluation tables",
+                config, dataset, out)
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--min-bin-n", type=int, default=eval_mod.DEFAULT_MIN_BIN_N)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("tune", help="tune per-relation popularity thresholds")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
-    p.add_argument("--vanilla", required=True)
-    p.add_argument("--retrieval", required=True)
+    p = command("tune", _cmd_tune, "tune per-relation popularity thresholds",
+                config, dataset, runs, seed, out)
     p.add_argument("--split", type=float, default=adaptive_mod.DEFAULT_SPLIT_FRACTION)
     p.add_argument("--repeats", type=int, default=adaptive_mod.DEFAULT_REPEATS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("route", help="emit per-question retrieve/parametric decisions")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
+    p = command("route", _cmd_route, "emit per-question retrieve/parametric decisions",
+                config, dataset, out)
     p.add_argument("--policy", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_route)
 
-    p = sub.add_parser("savings", help="cost and latency of a policy vs. baselines")
-    p.add_argument("--dataset")
-    p.add_argument("--config")
-    p.add_argument("--vanilla", required=True)
-    p.add_argument("--retrieval", required=True)
+    p = command("savings", _cmd_savings, "cost and latency of a policy vs. baselines",
+                config, dataset, runs)
     p.add_argument("--policy", required=True)
     p.add_argument("--cost-model", help="cost model JSON file")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_savings)
 
-    p = sub.add_parser("demo", help="synthetic end-to-end pipeline")
+    p = command("demo", _cmd_demo, "synthetic end-to-end pipeline")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, default=demo_mod.DEMO_SIZE)
     p.add_argument("--repeats", type=int, default=100)
     p.add_argument("--split", type=float, default=0.75)
     p.add_argument("--out", default="demo-out")
-    p.set_defaults(func=_cmd_demo)
 
     return parser
 
@@ -367,9 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "config" in vars(args):  # every subcommand but demo
+            _apply_config(args)
         return args.func(args)
     except (PopgateError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

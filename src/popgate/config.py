@@ -9,7 +9,6 @@ derived.
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ from .evaluation import MODES
 from .lm import DEFAULT_GENREAD_INSTRUCTION, EndpointConfig, OracleParams
 from .popularity import DEFAULT_PAGEVIEWS_MONTH
 from .retriever import DEFAULT_B, DEFAULT_K1
-from .util import read_text
+from .util import read_json
 
 T = TypeVar("T")
 
@@ -135,12 +134,7 @@ def load_file(cls: type[T], path: str | Path) -> T:
     """Decode the JSON file `path` into `cls`: `RunConfig` for a config file,
     `EndpointConfig` for an endpoint file, `CostModel` for a cost model.
     Every error names the path and the dotted key."""
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
-        raise ConfigError(f"{path}: {exc}") from exc
+    payload = read_json(path, ConfigError)
     try:
         return _decode(cls, payload, "")
     except ConfigError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ValidationError
-from .util import read_jsonl, read_text, write_jsonl
+from .util import read_json, read_jsonl, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
@@ -256,7 +256,18 @@ def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
 
 
 def read_dataset(path: str | Path) -> list[QAExample]:
-    return read_jsonl(path, example_from_row)
+    """The examples of a dataset file; a question id that repeats is a
+    ValidationError naming the `path:line` of its second occurrence."""
+    seen: set[str] = set()
+
+    def from_row(row) -> QAExample:
+        example = example_from_row(row)
+        if example.id in seen:
+            raise ValidationError(f"duplicate question id {example.id!r}")
+        seen.add(example.id)
+        return example
+
+    return read_jsonl(path, from_row)
 
 
 _TRIPLE_STRING_KEYS = ("subj_id", "subj", "relation")
@@ -310,14 +321,9 @@ def read_triples(path: str | Path) -> list[KnowledgeTriple]:
 
 def load_templates(path: str | Path) -> dict[str, QuestionTemplate]:
     """Load {relation: pattern} JSON, e.g. {"director": "Who was the director of [subj]?"}."""
-    import json
-
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid templates JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: templates file must be a JSON object")
+    raw = read_json(path, ConfigError)
+    if not isinstance(raw, dict) or not all(isinstance(p, str) for p in raw.values()):
+        raise ConfigError(f"{path}: templates file must be a JSON object of strings")
     return {rel: QuestionTemplate(rel, pattern) for rel, pattern in raw.items()}
 
 

@@ -26,8 +26,6 @@ from .util import HttpClient, JsonCache, dumps_stable, sha256_hex
 
 logger = logging.getLogger(__name__)
 
-PROMPT_MODES = ("vanilla", "retrieval", "genread-stage1", "genread-stage2")
-
 DEFAULT_GENREAD_INSTRUCTION = (
     "Generate a background document that answers the given question."
 )
@@ -35,38 +33,16 @@ ORACLE_WRONG_ANSWER = "UNKNOWN_ENTITY"
 ORACLE_MISS_RATE = 0.05
 
 
-@dataclass(slots=True)
-class PromptSpec:
-    mode: str
-    question: str
-    shots: int = 0
-    context: str | None = None
-    fewshot_pairs: tuple[tuple[str, str], ...] = ()
-    genread_instruction: str = DEFAULT_GENREAD_INSTRUCTION
-
-    def __post_init__(self):
-        if self.mode not in PROMPT_MODES:
-            raise ValidationError(f"unknown prompt mode {self.mode!r}")
-        if self.shots != len(self.fewshot_pairs):
-            raise ValidationError(
-                f"shots={self.shots} but {len(self.fewshot_pairs)} few-shot pairs"
-            )
-        if self.mode in ("retrieval", "genread-stage2") and self.context is None:
-            raise ValidationError(f"mode {self.mode!r} requires a context passage")
-        if self.mode in ("vanilla", "genread-stage1") and self.context is not None:
-            raise ValidationError(f"mode {self.mode!r} must not carry a context")
-        if self.mode == "genread-stage1" and self.fewshot_pairs:
-            raise ValidationError("genread-stage1 takes no few-shot pairs")
-
-
-def render_prompt(spec: PromptSpec) -> str:
+def render_prompt(
+    question: str,
+    fewshot_pairs: Sequence[tuple[str, str]] = (),
+    context: str | None = None,
+) -> str:
     """Assemble the prompt: few-shot QA blocks, optional context, then the question."""
-    if spec.mode == "genread-stage1":
-        return f"{spec.genread_instruction}\n\n{spec.question}"
-    blocks = [f"Q: {q} A: {a}" for q, a in spec.fewshot_pairs]
-    if spec.context is not None:
-        blocks.append(spec.context)
-    blocks.append(f"Q: {spec.question} A:")
+    blocks = [f"Q: {q} A: {a}" for q, a in fewshot_pairs]
+    if context is not None:
+        blocks.append(context)
+    blocks.append(f"Q: {question} A:")
     return "\n\n".join(blocks)
 
 
@@ -154,6 +130,10 @@ class EndpointConfig:
                 raise ValidationError(f"{name} must be finite and >= 0, got {value}")
         if not self.max_retries >= 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not self.max_parallelism >= 1:
+            raise ValidationError(f"max_parallelism must be >= 1, got {self.max_parallelism}")
+        if self.cache_dir == "":
+            raise ValidationError("cache_dir must be a non-empty path or null")
         rate = self.requests_per_second
         if rate is not None and not 0 < rate < math.inf:
             raise ValidationError(
@@ -272,26 +252,9 @@ def genread_answer(
     latencies summed. An empty stage-1 document falls back to a vanilla
     second stage.
     """
-    stage1 = client.complete(
-        render_prompt(
-            PromptSpec(mode="genread-stage1", question=question, genread_instruction=instruction)
-        )
-    )
+    stage1 = client.complete(f"{instruction}\n\n{question}")
     context = stage1.text.strip()
-    pairs = tuple(fewshot_pairs)
-    if context:
-        spec = PromptSpec(
-            mode="genread-stage2",
-            question=question,
-            shots=len(pairs),
-            context=context,
-            fewshot_pairs=pairs,
-        )
-    else:
-        spec = PromptSpec(
-            mode="vanilla", question=question, shots=len(pairs), fewshot_pairs=pairs
-        )
-    stage2 = client.complete(render_prompt(spec))
+    stage2 = client.complete(render_prompt(question, fewshot_pairs, context or None))
     combined = Completion(
         text=stage2.text,
         prompt_tokens=stage1.prompt_tokens + stage2.prompt_tokens,
@@ -385,9 +348,7 @@ def run_predictions(
 
     items = []
     for ex in dataset:
-        fewshot = tuple(
-            build_fewshot_pool(dataset, ex, shots, rng_seed=f"{rng_seed}\x00{ex.id}")
-        )
+        fewshot = build_fewshot_pool(dataset, ex, shots, rng_seed=f"{rng_seed}\x00{ex.id}")
         retrieved_doc_id = None
         recall1 = None
         context = None
@@ -407,14 +368,7 @@ def run_predictions(
                 client, ex.question, fewshot, genread_instruction
             )
             return completion, generated == ""
-        spec = PromptSpec(
-            mode="retrieval" if context is not None else "vanilla",
-            question=ex.question,
-            shots=len(fewshot),
-            context=context,
-            fewshot_pairs=fewshot,
-        )
-        prompt = render_prompt(spec)
+        prompt = render_prompt(ex.question, fewshot, context)
         if oracle is not None:
             prediction = oracle_lm(ex, mode, bool(recall1), oracle, rng_seed)
             return _oracle_completion(prompt, prediction), None

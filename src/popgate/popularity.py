@@ -60,6 +60,10 @@ class PageviewsConfig:
     max_parallelism: int = 4
     requests_per_second: float | None = 10.0
 
+    def __post_init__(self):
+        if not self.max_parallelism >= 1:
+            raise ValidationError(f"max_parallelism must be >= 1, got {self.max_parallelism}")
+
 
 def _month_bounds(month: str) -> tuple[str, str]:
     if not _MONTH_RE.match(month):

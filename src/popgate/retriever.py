@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexFormatError, ValidationError
 from .evaluation import normalize_text
-from .util import atomic_writer, dumps_stable, iter_jsonl, write_jsonl
+from .util import atomic_writer, dumps_stable, read_jsonl, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -295,7 +295,7 @@ def load_index(path: str | Path) -> Bm25Index:
 def _parse_header(path, data) -> dict:
     try:
         header = json.loads(bytes(data).decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IndexFormatError(f"{path}: truncated or corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise IndexFormatError(f"{path}: header is not a JSON object")
@@ -375,18 +375,17 @@ def _load_v2(path, body) -> Bm25Index:
     return index
 
 
+def _passage_from_row(row) -> Passage:
+    if not isinstance(row, dict):
+        raise ValidationError("corpus row is not a JSON object")
+    try:
+        return Passage(doc_id=row["doc_id"], title=row["title"], text=row["text"])
+    except KeyError as exc:
+        raise ValidationError(f"corpus row missing key {exc}") from exc
+
+
 def read_corpus(path: str | Path) -> list[Passage]:
-    passages = []
-    for n, row in iter_jsonl(path):
-        if not isinstance(row, dict):
-            raise ValidationError(f"{path}: corpus row {n} is not a JSON object")
-        try:
-            passages.append(Passage(doc_id=row["doc_id"], title=row["title"], text=row["text"]))
-        except KeyError as exc:
-            raise ValidationError(f"{path}: corpus row {n} missing key {exc}") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: corpus row {n}: {exc}") from exc
-    return passages
+    return read_jsonl(path, _passage_from_row)
 
 
 def write_corpus(passages: Sequence[Passage], path: str | Path) -> int:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, T
 from urllib.parse import SplitResult, urlsplit
 
 from . import __version__
-from .errors import ConfigError, TransportError, ValidationError
+from .errors import ConfigError, PopgateError, TransportError, ValidationError
 
 # The HTTP stack (http.client, ssl, urllib.request and the email package they
 # pull in) costs about 30 ms of CPU to import; HttpClient imports it on first
@@ -93,12 +93,13 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
                 # one value spanning all of it is what json.loads accepts.
                 try:
                     value, end = _raw_decode(line)
-                except ValueError:
+                except (ValueError, RecursionError):
                     end = -1
                 if end != len(line):
                     try:
                         value = json.loads(line)  # raises with json.loads's message
-                    except ValueError as exc:  # or int past sys.get_int_max_str_digits()
+                    # or an int past sys.get_int_max_str_digits(), or nesting too deep
+                    except (ValueError, RecursionError) as exc:
                         raise ValidationError(
                             f"{path}:{lineno}: invalid JSON line: {exc}"
                         ) from exc
@@ -118,6 +119,20 @@ def read_jsonl(path: str | Path, from_row: Callable[[Any], T]) -> list[T]:
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def read_json(path: str | Path, error: type[PopgateError]) -> Any:
+    """The JSON value in the file `path`. Bytes that are not UTF-8, invalid
+    JSON, an integer past sys.get_int_max_str_digits() and nesting too deep
+    to parse are each an `error` naming the path."""
+    try:
+        return json.loads(read_text(path))
+    except ValidationError as exc:  # not UTF-8; the message names path:line
+        raise error(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def read_text(path: str | Path) -> str:
@@ -164,9 +179,9 @@ class JsonCache:
     """One JSON file per key under `directory`, each written atomically.
 
     `decode` turns a parsed entry into the cached value. An entry that is not
-    valid JSON, or that `decode` rejects with ValueError, TypeError, KeyError
-    or ValidationError, is logged as a warning and treated as a miss; the
-    caller's `put` then replaces it.
+    valid JSON, is nested too deeply to parse, or that `decode` rejects with
+    ValueError, TypeError, KeyError or ValidationError, is logged as a warning
+    and treated as a miss; the caller's `put` then replaces it.
     """
 
     def __init__(
@@ -189,7 +204,7 @@ class JsonCache:
             return None
         try:
             return self._decode(json.loads(raw))
-        except (ValueError, TypeError, KeyError, ValidationError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError, ValidationError) as exc:
             self._logger.warning("%s: unreadable cache entry (%s); fetching again", path, exc)
             return None
 

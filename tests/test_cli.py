@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
-from popgate.cli import main
+from popgate import adaptive as adaptive_mod
+from popgate import dataset as dataset_mod
+from popgate import lm as lm_mod
+from popgate import retriever as retriever_mod
+from popgate.cli import CONFIG_FLAGS, main
 from popgate.dataset import read_dataset, write_dataset
 from popgate.evaluation import PredictionRecord, write_records
+from popgate.popularity import PageviewsClient
+from popgate.retriever import INDEX_MAGIC, INDEX_VERSION
 from popgate.util import write_jsonl
 
 from conftest import synthetic_examples
@@ -159,7 +167,7 @@ class TestRuntimeErrors:
         )
         out = tmp_path / "index.pgidx"
         assert run_cli(["index", "--corpus", corpus, "--out", out]) == 1
-        assert_one_line_error(capsys, "corpus.jsonl", "row 2", fragment)
+        assert_one_line_error(capsys, "corpus.jsonl:2: ", fragment)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -244,6 +252,45 @@ class TestRuntimeErrors:
         assert code == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == len(sixteen_relation_dataset)
+
+    def test_route_rejects_a_repeated_question_id(self, tmp_path, capsys):
+        dataset = one_question_dataset(tmp_path)
+        dataset.write_text(dataset.read_text() * 2)
+        out = tmp_path / "decisions.jsonl"
+        policy = tmp_path / "policy.json"
+        policy.write_text('{"thresholds": {"director": 2.0}}')
+        assert run_cli(["route", "--dataset", dataset, "--policy", policy, "--out", out]) == 1
+        assert_one_line_error(capsys, "dataset.jsonl:2: duplicate question id 'S0:director'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [(["--parallelism", 0], "max_parallelism must be >= 1, got 0"),
+         (["--cache", ""], "missing --cache")],
+    )
+    def test_fetch_popularity_rejects_bad_setting(self, tmp_path, capsys, flags, fragment):
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            ["fetch-popularity", "--dataset", one_question_dataset(tmp_path),
+             "--cache", tmp_path / "cache", *flags, "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, fragment)
+        assert not out.exists() and not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [pytest.param('{"director": %s}' % ("9" * 5000), "Exceeds the limit (4300",
+                      id="5000-digit-integer"),
+         pytest.param('{"director": 5}', "templates file must be a JSON object of strings",
+                      id="non-string-pattern")],
+    )
+    def test_build_dataset_rejects_bad_templates_file(self, tmp_path, capsys, text, fragment):
+        bad, argv, out = reader_case(tmp_path, "templates")
+        bad.write_text(text)
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, f"{bad.name}: {fragment}")
+        assert not out.exists()
 
     def test_report_missing_run_file_names_path(self, tmp_path, capsys):
         dataset = tmp_path / "dataset.jsonl"
@@ -333,6 +380,58 @@ class TestReportJoin:
         assert json.loads((out / "report_retrieval.json").read_text())["overall_accuracy"] == 1.0
 
 
+def reader_case(tmp_path, name):
+    """Good inputs under tmp_path; returns the file of kind `name`, an argv
+    whose command reads it, and that command's output path."""
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset(synthetic_examples(2), dataset)
+    triples = tmp_path / "triples.jsonl"
+    write_jsonl(triples, triples_rows(2))
+    run = tmp_path / "run.jsonl"
+    write_records(
+        [PredictionRecord(ex.id, "vanilla", "x", True) for ex in synthetic_examples(2)], run
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"doc_id": f"d{i}", "title": "t", "text": "x"} for i in range(2)])
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"thresholds": {}}')
+    bad = {
+        "dataset": dataset,
+        "run": run,
+        "corpus": corpus,
+        "triples": triples,
+        "config": tmp_path / "config.json",
+        "templates": tmp_path / "templates.json",
+        "freq-corpus": tmp_path / "freq.txt",
+        "endpoint": tmp_path / "endpoint.json",
+        "cost-model": tmp_path / "costs.json",
+        "policy": tmp_path / "bad-policy.json",
+        "index": tmp_path / "index.pgidx",
+    }[name]
+    out = tmp_path / "out"
+    argv = {
+        "dataset": ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle",
+                    "--shots", 0, "--out", out],
+        "run": ["report", "--dataset", dataset, "--runs", run, "--out", out],
+        "corpus": ["index", "--corpus", corpus, "--out", out],
+        "triples": ["build-dataset", "--triples", triples, "--out", out],
+        "config": ["route", "--config", bad, "--dataset", dataset, "--policy", policy,
+                   "--out", out],
+        "templates": ["build-dataset", "--triples", triples, "--templates", bad,
+                      "--out", out],
+        "freq-corpus": ["build-dataset", "--triples", triples, "--freq-corpus", bad,
+                        "--out", out],
+        "endpoint": ["run", "--dataset", dataset, "--endpoint", bad, "--shots", 0,
+                     "--out", out],
+        "cost-model": ["savings", "--dataset", dataset, "--vanilla", run, "--retrieval", run,
+                       "--policy", policy, "--cost-model", bad, "--out", out],
+        "policy": ["route", "--dataset", dataset, "--policy", bad, "--out", out],
+        "index": ["run", "--dataset", dataset, "--mode", "retrieval", "--oracle", "--shots", 0,
+                  "--index", bad, "--out", out],
+    }[name]
+    return bad, argv, out
+
+
 NOT_UTF8 = b"caf\xe9"
 
 
@@ -342,55 +441,35 @@ class TestNonUtf8Input:
     @pytest.mark.parametrize(
         "name",
         ["dataset", "run", "corpus", "triples", "config", "templates", "freq-corpus",
-         "endpoint", "cost-model"],
+         "endpoint", "cost-model", "policy"],
     )
     def test_one_line_error_naming_path_and_line(self, tmp_path, capsys, name):
-        dataset = tmp_path / "dataset.jsonl"
-        write_dataset(synthetic_examples(2), dataset)
-        triples = tmp_path / "triples.jsonl"
-        write_jsonl(triples, triples_rows(2))
-        run = tmp_path / "run.jsonl"
-        write_records(
-            [PredictionRecord(ex.id, "vanilla", "x", True) for ex in synthetic_examples(2)], run
-        )
-        corpus = tmp_path / "corpus.jsonl"
-        write_jsonl(corpus, [{"doc_id": f"d{i}", "title": "t", "text": "x"} for i in range(2)])
-        policy = tmp_path / "policy.json"
-        policy.write_text('{"thresholds": {}}')
-        bad = {
-            "dataset": dataset,
-            "run": run,
-            "corpus": corpus,
-            "triples": triples,
-            "config": tmp_path / "config.json",
-            "templates": tmp_path / "templates.json",
-            "freq-corpus": tmp_path / "freq.txt",
-            "endpoint": tmp_path / "endpoint.json",
-            "cost-model": tmp_path / "costs.json",
-        }[name]
+        bad, argv, out = reader_case(tmp_path, name)
         # Line 1 stays readable; line 2 holds a byte that is not UTF-8.
         first = bad.read_bytes().splitlines(keepends=True)[0] if bad.exists() else b"{\n"
         bad.write_bytes(first + b'"' + NOT_UTF8 + b'": 1}\n')
-        out = tmp_path / "out"
-        argv = {
-            "dataset": ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle",
-                        "--shots", 0, "--out", out],
-            "run": ["report", "--dataset", dataset, "--runs", run, "--out", out],
-            "corpus": ["index", "--corpus", corpus, "--out", out],
-            "triples": ["build-dataset", "--triples", triples, "--out", out],
-            "config": ["route", "--config", bad, "--dataset", dataset, "--policy", policy,
-                       "--out", out],
-            "templates": ["build-dataset", "--triples", triples, "--templates", bad,
-                          "--out", out],
-            "freq-corpus": ["build-dataset", "--triples", triples, "--freq-corpus", bad,
-                            "--out", out],
-            "endpoint": ["run", "--dataset", dataset, "--endpoint", bad, "--shots", 0,
-                         "--out", out],
-            "cost-model": ["savings", "--dataset", dataset, "--vanilla", run, "--retrieval", run,
-                           "--policy", policy, "--cost-model", bad, "--out", out],
-        }[name]
         assert run_cli(argv) == 1
         assert_one_line_error(capsys, f"{bad.name}:2: not UTF-8 text")
+        assert not out.exists()
+
+
+class TestDeepNesting:
+    """JSON nested deeper than the parser can follow is a one-line error
+    naming the file, not a RecursionError traceback."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dataset", "run", "corpus", "triples", "config", "templates", "endpoint",
+         "cost-model", "policy", "index"],
+    )
+    def test_one_line_error_naming_the_file(self, tmp_path, capsys, name):
+        bad, argv, out = reader_case(tmp_path, name)
+        deep = b"[" * 100_000 + b"]" * 100_000
+        if name == "index":
+            deep = INDEX_MAGIC + bytes([INDEX_VERSION]) + struct.pack("<Q", len(deep)) + deep
+        bad.write_bytes(deep + b"\n")
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, bad.name)
         assert not out.exists()
 
 
@@ -469,6 +548,10 @@ class TestBadSettingsFiles:
              "requests_per_second must be null or finite and > 0, got inf"),
             ("config", '{"endpoint": {' + ENDPOINT + ', "max_retries": -2}}',
              "endpoint.max_retries must be >= 0, got -2"),
+            ("endpoint", "{" + ENDPOINT + ', "max_parallelism": 0}',
+             "max_parallelism must be >= 1, got 0"),
+            ("config", '{"endpoint": {' + ENDPOINT + ', "cache_dir": ""}}',
+             "endpoint.cache_dir must be a non-empty path or null"),
         ],
     )
     def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):
@@ -496,6 +579,95 @@ class TestBadSettingsFiles:
             assert run_cli(savings_argv(demo_out, out, None, None, "--cost-model", costs)) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class Reached(Exception):
+    """Raised in place of the library call that a resolved setting reaches."""
+
+
+def reach(*args, **kwargs):
+    raise Reached(args, kwargs)
+
+
+def fallback_case(dest, argv, target, read, flag, configured, default):
+    return pytest.param(dest, argv, target, read, flag, configured, default,
+                        id=f"{dest}-{argv(Path(), Path())[0]}")
+
+
+FALLBACK_CASES = [
+    fallback_case("triples", lambda d, tmp: ["build-dataset", "--out", tmp / "out"],
+                  (dataset_mod, "read_triples"), lambda a, k: a[0], "f.jsonl", "c.jsonl", None),
+    fallback_case("dataset", lambda d, tmp: ["route", "--policy", "p.json", "--out", tmp / "out"],
+                  (dataset_mod, "read_dataset"), lambda a, k: a[0], "f.jsonl", "c.jsonl", None),
+    fallback_case("corpus", lambda d, tmp: ["index", "--out", tmp / "out"],
+                  (retriever_mod, "read_corpus"), lambda a, k: a[0], "f.jsonl", "c.jsonl", None),
+    fallback_case("index", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--mode",
+                                           "retrieval", "--oracle", "--out", tmp / "out"],
+                  (retriever_mod, "load_index"), lambda a, k: a[0], "f.pgidx", "c.pgidx", None),
+    fallback_case("cache", lambda d, tmp: ["fetch-popularity", "--dataset", d / "dataset.jsonl",
+                                           "--out", tmp / "out"],
+                  (PageviewsClient, "annotate"), lambda a, k: str(a[0].config.cache_dir),
+                  "f-cache", "c-cache", None),
+    fallback_case("month", lambda d, tmp: ["fetch-popularity", "--dataset", d / "dataset.jsonl",
+                                           "--cache", "pv", "--out", tmp / "out"],
+                  (PageviewsClient, "annotate"), lambda a, k: a[2], "2021-01", "2020-05",
+                  "2022-12"),
+    fallback_case("mode", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+                                          "--out", tmp / "out"],
+                  (lm_mod, "run_predictions"), lambda a, k: a[1], "vanilla", "retrieval",
+                  "vanilla"),
+    fallback_case("shots", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+                                           "--out", tmp / "out"],
+                  (lm_mod, "run_predictions"), lambda a, k: k["shots"], 0, 2, 15),
+    fallback_case("seed", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+                                          "--out", tmp / "out"],
+                  (lm_mod, "run_predictions"), lambda a, k: k["rng_seed"], 3, 7, 0),
+    fallback_case("seed", lambda d, tmp: ["build-dataset", "--triples", tmp / "triples.jsonl",
+                                          "--out", tmp / "out"],
+                  (dataset_mod, "sample_triples"), lambda a, k: k["rng_seed"], 3, 7, 0),
+    fallback_case("seed", lambda d, tmp: tune_argv(d, tmp / "out"),
+                  (adaptive_mod, "tune_thresholds"), lambda a, k: k["rng_seed"], 3, 7, 0),
+    fallback_case("k1", lambda d, tmp: ["index", "--corpus", d / "corpus.jsonl",
+                                        "--out", tmp / "out"],
+                  (retriever_mod, "build_index"), lambda a, k: k["k1"], 0.5, 2.0, 1.2),
+    fallback_case("b", lambda d, tmp: ["index", "--corpus", d / "corpus.jsonl",
+                                       "--out", tmp / "out"],
+                  (retriever_mod, "build_index"), lambda a, k: k["b"], 0.25, 0.5, 0.75),
+]
+
+
+class TestConfigFallback:
+    """Each setting of CONFIG_FLAGS comes from its flag, else from the config
+    file, else from the config section's default (none for a path)."""
+
+    def test_cases_cover_the_table(self):
+        assert {case.values[0] for case in FALLBACK_CASES} == set(CONFIG_FLAGS)
+
+    @pytest.mark.parametrize(
+        "dest, argv, target, read, flag, configured, default", FALLBACK_CASES
+    )
+    def test_flag_then_config_then_default(
+        self, demo_out, tmp_path, monkeypatch, capsys, dest, argv, target, read, flag,
+        configured, default,
+    ):
+        write_jsonl(tmp_path / "triples.jsonl", triples_rows(2))
+        monkeypatch.setattr(*target, reach)
+        section, key = CONFIG_FLAGS[dest]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {key: configured}}))
+
+        def resolved(*flags):
+            try:
+                run_cli([*argv(demo_out, tmp_path), *flags])
+            except Reached as call:
+                return read(*call.args)
+            return None
+
+        assert resolved("--config", config, f"--{dest}", flag) == flag
+        assert resolved("--config", config) == configured
+        assert resolved() == default
+        if default is None and dest != "index":  # only retrieval runs need an index
+            assert f"error: missing --{dest} " in capsys.readouterr().err
 
 
 class TestRunChecks:

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from popgate.errors import ConfigError, ProtocolError, TransportError, ValidationError
 from popgate.lm import (
+    DEFAULT_GENREAD_INSTRUCTION,
     Completion,
     CompletionClient,
     EndpointConfig,
     OracleParams,
-    PromptSpec,
     build_fewshot_pool,
     completion_cache_key,
     genread_answer,
@@ -28,39 +28,15 @@ from mockserver import MockServer, completions_server
 
 class TestRenderPrompt:
     def test_vanilla_zero_shot_exact(self):
-        spec = PromptSpec(mode="vanilla", question="What is the capital of X?")
-        assert render_prompt(spec) == "Q: What is the capital of X? A:"
+        assert render_prompt("What is the capital of X?") == "Q: What is the capital of X? A:"
 
     def test_context_appears_verbatim_before_final_block(self):
         context = "X is a micronation. Its capital is Y."
-        spec = PromptSpec(mode="retrieval", question="What is the capital of X?", context=context)
-        prompt = render_prompt(spec)
+        prompt = render_prompt("What is the capital of X?", context=context)
         assert prompt == f"{context}\n\nQ: What is the capital of X? A:"
 
     def test_two_shots_make_three_question_blocks(self):
-        spec = PromptSpec(
-            mode="vanilla",
-            question="Q3?",
-            shots=2,
-            fewshot_pairs=(("Q1?", "A1"), ("Q2?", "A2")),
-        )
-        assert render_prompt(spec).count("Q:") == 3
-
-    def test_genread_stage1_instruction_then_question(self):
-        spec = PromptSpec(mode="genread-stage1", question="Who was the composer of Z?")
-        prompt = render_prompt(spec)
-        assert prompt.endswith("\n\nWho was the composer of Z?")
-        assert "background document" in prompt
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValidationError):
-            PromptSpec(mode="retrieval", question="Q?")  # context required
-        with pytest.raises(ValidationError):
-            PromptSpec(mode="vanilla", question="Q?", context="C")
-        with pytest.raises(ValidationError):
-            PromptSpec(mode="vanilla", question="Q?", shots=2, fewshot_pairs=(("a", "b"),))
-        with pytest.raises(ValidationError):
-            PromptSpec(mode="nonsense", question="Q?")
+        assert render_prompt("Q3?", (("Q1?", "A1"), ("Q2?", "A2"))).count("Q:") == 3
 
     @settings(max_examples=60)
     @given(
@@ -70,9 +46,7 @@ class TestRenderPrompt:
     def test_distinct_questions_never_collide(self, q1, q2):
         if q1 == q2:
             return
-        p1 = render_prompt(PromptSpec(mode="vanilla", question=q1))
-        p2 = render_prompt(PromptSpec(mode="vanilla", question=q2))
-        assert p1 != p2
+        assert render_prompt(q1) != render_prompt(q2)
 
 
 class TestFewshotPool:
@@ -233,6 +207,8 @@ class TestGenread:
             context, completion = genread_answer(client, "What genre is Unknown?")
         assert context == document
         assert completion.text == "fantasy"
+        stage1 = server.requests[0]["body"]["prompt"]
+        assert stage1 == f"{DEFAULT_GENREAD_INSTRUCTION}\n\nWhat genre is Unknown?"
         stage2 = server.requests[1]["body"]["prompt"]
         assert document in stage2
         assert stage2.endswith("Q: What genre is Unknown? A:")
@@ -365,7 +341,9 @@ class TestRunPredictions:
 
 class TestCorruptCompletionCache:
     @pytest.mark.parametrize(
-        "corrupt", [lambda text: text[: len(text) // 2], lambda text: '{"completion": {"txt": 1}}']
+        "corrupt",
+        [lambda text: text[: len(text) // 2], lambda text: '{"completion": {"txt": 1}}',
+         lambda text: "[" * 100_000 + "]" * 100_000],
     )
     def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
         with completions_server(lambda prompt: "fresh answer") as server:

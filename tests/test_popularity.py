@@ -122,7 +122,9 @@ class TestPopularityRecord:
 
 class TestCorruptPageviewsCache:
     @pytest.mark.parametrize(
-        "corrupt", [lambda text: text[: len(text) // 2], lambda text: '{"title": "Black"}']
+        "corrupt",
+        [lambda text: text[: len(text) // 2], lambda text: '{"title": "Black"}',
+         lambda text: "[" * 100_000 + "]" * 100_000],
     )
     def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
         with pageviews_server({"Black": 10000}) as server:
