@@ -77,9 +77,10 @@ class ThresholdPolicy:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ThresholdPolicy":
-        """Raises PolicyError when the payload has no thresholds mapping or a
-        threshold is not a number; the only non-finite thresholds accepted
-        are the "-inf" and "+inf" sentinels."""
+        """Raises PolicyError when the payload has no thresholds mapping, a
+        threshold is not a number, `tuned_on` is not a string or
+        `retrieval_mode` is not "retrieval" or "genread"; the only
+        non-finite thresholds accepted are the "-inf" and "+inf" sentinels."""
 
         def decode(relation: str, value) -> float:
             if value == "-inf":
@@ -100,10 +101,18 @@ class ThresholdPolicy:
         thresholds = payload.get("thresholds") if isinstance(payload, dict) else None
         if not isinstance(thresholds, dict):
             raise PolicyError("bad policy payload: no 'thresholds' object")
+        tuned_on = payload.get("tuned_on", "")
+        if not isinstance(tuned_on, str):
+            raise PolicyError(f"'tuned_on' is {tuned_on!r}; expected a string")
+        retrieval_mode = payload.get("retrieval_mode", "retrieval")
+        if retrieval_mode not in ("retrieval", "genread"):
+            raise PolicyError(
+                f"'retrieval_mode' is {retrieval_mode!r}; expected \"retrieval\" or \"genread\""
+            )
         return cls(
             thresholds={rel: decode(rel, t) for rel, t in thresholds.items()},
-            tuned_on=payload.get("tuned_on", ""),
-            retrieval_mode=payload.get("retrieval_mode", "retrieval"),
+            tuned_on=tuned_on,
+            retrieval_mode=retrieval_mode,
         )
 
     def save(self, path: str | Path, metadata: dict | None = None) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -327,12 +326,19 @@ def load_templates(path: str | Path) -> dict[str, QuestionTemplate]:
     return {rel: QuestionTemplate(rel, pattern) for rel, pattern in raw.items()}
 
 
-class CorpusTermFrequency:
-    """Frequency proxy counting exact alias matches in a reference text corpus.
+def _is_word(char: str) -> bool:
+    return char.isalnum() or char == "_"
 
-    A match is the alias surrounded by non-word characters (or string edges);
-    the count is summed over the subject label and all aliases. Counts are
-    memoized per subject id.
+
+class CorpusTermFrequency:
+    r"""Frequency proxy: how often a subject's names occur in a reference text.
+
+    An occurrence of a name counts when neither neighbour is a word character
+    (a letter, digit or "_", as `re`'s Unicode `\w`); string edges count as
+    non-word. Matching is case-sensitive, and occurrences are taken left to
+    right without overlap, so a name's count is that of
+    `re.findall(rf"(?<!\w){re.escape(name)}(?!\w)", text)`. The count is
+    summed over the label and each distinct alias, and memoized per subject id.
     """
 
     def __init__(self, corpus_text: str):
@@ -343,11 +349,22 @@ class CorpusTermFrequency:
         cached = self._cache.get(triple.subject_id)
         if cached is not None:
             return float(cached)
-        total = 0
-        for alias in {triple.subject_label, *triple.subject_aliases}:
-            if not alias:
-                continue
-            pattern = rf"(?<!\w){re.escape(alias)}(?!\w)"
-            total += len(re.findall(pattern, self._text))
+        total = sum(
+            self._count(name) for name in {triple.subject_label, *triple.subject_aliases} if name
+        )
         self._cache[triple.subject_id] = total
         return float(total)
+
+    def _count(self, name: str) -> int:
+        text = self._text
+        count = 0
+        start = text.find(name)
+        while start >= 0:
+            end = start + len(name)
+            # A slice past either edge is "", which is not a word character.
+            if not _is_word(text[start - 1:start]) and not _is_word(text[end:end + 1]):
+                count += 1
+                start = text.find(name, end)
+            else:
+                start = text.find(name, start + 1)
+        return count

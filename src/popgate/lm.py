@@ -14,9 +14,10 @@ import logging
 import math
 import os
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 from .dataset import QAExample
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
@@ -46,13 +47,58 @@ def render_prompt(
     return "\n\n".join(blocks)
 
 
+class FewshotCandidates:
+    """The few-shot candidates of one dataset, indexed once per run.
+
+    A question's candidates are the dataset's other examples. A repeated
+    question id is a ValidationError naming it. The per-relation grouping is
+    built on the first pool that needs it.
+    """
+
+    def __init__(self, dataset: Sequence[QAExample]):
+        self.dataset = dataset
+        self.positions: dict[str, int] = {}
+        for i, ex in enumerate(dataset):
+            if self.positions.setdefault(ex.id, i) != i:
+                raise ValidationError(f"duplicate question id {ex.id!r}")
+
+    @cached_property
+    def pairs(self) -> list[tuple[str, str]]:
+        """Each example's (question, first gold answer), in dataset order."""
+        return [(ex.question, sorted(ex.gold_answers)[0]) for ex in self.dataset]
+
+    @cached_property
+    def strata(self) -> list[tuple[str, list[tuple[str, str]]]] | None:
+        """(relation, its pairs in dataset order) by relation name on a dataset
+        with exactly 16 relation types; None on any other."""
+        by_relation: dict[str, list[tuple[str, str]]] = {}
+        for ex, pair in zip(self.dataset, self.pairs):
+            by_relation.setdefault(ex.relation_type, []).append(pair)
+        return sorted(by_relation.items()) if len(by_relation) == 16 else None
+
+
+class _AllBut(Sequence):
+    """`items` without the one at `skip`, with no copy. `random.sample` draws
+    the same items from it as from a list copied without that item."""
+
+    def __init__(self, items: Sequence, skip: int):
+        self._items, self._skip = items, skip
+
+    def __len__(self) -> int:
+        return len(self._items) - 1
+
+    def __getitem__(self, i: int):
+        return self._items[i + (i >= self._skip)]
+
+
 def build_fewshot_pool(
-    dataset: Sequence[QAExample],
+    candidates: FewshotCandidates,
     target: QAExample,
     shots: int,
     rng_seed: int | str = 0,
 ) -> list[tuple[str, str]]:
-    """Pick few-shot (question, answer) pairs for one target question.
+    """Pick few-shot (question, answer) pairs for `target`, one of the
+    candidates' examples.
 
     On a dataset with exactly 16 relation types the pool is stratified: one
     random pair per relation other than the target's, so `shots` must be 0
@@ -64,34 +110,18 @@ def build_fewshot_pool(
     if shots == 0:
         return []
     rng = random.Random(rng_seed)
-    candidates = [ex for ex in dataset if ex.id != target.id]
-    relations = {ex.relation_type for ex in dataset}
-    if len(relations) == 16:
+    strata = candidates.strata
+    if strata is not None:
         if shots != 15:
             raise ValidationError(
                 f"shots={shots}: a dataset with 16 relations takes 0 or 15 shots "
                 f"(one per relation other than the question's)"
             )
-        by_relation: dict[str, list[QAExample]] = {}
-        for ex in candidates:
-            by_relation.setdefault(ex.relation_type, []).append(ex)
-        pairs = []
-        for relation in sorted(relations - {target.relation_type}):
-            pool = by_relation.get(relation)
-            if not pool:
-                raise ValidationError(
-                    f"cannot build stratified few-shot pool: no examples for relation "
-                    f"{relation!r}"
-                )
-            chosen = rng.choice(pool)
-            pairs.append((chosen.question, sorted(chosen.gold_answers)[0]))
-        return pairs
-    if len(candidates) < shots:
-        raise ValidationError(
-            f"cannot sample {shots} few-shot pairs from {len(candidates)} candidates"
-        )
-    sample = rng.sample(candidates, shots)
-    return [(ex.question, sorted(ex.gold_answers)[0]) for ex in sample]
+        return [rng.choice(pairs) for relation, pairs in strata if relation != target.relation_type]
+    others = _AllBut(candidates.pairs, candidates.positions[target.id])
+    if len(others) < shots:
+        raise ValidationError(f"cannot sample {shots} few-shot pairs from {len(others)} candidates")
+    return rng.sample(others, shots)
 
 
 @dataclass(frozen=True)
@@ -336,7 +366,8 @@ def run_predictions(
     rng_seed: int | str = 0,
     genread_instruction: str = DEFAULT_GENREAD_INSTRUCTION,
 ) -> list[PredictionRecord]:
-    """Run one mode over the dataset and return scored prediction records."""
+    """Run one mode over the dataset and return scored prediction records.
+    A repeated question id is a ValidationError, raised before any request."""
     if mode not in ("vanilla", "retrieval", "genread"):
         raise ValidationError(f"unknown run mode {mode!r}")
     if (client is None) == (oracle is None):
@@ -346,9 +377,10 @@ def run_predictions(
     if mode == "genread" and oracle is not None:
         raise ConfigError("the synthetic oracle does not implement genread")
 
+    candidates = FewshotCandidates(dataset)
     items = []
     for ex in dataset:
-        fewshot = build_fewshot_pool(dataset, ex, shots, rng_seed=f"{rng_seed}\x00{ex.id}")
+        fewshot = build_fewshot_pool(candidates, ex, shots, rng_seed=f"{rng_seed}\x00{ex.id}")
         retrieved_doc_id = None
         recall1 = None
         context = None

@@ -8,6 +8,7 @@ the package.
 from __future__ import annotations
 
 import math
+import random
 import re
 
 
@@ -79,3 +80,40 @@ def adaptive_correct_count(entries, threshold: float) -> int:
     return sum(
         (ret if pop < threshold else van) for pop, van, ret in entries
     )
+
+
+def regex_term_count(text: str, name: str) -> int:
+    """Occurrences of `name` in `text` whose neighbours are not `\\w`,
+    counted by `re.findall` (non-overlapping, left to right)."""
+    return len(re.findall(rf"(?<!\w){re.escape(name)}(?!\w)", text))
+
+
+def reference_fewshot_pool(dataset, target, shots: int, rng_seed) -> list[tuple[str, str]]:
+    """Few-shot pairs for one target, by rescanning and regrouping the whole
+    dataset: stratified (one random pair per other relation, in sorted
+    relation order) on exactly 16 relations, else `random.sample` over every
+    example but the target. Errors are ValueErrors with the package's text."""
+    if shots < 0:
+        raise ValueError("shots must be non-negative")
+    if shots == 0:
+        return []
+    rng = random.Random(rng_seed)
+    candidates = [ex for ex in dataset if ex.id != target.id]
+    relations = {ex.relation_type for ex in dataset}
+    if len(relations) == 16:
+        if shots != 15:
+            raise ValueError(
+                f"shots={shots}: a dataset with 16 relations takes 0 or 15 shots "
+                f"(one per relation other than the question's)"
+            )
+        by_relation = {}
+        for ex in candidates:
+            by_relation.setdefault(ex.relation_type, []).append(ex)
+        chosen = [rng.choice(by_relation[r]) for r in sorted(relations - {target.relation_type})]
+    else:
+        if len(candidates) < shots:
+            raise ValueError(
+                f"cannot sample {shots} few-shot pairs from {len(candidates)} candidates"
+            )
+        chosen = rng.sample(candidates, shots)
+    return [(ex.question, sorted(ex.gold_answers)[0]) for ex in chosen]

@@ -490,6 +490,27 @@ def savings_argv(demo_out, out, vanilla=None, retrieval=None, *extra):
     ]
 
 
+@pytest.mark.parametrize("command", ["route", "savings"])
+@pytest.mark.parametrize(
+    "key, value", [("tuned_on", 5), ("tuned_on", None), ("retrieval_mode", ["x"]),
+                   ("retrieval_mode", "vanilla")]
+)
+def test_policy_field_of_wrong_type_or_value_rejected(demo_out, tmp_path, capsys, command,
+                                                      key, value):
+    policy = json.loads((demo_out / "policy.json").read_text(encoding="utf-8"))
+    policy[key] = value
+    bad = tmp_path / "bad-policy.json"
+    bad.write_text(json.dumps(policy), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = savings_argv(demo_out, out) if command == "savings" else [
+        "route", "--dataset", demo_out / "dataset.jsonl", "--policy", demo_out / "policy.json",
+        "--out", out]
+    argv[argv.index("--policy") + 1] = bad
+    assert run_cli(argv) == 1
+    assert_one_line_error(capsys, str(bad), f"'{key}'")
+    assert not out.exists()
+
+
 def tune_argv(demo_out, out, vanilla=None, retrieval=None):
     return [
         "tune", "--dataset", demo_out / "dataset.jsonl",

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popgate.dataset import (
     CorpusTermFrequency,
@@ -20,7 +21,7 @@ from popgate.dataset import (
 from popgate.errors import ConfigError, ValidationError
 
 from conftest import make_triple
-from oracles import sampling_probability
+from oracles import regex_term_count, sampling_probability
 
 
 class TestSampling:
@@ -256,3 +257,58 @@ class TestCorpusTermFrequency:
             object_labels_and_aliases=frozenset({"playwright"}),
         )
         assert CorpusTermFrequency(corpus)(triple) == 2.0
+
+    @pytest.mark.parametrize(
+        "corpus, name, count",
+        [
+            ("A. B A.B (A.) A.", "A.", 3),
+            ("-x a-x x-x -x_ -x", "-x", 2),
+            ("New York, York and Yorker", "York", 2),
+            ("aaa aa aaaa aa", "aa", 2),
+            ("a a a", "a a", 1),
+            ("A. A. A.", "A. A.", 1),
+            ("_ a_b __ _", "_", 2),
+            ("Jose\u0301 José", "Jose", 1),
+            ("ＡB B 中B ٣B ßB B", "B", 2),
+        ],
+    )
+    def test_hard_edges(self, corpus, name, count):
+        assert CorpusTermFrequency(corpus)(name_triple(name)) == count
+        assert regex_term_count(corpus, name) == count
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_count_equals_regex_reference(self, data):
+        # A two-character alphabet makes repeated, overlapping mentions likely.
+        chars = data.draw(st.sampled_from([TEXT_CHARS, st.sampled_from("a ")]))
+        names = data.draw(st.lists(st.text(chars, min_size=1, max_size=4), min_size=1,
+                                   max_size=3))
+        # Mentions of the names between random runs of text, so names often
+        # sit at the text's edges and next to every kind of character.
+        pieces = data.draw(st.lists(st.one_of(st.sampled_from(names), st.text(chars, max_size=3)),
+                                    max_size=12))
+        text = "".join(pieces)
+        for name in names:
+            assert CorpusTermFrequency(text)(name_triple(name)) == regex_term_count(text, name)
+        triple = name_triple(names[0], names[1:])
+        expected = sum(regex_term_count(text, name) for name in set(names))
+        assert CorpusTermFrequency(text)(triple) == expected
+
+
+# Letters (one fullwidth), digits (one Arabic-Indic), a numeric that is no
+# digit ("½"), "_", a combining mark, a CJK ideograph, NBSP, space and
+# punctuation.
+TEXT_CHARS = st.sampled_from(
+    list("aAb1_ .-") + ["\u0301", "\uff21", "\u0663", "½", "ß", "中", "\u00a0"]
+)
+
+
+def name_triple(label: str, aliases=()) -> KnowledgeTriple:
+    return KnowledgeTriple(
+        subject_id="Q1",
+        subject_label=label,
+        subject_aliases=frozenset(aliases),
+        relation_type="occupation",
+        object_ids=frozenset({"Q2"}),
+        object_labels_and_aliases=frozenset({"x"}),
+    )

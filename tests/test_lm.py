@@ -13,6 +13,7 @@ from popgate.lm import (
     Completion,
     CompletionClient,
     EndpointConfig,
+    FewshotCandidates,
     OracleParams,
     build_fewshot_pool,
     completion_cache_key,
@@ -22,8 +23,11 @@ from popgate.lm import (
     run_predictions,
 )
 
+from popgate.dataset import RELATIONS, QAExample
+
 from conftest import make_example, synthetic_examples
 from mockserver import MockServer, completions_server
+from oracles import reference_fewshot_pool
 
 
 class TestRenderPrompt:
@@ -53,7 +57,7 @@ class TestFewshotPool:
     def test_sixteen_relations_stratified(self, sixteen_relation_dataset):
         dataset = sixteen_relation_dataset
         target = next(ex for ex in dataset if ex.relation_type == "director")
-        pairs = build_fewshot_pool(dataset, target, shots=15, rng_seed=3)
+        pairs = build_fewshot_pool(FewshotCandidates(dataset), target, shots=15, rng_seed=3)
         assert len(pairs) == 15
         question_by_text = {ex.question: ex for ex in dataset}
         relations = [question_by_text[q].relation_type for q, _ in pairs]
@@ -61,30 +65,31 @@ class TestFewshotPool:
         assert len(set(relations)) == 15
 
     def test_zero_shots_empty(self, sixteen_relation_dataset):
-        target = sixteen_relation_dataset[0]
-        assert build_fewshot_pool(sixteen_relation_dataset, target, 0, rng_seed=1) == []
+        candidates = FewshotCandidates(sixteen_relation_dataset)
+        assert build_fewshot_pool(candidates, sixteen_relation_dataset[0], 0, rng_seed=1) == []
 
     @pytest.mark.parametrize("shots", [1, 3, 14, 16])
     def test_sixteen_relations_take_only_zero_or_fifteen_shots(
         self, sixteen_relation_dataset, shots
     ):
-        target = sixteen_relation_dataset[0]
+        candidates = FewshotCandidates(sixteen_relation_dataset)
         with pytest.raises(ValidationError, match=f"shots={shots}: .*0 or 15"):
-            build_fewshot_pool(sixteen_relation_dataset, target, shots, rng_seed=1)
+            build_fewshot_pool(candidates, sixteen_relation_dataset[0], shots, rng_seed=1)
 
     def test_twenty_relations_uniform_sample(self):
         relations = tuple(f"rel{i}" for i in range(20))
         dataset = synthetic_examples(200, relations=relations, seed=2)
-        target = dataset[0]
-        pairs = build_fewshot_pool(dataset, target, shots=15, rng_seed=5)
+        candidates = FewshotCandidates(dataset)
+        pairs = build_fewshot_pool(candidates, dataset[0], shots=15, rng_seed=5)
         assert len(pairs) == 15
-        assert build_fewshot_pool(dataset, target, shots=15, rng_seed=5) == pairs
+        assert build_fewshot_pool(candidates, dataset[0], shots=15, rng_seed=5) == pairs
 
     def test_never_contains_target_question(self):
         dataset = synthetic_examples(40, relations=("director", "genre"), seed=0)
         target = dataset[7]
+        candidates = FewshotCandidates(dataset)
         for seed in range(10):
-            pairs = build_fewshot_pool(dataset, target, shots=10, rng_seed=seed)
+            pairs = build_fewshot_pool(candidates, target, shots=10, rng_seed=seed)
             assert all(q != target.question for q, _ in pairs)
 
     def test_single_example_relation_still_covered(self, sixteen_relation_dataset):
@@ -94,14 +99,82 @@ class TestFewshotPool:
         )
         dataset = pruned + [composer]
         target = next(ex for ex in dataset if ex.relation_type == "director")
-        pairs = build_fewshot_pool(dataset, target, shots=15, rng_seed=0)
+        pairs = build_fewshot_pool(FewshotCandidates(dataset), target, shots=15, rng_seed=0)
         assert len(pairs) == 15
         assert (composer.question, sorted(composer.gold_answers)[0]) in pairs
 
     def test_insufficient_uniform_candidates(self):
         dataset = synthetic_examples(5, relations=("a", "b", "c"), seed=1)
-        with pytest.raises(ValidationError):
-            build_fewshot_pool(dataset, dataset[0], shots=10, rng_seed=0)
+        with pytest.raises(ValidationError, match="cannot sample 10 few-shot pairs from 4"):
+            build_fewshot_pool(FewshotCandidates(dataset), dataset[0], shots=10, rng_seed=0)
+
+    def test_repeated_question_id_rejected(self):
+        dataset = synthetic_examples(5, seed=1)
+        with pytest.raises(ValidationError, match=f"duplicate question id '{dataset[2].id}'"):
+            FewshotCandidates([*dataset, dataset[2]])
+
+
+def pool_or_error(build) -> list[tuple[str, str]] | str:
+    try:
+        return build()
+    except (ValidationError, ValueError) as exc:
+        return f"error: {exc}"
+
+
+def assert_pools_match_reference(dataset: list[QAExample], shots: int, rng_seed: int) -> None:
+    """Every target's pool equals the per-target reference, or both raise
+    the same message."""
+    candidates = FewshotCandidates(dataset)
+    for target in dataset:
+        seed = f"{rng_seed}\x00{target.id}"
+        assert pool_or_error(
+            lambda: build_fewshot_pool(candidates, target, shots, seed)
+        ) == pool_or_error(lambda: reference_fewshot_pool(dataset, target, shots, seed))
+
+
+def drawn_dataset(relations: list[str], answer_counts: list[int]) -> list[QAExample]:
+    """One example per entry of `relations`; the i-th has 1 + answer_counts[i] % 3
+    gold answers, so which answer sorts first matters."""
+    return [
+        QAExample(
+            id=f"S{i}:{relation}",
+            question=f"Question {i} about {relation}?",
+            gold_answers=frozenset(f"A{i}-{j}" for j in range(1 + answer_counts[i] % 3)),
+            subject_id=f"S{i}",
+            subject_label=f"Subject {i}",
+            relation_type=relation,
+        )
+        for i, relation in enumerate(relations)
+    ]
+
+
+class TestFewshotPoolAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rng_seed=st.integers(0, 2**32))
+    def test_sixteen_relations_fifteen_shots(self, data, rng_seed):
+        extra = data.draw(st.lists(st.sampled_from(RELATIONS), max_size=40))
+        relations = data.draw(st.permutations([*RELATIONS, *extra]))
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=len(relations),
+                                    max_size=len(relations)))
+        assert_pools_match_reference(drawn_dataset(relations, counts), 15, rng_seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shots=st.integers(0, 17), rng_seed=st.integers(0, 2**32))
+    def test_sixteen_relations_any_shots(self, shots, rng_seed):
+        relations = [*RELATIONS, *RELATIONS[:5]]
+        assert_pools_match_reference(drawn_dataset(relations, [1] * 21), shots, rng_seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rng_seed=st.integers(0, 2**32))
+    def test_three_relations_several_shots(self, data, rng_seed):
+        relations = data.draw(st.lists(st.sampled_from(RELATIONS[:3]), min_size=1, max_size=60))
+        counts = data.draw(st.lists(st.integers(0, 5), min_size=len(relations),
+                                    max_size=len(relations)))
+        # Up to one more shot than there are candidates, so the error is drawn too.
+        shots = data.draw(st.integers(0, len(relations)))
+        assert_pools_match_reference(drawn_dataset(relations, counts), shots, rng_seed)
+
+
 
 
 def make_endpoint(base_url: str, cache_dir, **kwargs) -> EndpointConfig:
@@ -319,6 +392,14 @@ class TestRunPredictions:
         assert prompt.count("Q:") == 16  # 15 stratified shots + the question
         assert records[0].correct  # gold Fact00000 inside the echoed answer
         assert not records[1].correct
+
+    def test_repeated_question_id_rejected_before_any_request(self, tmp_path):
+        dataset = synthetic_examples(6, relations=("director", "genre"), seed=2)
+        with completions_server(lambda p: "x") as server:
+            client = CompletionClient(make_endpoint(server.base_url, tmp_path / "cache"))
+            with pytest.raises(ValidationError, match=f"duplicate question id '{dataset[4].id}'"):
+                run_predictions([*dataset, dataset[4]], "vanilla", client=client, rng_seed=0)
+        assert server.requests == []
 
     def test_parallel_dispatch_preserves_dataset_order(self, tmp_path):
         dataset = synthetic_examples(24, relations=("director", "genre"), seed=6)
