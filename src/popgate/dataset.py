@@ -343,16 +343,16 @@ class CorpusTermFrequency:
 
     def __init__(self, corpus_text: str):
         self._text = corpus_text
-        self._cache: dict[str, int] = {}
+        self._totals: dict[str, int] = {}
 
     def __call__(self, triple: KnowledgeTriple) -> float:
-        cached = self._cache.get(triple.subject_id)
+        cached = self._totals.get(triple.subject_id)
         if cached is not None:
             return float(cached)
         total = sum(
             self._count(name) for name in {triple.subject_label, *triple.subject_aliases} if name
         )
-        self._cache[triple.subject_id] = total
+        self._totals[triple.subject_id] = total
         return float(total)
 
     def _count(self, name: str) -> int:

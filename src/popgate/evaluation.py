@@ -23,7 +23,7 @@ from .errors import JoinError, ValidationError
 from .util import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
-DEFAULT_BIN_WIDTH = 0.5
+BIN_WIDTH_LOG10 = 0.5
 DEFAULT_MIN_BIN_N = 40
 
 MODES = ("vanilla", "retrieval", "genread")
@@ -252,15 +252,13 @@ class PopularityBin:
 
 
 def _binned_accuracy(
-    dataset: Sequence[QAExample], rows: Sequence[PredictionRecord], width: float, min_n: int
+    dataset: Sequence[QAExample], rows: Sequence[PredictionRecord], min_n: int
 ) -> list[PopularityBin]:
     """Accuracy by log10-popularity bin with Wilson 95% intervals; bins with
     fewer than `min_n` records are omitted."""
-    if width <= 0:
-        raise ValidationError("bin_width_log10 must be positive")
     buckets: dict[int, list[bool]] = {}
     for ex, rec in zip(dataset, rows):
-        idx = math.floor(ex.log10_popularity / width)
+        idx = math.floor(ex.log10_popularity / BIN_WIDTH_LOG10)
         buckets.setdefault(idx, []).append(rec.correct)
     bins = []
     for idx in sorted(buckets):
@@ -269,7 +267,7 @@ def _binned_accuracy(
             continue
         successes = sum(flags)
         low, high = wilson_interval(successes, len(flags))
-        center = (idx + 0.5) * width
+        center = (idx + 0.5) * BIN_WIDTH_LOG10
         bins.append(PopularityBin(center, len(flags), successes / len(flags), low, high))
     return bins
 
@@ -397,7 +395,6 @@ class EvalReport:
 def evaluate_run(
     records: Sequence[PredictionRecord],
     dataset: Sequence[QAExample],
-    bin_width_log10: float = DEFAULT_BIN_WIDTH,
     min_bin_n: int = DEFAULT_MIN_BIN_N,
 ) -> EvalReport:
     """Overall accuracy, per-relation accuracy/correlation, and popularity bins
@@ -406,7 +403,7 @@ def evaluate_run(
     return EvalReport(
         overall_accuracy=overall_accuracy(rows),
         per_relation=_per_relation(dataset, rows),
-        bins=_binned_accuracy(dataset, rows, bin_width_log10, min_bin_n),
+        bins=_binned_accuracy(dataset, rows, min_bin_n),
     )
 
 

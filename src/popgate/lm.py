@@ -23,7 +23,9 @@ from .dataset import QAExample
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
 from .evaluation import PredictionRecord, is_correct
 from .retriever import Bm25Index, recall_at_k
-from .util import HttpClient, JsonCache, dumps_stable, sha256_hex
+from .util import (
+    HttpClient, HttpSettings, JsonCache, dumps_stable, is_count, map_in_order, sha256_hex,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -132,13 +134,16 @@ class Completion:
     latency_ms: int
 
     def __post_init__(self):
-        if self.prompt_tokens < 0 or self.completion_tokens < 0 or self.latency_ms < 0:
-            raise ValidationError("completion token counts and latency must be >= 0")
+        if type(self.text) is not str:
+            raise ValidationError(f"completion text is {self.text!r}, not a string")
+        if not all(map(is_count, (self.prompt_tokens, self.completion_tokens, self.latency_ms))):
+            raise ValidationError("completion token counts and latency must be integers >= 0")
 
 
-@dataclass(frozen=True)
-class EndpointConfig:
-    """Completion-style HTTP endpoint plus client behavior knobs."""
+@dataclass(frozen=True, kw_only=True)
+class EndpointConfig(HttpSettings):
+    """Completion-style HTTP endpoint, its cache and decoding parameters, with
+    HttpSettings' transport keys."""
 
     base_url: str
     model: str
@@ -147,28 +152,11 @@ class EndpointConfig:
     endpoint_id: str | None = None
     temperature: float = 0.0
     max_tokens: int = 64
-    timeout_s: float = 60.0
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    max_parallelism: int = 4
-    requests_per_second: float | None = None
 
     def __post_init__(self):
-        for name in ("temperature", "timeout_s", "backoff_s"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
-        if not self.max_retries >= 0:
-            raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not self.max_parallelism >= 1:
-            raise ValidationError(f"max_parallelism must be >= 1, got {self.max_parallelism}")
-        if self.cache_dir == "":
-            raise ValidationError("cache_dir must be a non-empty path or null")
-        rate = self.requests_per_second
-        if rate is not None and not 0 < rate < math.inf:
-            raise ValidationError(
-                f"requests_per_second must be null or finite and > 0, got {rate}"
-            )
+        if not 0 <= self.temperature < math.inf:
+            raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature}")
+        super().__post_init__()
 
     def effective_id(self) -> str:
         return self.endpoint_id or self.base_url
@@ -205,36 +193,22 @@ class CompletionClient:
             key = os.environ.get(config.api_key_env, "")
             if key:
                 headers["Authorization"] = f"Bearer {key}"
-        self._http = HttpClient(
-            timeout_s=config.timeout_s,
-            max_retries=config.max_retries,
-            backoff_s=config.backoff_s,
-            requests_per_second=config.requests_per_second,
-            logger=logger,
-            headers=headers,
+        self._http = HttpClient(config, logger, headers)
+        self._cache = JsonCache(
+            config.cache_dir, lambda entry: Completion(**entry["completion"]), logger
         )
-        self._cache = None
-        if config.cache_dir is not None:
-            self._cache = JsonCache(
-                config.cache_dir, lambda entry: Completion(**entry["completion"]), logger
-            )
 
     def complete(self, prompt: str) -> Completion:
-        key = completion_cache_key(self.config, prompt)
-        if self._cache is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-        completion = self._request(prompt)
-        if self._cache is not None:
-            entry = {
+        return self._cache.through(
+            completion_cache_key(self.config, prompt),
+            lambda: self._request(prompt),
+            lambda completion: {
                 "model": self.config.model,
                 "endpoint": self.config.effective_id(),
                 "prompt": prompt,
                 "completion": vars(completion),
-            }
-            self._cache.put(key, entry)
-        return completion
+            },
+        )
 
     def _request(self, prompt: str) -> Completion:
         url = f"{self.config.base_url.rstrip('/')}/completions"
@@ -253,7 +227,7 @@ class CompletionClient:
     def _parse(body: bytes, prompt: str, latency_ms: int) -> Completion:
         try:
             payload = json.loads(body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"endpoint returned non-JSON body: {exc}") from exc
         try:
             text = payload["choices"][0]["text"]
@@ -262,12 +236,17 @@ class CompletionClient:
         if not isinstance(text, str):
             raise ProtocolError("endpoint returned a non-string completion text")
         usage = payload.get("usage") or {}
-        return Completion(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", len(prompt.split()))),
-            completion_tokens=int(usage.get("completion_tokens", len(text.split()))),
-            latency_ms=latency_ms,
-        )
+        if not isinstance(usage, dict):
+            raise ProtocolError(f"endpoint returned usage {usage!r}, not an object")
+        # A count the endpoint leaves out is the whitespace token count.
+        counts = {
+            "prompt_tokens": usage.get("prompt_tokens", len(prompt.split())),
+            "completion_tokens": usage.get("completion_tokens", len(text.split())),
+        }
+        for name, count in counts.items():
+            if not is_count(count):
+                raise ProtocolError(f"endpoint returned usage.{name} {count!r}, not a count")
+        return Completion(text=text, latency_ms=latency_ms, **counts)
 
 
 def genread_answer(
@@ -406,15 +385,9 @@ def run_predictions(
             return _oracle_completion(prompt, prediction), None
         return client.complete(prompt), None
 
-    # Endpoint calls are dispatched with bounded parallelism; results are
-    # collected back in dataset order so records never depend on arrival order.
-    if client is not None and client.config.max_parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=client.config.max_parallelism) as pool:
-            answers = list(pool.map(answer, items))
-    else:
-        answers = [answer(item) for item in items]
+    # Endpoint calls are dispatched with bounded parallelism; results come
+    # back in dataset order so records never depend on arrival order.
+    answers = map_in_order(answer, items, 1 if client is None else client.config.max_parallelism)
 
     records = []
     for (ex, _fewshot, retrieved_doc_id, recall1, _context), (completion, genread_empty) in zip(

@@ -17,8 +17,8 @@ from typing import Sequence
 from urllib.parse import quote
 
 from .dataset import QAExample
-from .errors import TransportError, ValidationError
-from .util import HttpClient, JsonCache, sha256_hex
+from .errors import ProtocolError, TransportError, ValidationError
+from .util import HttpClient, HttpSettings, JsonCache, is_count, map_in_order, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -44,25 +44,25 @@ class PopularityRecord:
     missing: bool = False
 
     def __post_init__(self):
-        if self.views < 0:
-            raise ValidationError(f"{self.entity_title!r}: negative views")
+        if not all(isinstance(v, str) for v in (self.entity_title, self.month, self.fetched_at)):
+            raise ValidationError(f"page-view record with a non-string field: {self!r}")
+        if type(self.missing) is not bool:
+            raise ValidationError(f"{self.entity_title!r}: missing {self.missing!r} is not a bool")
+        if not is_count(self.views):
+            raise ValidationError(f"{self.entity_title!r}: views {self.views!r} is not a count")
         if not _MONTH_RE.match(self.month):
             raise ValidationError(f"malformed month {self.month!r}, expected YYYY-MM")
 
 
-@dataclass(frozen=True)
-class PageviewsConfig:
+@dataclass(frozen=True, kw_only=True)
+class PageviewsConfig(HttpSettings):
+    """The page-view API and its cache, with HttpSettings' transport keys at
+    a 30 s timeout and 10 requests per second."""
+
     base_url: str = DEFAULT_PAGEVIEWS_BASE_URL
     cache_dir: str | Path = "pageviews-cache"
     timeout_s: float = 30.0
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    max_parallelism: int = 4
     requests_per_second: float | None = 10.0
-
-    def __post_init__(self):
-        if not self.max_parallelism >= 1:
-            raise ValidationError(f"max_parallelism must be >= 1, got {self.max_parallelism}")
 
 
 def _month_bounds(month: str) -> tuple[str, str]:
@@ -82,13 +82,7 @@ class PageviewsClient:
 
     def __init__(self, config: PageviewsConfig | None = None):
         self.config = config or PageviewsConfig()
-        self._http = HttpClient(
-            timeout_s=self.config.timeout_s,
-            max_retries=self.config.max_retries,
-            backoff_s=self.config.backoff_s,
-            requests_per_second=self.config.requests_per_second,
-            logger=logger,
-        )
+        self._http = HttpClient(self.config, logger)
         self._cache = JsonCache(
             self.config.cache_dir, lambda entry: PopularityRecord(**entry), logger
         )
@@ -96,20 +90,13 @@ class PageviewsClient:
     def fetch(self, entity_title: str, month: str) -> PopularityRecord:
         """Return the cached record if present, otherwise fetch and cache it."""
         key = sha256_hex(f"{entity_title}\x00{month}")[:24]
-        record = self._cache.get(key)
-        if record is None:
-            record = self._fetch_remote(entity_title, month)
-            self._cache.put(key, asdict(record))
-        return record
+        return self._cache.through(key, lambda: self._fetch_remote(entity_title, month), asdict)
 
     def fetch_many(self, titles: Sequence[str], month: str) -> dict[str, PopularityRecord]:
         """Fetch several titles with bounded parallelism; returns title -> record."""
-        from concurrent.futures import ThreadPoolExecutor
-
         unique = list(dict.fromkeys(titles))
-        with ThreadPoolExecutor(max_workers=self.config.max_parallelism) as pool:
-            records = pool.map(lambda t: self.fetch(t, month), unique)
-            return dict(zip(unique, records))
+        records = map_in_order(lambda t: self.fetch(t, month), unique, self.config.max_parallelism)
+        return dict(zip(unique, records))
 
     def annotate(self, examples: Sequence[QAExample], month: str) -> list[QAExample]:
         """Fill each example's popularity from its subject label's page views."""
@@ -128,11 +115,13 @@ class PageviewsClient:
         if resp.status != 200:
             raise TransportError(f"HTTP {resp.status} from {url}")
         try:
-            items = json.loads(resp.body)["items"]
-            views = sum(int(item["views"]) for item in items)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise TransportError(f"unexpected pageviews payload from {url}: {exc}") from exc
-        return self._record(title, month, views=views, missing=False)
+            counts = [item["views"] for item in json.loads(resp.body)["items"]]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise ProtocolError(f"unexpected pageviews payload from {url}: {exc}") from exc
+        for count in counts:
+            if not is_count(count):
+                raise ProtocolError(f"unexpected pageviews payload from {url}: views {count!r}")
+        return self._record(title, month, views=sum(counts), missing=False)
 
     @staticmethod
     def _record(title: str, month: str, views: int, missing: bool) -> PopularityRecord:

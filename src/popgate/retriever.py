@@ -153,10 +153,6 @@ class Bm25Index:
         self._impacts = impacts
         self._postings = postings
 
-    def idf(self, term: str) -> float:
-        start, end, _ = self._postings.get(term, (0, 0, 0.0))
-        return _idf(self.doc_count, end - start)
-
     def search(self, query: str, k: int = 1) -> list[SearchHit]:
         """Top-k passages by BM25 score; ties broken by ascending doc_id.
 

@@ -1,11 +1,13 @@
-"""Small shared helpers: atomic file writes, JSONL I/O, hashing, rate limiting,
-and the keep-alive HTTP, retry and JSON-file cache core of the API clients."""
+"""Small shared helpers: atomic file writes, JSONL I/O and hashing, and the
+transport path of the API clients: their settings, rate limiting, keep-alive
+HTTP with retries, the JSON-file cache and an ordered thread fan-out."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import logging
+import math
 import os
 import tempfile
 import threading
@@ -150,6 +152,51 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def is_count(value: Any) -> bool:
+    """Whether `value` is an int >= 0 and not a bool, as a JSON count must be."""
+    return type(value) is int and value >= 0
+
+
+def map_in_order(fn: Callable[[Any], T], items: Iterable, workers: int) -> list[T]:
+    """`fn` of each item, in item order, on up to `workers` threads; inline
+    when `workers` is 1. The first item whose call fails raises its error."""
+    if workers == 1:
+        return [fn(item) for item in items]
+    import concurrent.futures
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+@dataclass(frozen=True, kw_only=True)
+class HttpSettings:
+    """Transport settings of an API client, checked when built. A subclass's
+    `cache_dir` may be a path or null, never ""."""
+
+    timeout_s: float = 60.0
+    max_retries: int = 3
+    backoff_s: float = 0.5
+    max_parallelism: int = 4
+    requests_per_second: float | None = None
+
+    def __post_init__(self):
+        for name in ("timeout_s", "backoff_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        if not self.max_retries >= 0:
+            raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not self.max_parallelism >= 1:
+            raise ValidationError(f"max_parallelism must be >= 1, got {self.max_parallelism}")
+        if getattr(self, "cache_dir", None) == "":
+            raise ValidationError("cache_dir must be a non-empty path or null")
+        rate = self.requests_per_second
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValidationError(
+                f"requests_per_second must be null or finite and > 0, got {rate}"
+            )
+
+
 class RateLimiter:
     """Token-bucket style limiter: at most `rate_per_second` acquisitions per second.
 
@@ -158,8 +205,6 @@ class RateLimiter:
     """
 
     def __init__(self, rate_per_second: float | None):
-        if rate_per_second is not None and rate_per_second <= 0:
-            raise ValidationError("rate_per_second must be positive or None")
         self._interval = None if rate_per_second is None else 1.0 / rate_per_second
         self._lock = threading.Lock()
         self._next_slot = 0.0
@@ -176,40 +221,38 @@ class RateLimiter:
 
 
 class JsonCache:
-    """One JSON file per key under `directory`, each written atomically.
+    """One JSON file per key under `directory`, each written atomically; with
+    `directory` None nothing is cached.
 
     `decode` turns a parsed entry into the cached value. An entry that is not
     valid JSON, is nested too deeply to parse, or that `decode` rejects with
     ValueError, TypeError, KeyError or ValidationError, is logged as a warning
-    and treated as a miss; the caller's `put` then replaces it.
+    and treated as a miss, so it is fetched again and replaced.
     """
 
     def __init__(
-        self, directory: str | Path, decode: Callable[[Any], Any], logger: logging.Logger
+        self, directory: str | Path | None, decode: Callable[[Any], Any], logger: logging.Logger
     ):
-        self._directory = Path(directory)
+        self._directory = None if directory is None else Path(directory)
         self._decode = decode
         self._logger = logger
 
-    def _path(self, key: str) -> Path:
-        return self._directory / f"{key}.json"
-
-    def get(self, key: str) -> Any:
-        """The decoded entry for `key`, or None on a miss."""
-        path = self._path(key)
+    def through(self, key: str, fetch: Callable[[], T], entry: Callable[[T], Any]) -> T:
+        """The decoded entry for `key`; on a miss, `fetch()`, stored as the
+        JSON of `entry(value)`."""
+        if self._directory is None:
+            return fetch()
+        path = self._directory / f"{key}.json"
         try:
             with open(path, "rb") as fh:
-                raw = fh.read()
+                return self._decode(json.loads(fh.read()))
         except FileNotFoundError:
-            return None
-        try:
-            return self._decode(json.loads(raw))
+            pass
         except (ValueError, TypeError, KeyError, RecursionError, ValidationError) as exc:
             self._logger.warning("%s: unreadable cache entry (%s); fetching again", path, exc)
-            return None
-
-    def put(self, key: str, obj: Any) -> None:
-        atomic_write_text(self._path(key), dumps_stable(obj))
+        value = fetch()
+        atomic_write_text(path, dumps_stable(entry(value)))
+        return value
 
 
 @dataclass(frozen=True)
@@ -244,19 +287,10 @@ class HttpClient:
     """
 
     def __init__(
-        self,
-        *,
-        timeout_s: float,
-        max_retries: int,
-        backoff_s: float,
-        requests_per_second: float | None,
-        logger: logging.Logger,
-        headers: dict[str, str] | None = None,
+        self, settings: HttpSettings, logger: logging.Logger, headers: dict[str, str] | None = None
     ):
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self._limiter = RateLimiter(requests_per_second)
+        self._settings = settings
+        self._limiter = RateLimiter(settings.requests_per_second)
         self._logger = logger
         user_agent = os.environ.get(USER_AGENT_ENV) or DEFAULT_USER_AGENT
         self._headers = {"User-Agent": user_agent, **(headers or {})}
@@ -275,10 +309,10 @@ class HttpClient:
             headers["Content-Type"] = "application/json"
         began = time.monotonic()
         last_error: Exception | None = None
-        attempts = self.max_retries + 1
+        attempts = self._settings.max_retries + 1
         for attempt in range(attempts):
             if attempt:
-                delay = self.backoff_s * (2 ** (attempt - 1))
+                delay = self._settings.backoff_s * (2 ** (attempt - 1))
                 self._logger.info("%s: retry %d after %.2fs: %s", what, attempt, delay, last_error)
                 time.sleep(delay)
             self._limiter.acquire()
@@ -364,11 +398,12 @@ class HttpClient:
             if proxy_parts.scheme != "http" or not proxy_parts.hostname:
                 raise ConfigError(f"unsupported {scheme}_proxy {proxy!r}: need http://host:port")
             conn_host, conn_port = proxy_parts.hostname, proxy_parts.port or 80
+        timeout = self._settings.timeout_s
         if scheme == "http":
-            conn = http.client.HTTPConnection(conn_host, conn_port, timeout=self.timeout_s)
+            conn = http.client.HTTPConnection(conn_host, conn_port, timeout=timeout)
             return conn, bool(proxy)
         conn = http.client.HTTPSConnection(
-            conn_host, conn_port, timeout=self.timeout_s, context=self._tls_context()
+            conn_host, conn_port, timeout=timeout, context=self._tls_context()
         )
         if proxy:
             conn.set_tunnel(host, port)

@@ -1,5 +1,8 @@
-"""sha256 pins of every artifact of a seeded demo, of an oracle CLI chain and
-of `build-dataset` with a frequency text and a templates file.
+"""sha256 pins of every artifact of a seeded demo, of an oracle CLI chain, of
+`build-dataset` with a frequency text and a templates file, and of the two
+writers that talk HTTP: `fetch-popularity` and a 15-shot `run --mode genread`,
+each against a mock server from `mockserver.py`. Cache entries hold a fetch
+time or a measured latency, so the caches are pinned by their file names.
 
 Byte-identical reruns are part of popgate's contract, so a change that alters
 any artifact byte fails here. A change that alters bytes on purpose updates
@@ -21,6 +24,11 @@ directory once the installed package has written its dataset there:
     popgate build-dataset --cap 24 --seed 5 --triples DIR/triples.jsonl \
         --templates DIR/templates.json --freq-corpus DIR/freq.txt --out DIR/dataset.jsonl
     python tests/test_artifact_pins.py --build DIR
+
+and runs the `fetch-popularity` step through the installed `popgate` console
+script against a mock page-view server it starts, then checks its outputs:
+
+    python tests/test_artifact_pins.py --fetch-popularity DIR
 """
 
 from __future__ import annotations
@@ -30,10 +38,16 @@ import hashlib
 import io
 import json
 import random
+import subprocess
 import sys
+import zlib
 from pathlib import Path
+from typing import Callable
 
 from popgate.cli import main
+from popgate.lm import DEFAULT_GENREAD_INSTRUCTION
+
+from mockserver import completions_server, pageviews_server
 
 PINS = Path(__file__).with_name("artifact_pins.json")
 VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
@@ -51,6 +65,13 @@ BUILD_NAMES = [
     ("aa", ["a"]), ("_", ["__init__"]), ("Zürich", ["Zurich"]), ("Straße", []),
     ("中国", ["中"]), ("Jose\u0301", ["José"]), ("R2-D2", ["R2"]), ("C++", ["C"]),
 ]
+BUILD_SUBJECTS = BUILD_NAMES + [(f"Name{i}", [f"N{i}"] if i % 3 else []) for i in range(48)]
+# Titles for the pinned `fetch-popularity` step: the build names, which need
+# quoting in a URL path, and titles holding "/", "?", "%" and a space.
+PAGEVIEW_TITLES = [label for label, _aliases in BUILD_NAMES] + [
+    "AC/DC", "Who?", "50% Off", "Nobody Here", "Gone Missing",
+]
+GENREAD_LATENCY_MS = 25
 BUILD_TEMPLATES = {
     "director": "Who directed [subj]?",
     "author": "Who wrote [subj]?",
@@ -73,8 +94,8 @@ def digests(directory: Path) -> dict[str, str]:
 
 
 def mismatches(kind: str, actual: dict[str, str]) -> list[str]:
-    """One line per artifact of `kind` ("demo" or "cli") whose digest or
-    presence differs from its pin."""
+    """One line per artifact of `kind` (a top-level key of the pins file)
+    whose digest or presence differs from its pin."""
     pins = json.loads(PINS.read_text(encoding="utf-8"))[kind]
     out = [f"{kind}/{name}: not pinned, sha256 {actual[name]}"
            for name in sorted(set(actual) - set(pins))]
@@ -125,7 +146,7 @@ def write_build_inputs(directory: Path) -> None:
     rows repeated, and a text in which each subject is mentioned a few times
     with random neighbours."""
     rng = random.Random(5)
-    names = BUILD_NAMES + [(f"Name{i}", [f"N{i}"] if i % 3 else []) for i in range(48)]
+    names = BUILD_SUBJECTS
     rows = []
     for i, (label, aliases) in enumerate(names):
         for relation in BUILD_TEMPLATES:
@@ -159,6 +180,92 @@ def build_dataset(directory: Path) -> None:
                 "--freq-corpus", directory / "freq.txt", "--out", directory / "dataset.jsonl"]])
 
 
+def names_digest(directory: Path) -> str:
+    """sha256 of the sorted names of the files in `directory`, one per line."""
+    names = "".join(f"{path.name}\n" for path in sorted(directory.iterdir()))
+    return hashlib.sha256(names.encode("utf-8")).hexdigest()
+
+
+def write_pageview_inputs(directory: Path) -> None:
+    """`dataset.jsonl` for the pinned `fetch-popularity` step: one question
+    per title of PAGEVIEW_TITLES, and a second one for the first three."""
+    rows = [{"id": f"S{i}:{relation}", "question": f"Q{i} {relation}?",
+             "answers": [f"A{i}"], "subj": title, "subj_id": f"S{i}", "relation": relation}
+            for i, title in enumerate(PAGEVIEW_TITLES)
+            for relation in ("director", "sport")[: 2 if i < 3 else 1]]
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "dataset.jsonl").write_text(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+    )
+
+
+def pageview_counts() -> dict[str, int]:
+    """What the mock page-view server answers: seeded monthly views of every
+    order of magnitude from 0 to past 2**32, for each title but the last two,
+    which get a 404."""
+    rng = random.Random(5)
+    return {title: rng.randrange(10 ** rng.randrange(14)) for title in PAGEVIEW_TITLES[:-2]}
+
+
+def fetch_popularity(directory: Path, popgate: Callable[[list[str]], None]) -> dict[str, str]:
+    """The pinned `fetch-popularity` step against a mock page-view server,
+    run by `popgate(argv)`. Digests of its dataset and of its cache file names."""
+    write_pageview_inputs(directory)
+    cache, out = directory / "pageviews-cache", directory / "dataset_pop.jsonl"
+    with pageviews_server(pageview_counts()) as server:
+        popgate([str(a) for a in ["fetch-popularity", "--dataset", directory / "dataset.jsonl",
+                                  "--month", "2022-12", "--cache", cache,
+                                  "--endpoint", server.base_url, "--out", out]])
+    return {out.name: hashlib.sha256(out.read_bytes()).hexdigest(),
+            "pageviews-cache names": names_digest(cache)}
+
+
+def genread_reply(dataset: Path) -> Callable[[str], str]:
+    """The mock completion endpoint's text for a prompt of a genread run over
+    `dataset`: a stage-1 document naming the gold answer for about two
+    questions in three and empty for the rest; in stage 2, the gold answer
+    when the document named it."""
+    gold = {row["question"]: sorted(row["answers"])[0]
+            for row in map(json.loads, dataset.read_text(encoding="utf-8").splitlines())}
+
+    def reply(prompt: str) -> str:
+        if prompt.startswith(DEFAULT_GENREAD_INSTRUCTION):
+            question = prompt.split("\n\n", 1)[1]
+            if zlib.crc32(question.encode("utf-8")) % 3 == 0:
+                return ""
+            return f"{question} The answer is {gold[question]}."
+        question = prompt.rsplit("Q: ", 1)[1].removesuffix(" A:")
+        return gold[question] if f"The answer is {gold[question]}." in prompt else "no idea"
+
+    return reply
+
+
+def genread_from_cache(directory: Path) -> dict[str, str]:
+    """`run --mode genread --shots 15` over the pinned build dataset against
+    a mock completion endpoint; then every cache entry's latency set to
+    GENREAD_LATENCY_MS and the same run again with the server shut down, so
+    that every completion must come from the cache. Digests of the second
+    run's file and of the cache file names."""
+    build_dataset(directory)
+    dataset, endpoint = directory / "dataset.jsonl", directory / "endpoint.json"
+    cache, out = directory / "completions-cache", directory / "run_genread.jsonl"
+    run = ["run", "--dataset", dataset, "--mode", "genread", "--shots", 15, "--seed", 5,
+           "--endpoint", endpoint]
+    with completions_server(genread_reply(dataset)) as server:
+        endpoint.write_text(json.dumps({
+            "base_url": server.base_url, "endpoint_id": "pin-endpoint", "model": "pin-lm",
+            "cache_dir": str(cache), "max_retries": 0,
+        }))
+        run_steps([[*run, "--out", directory / "run_genread_cold.jsonl"]])
+    for path in cache.iterdir():
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["completion"]["latency_ms"] = GENREAD_LATENCY_MS
+        path.write_text(json.dumps(entry, ensure_ascii=False, sort_keys=True), encoding="utf-8")
+    run_steps([[*run, "--out", out]])
+    return {out.name: hashlib.sha256(out.read_bytes()).hexdigest(),
+            "completions-cache names": names_digest(cache)}
+
+
 def test_artifacts_match_their_pins(tmp_path):
     demo, cli = demo_and_chain(tmp_path)
     wrong = mismatches("demo", digests(demo)) + mismatches("cli", digests(cli))
@@ -171,11 +278,30 @@ def test_build_dataset_matches_its_pins(tmp_path):
     assert not wrong, "\n".join(wrong)
 
 
+def test_fetch_popularity_matches_its_pins(tmp_path):
+    wrong = mismatches("fetch-popularity", fetch_popularity(tmp_path, lambda argv: run_steps([argv])))
+    assert not wrong, "\n".join(wrong)
+
+
+def test_genread_run_from_cache_matches_its_pins(tmp_path):
+    wrong = mismatches("genread", genread_from_cache(tmp_path))
+    assert not wrong, "\n".join(wrong)
+
+
+def installed_popgate(argv: list[str]) -> None:
+    subprocess.run(["popgate", *argv], check=True)
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "--build-inputs":
         write_build_inputs(Path(sys.argv[2]))
         sys.exit(0)
-    kind, directory = ("build", sys.argv[2]) if sys.argv[1] == "--build" else ("demo", sys.argv[1])
-    wrong = mismatches(kind, digests(Path(directory)))
+    if sys.argv[1] == "--fetch-popularity":
+        kind, actual = "fetch-popularity", fetch_popularity(Path(sys.argv[2]), installed_popgate)
+    elif sys.argv[1] == "--build":
+        kind, actual = "build", digests(Path(sys.argv[2]))
+    else:
+        kind, actual = "demo", digests(Path(sys.argv[1]))
+    wrong = mismatches(kind, actual)
     print("\n".join(wrong) or f"all {kind} artifacts match {PINS.name}")
     sys.exit(1 if wrong else 0)

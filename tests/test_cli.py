@@ -18,7 +18,7 @@ from popgate.retriever import INDEX_MAGIC, INDEX_VERSION
 from popgate.util import write_jsonl
 
 from conftest import synthetic_examples
-from mockserver import pageviews_server
+from mockserver import MockServer, pageviews_server
 
 
 def run_cli(argv) -> int:
@@ -277,6 +277,43 @@ class TestRuntimeErrors:
         assert code == 1
         assert_one_line_error(capsys, fragment)
         assert not out.exists() and not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "body, fragment",
+        [(b'{"choices": [{"text": "ok"}], "usage": {"prompt_tokens": "abc"}}',
+          "usage.prompt_tokens 'abc', not a count"),
+         (b'{"choices": [{"text": "ok"}], "usage": {"prompt_tokens": null}}',
+          "usage.prompt_tokens None, not a count"),
+         (b'{"choices": [{"text": "ok"}], "usage": [1]}', "usage [1], not an object"),
+         (b'{"choices": [{"text": "ok"}], "usage": {"prompt_tokens": 1e400}}',
+          "usage.prompt_tokens inf, not a count")],
+    )
+    def test_run_rejects_malformed_completion_body(self, tmp_path, capsys, body, fragment):
+        out, cache = tmp_path / "run.jsonl", tmp_path / "cache"
+        with MockServer(lambda method, path, _body: (200, body)) as server:
+            endpoint = tmp_path / "endpoint.json"
+            endpoint.write_text(json.dumps(
+                {"base_url": server.base_url, "model": "m", "cache_dir": str(cache)}
+            ))
+            code = run_cli(["run", "--dataset", one_question_dataset(tmp_path), "--endpoint",
+                            endpoint, "--shots", 0, "--out", out])
+        assert code == 1
+        assert_one_line_error(capsys, fragment)
+        assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize(
+        "body, fragment",
+        [(b'{"items": [{"views": 1e400}]}', "views inf"),
+         (b'{"items": [{"views": true}]}', "views True")],
+    )
+    def test_fetch_popularity_rejects_malformed_payload(self, tmp_path, capsys, body, fragment):
+        out, cache = tmp_path / "out.jsonl", tmp_path / "cache"
+        with MockServer(lambda method, path, _body: (200, body)) as server:
+            code = run_cli(["fetch-popularity", "--dataset", one_question_dataset(tmp_path),
+                            "--cache", cache, "--endpoint", server.base_url, "--out", out])
+        assert code == 1
+        assert_one_line_error(capsys, "unexpected pageviews payload", fragment)
+        assert not out.exists() and not cache.exists()
 
     @pytest.mark.parametrize(
         "text, fragment",

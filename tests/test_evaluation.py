@@ -218,7 +218,7 @@ class TestBinnedAccuracy:
     def test_zero_of_ten_bin(self):
         dataset = [make_example(i, popularity=1000) for i in range(10)]
         records = [record(ex.id, False) for ex in dataset]
-        bins = evaluate_run(records, dataset, bin_width_log10=0.5, min_bin_n=10).bins
+        bins = evaluate_run(records, dataset, min_bin_n=10).bins
         assert len(bins) == 1
         b = bins[0]
         assert b.accuracy == 0.0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from popgate import __version__
-from popgate.errors import TransportError
+from popgate.errors import TransportError, ValidationError
 from popgate.lm import CompletionClient, EndpointConfig
 from popgate.popularity import PageviewsClient, PageviewsConfig
 
@@ -33,6 +33,37 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
     )
     defaults.update(kwargs)
     return CompletionClient(EndpointConfig(**defaults))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+     ({"timeout_s": float("nan")}, "timeout_s must be finite and >= 0, got nan"),
+     ({"backoff_s": -1}, "backoff_s must be finite and >= 0, got -1"),
+     ({"requests_per_second": float("nan")},
+      "requests_per_second must be null or finite and > 0, got nan"),
+     ({"requests_per_second": 0}, "requests_per_second must be null or finite and > 0, got 0"),
+     ({"requests_per_second": float("inf")},
+      "requests_per_second must be null or finite and > 0, got inf"),
+     ({"max_parallelism": 0}, "max_parallelism must be >= 1, got 0"),
+     ({"cache_dir": ""}, "cache_dir must be a non-empty path or null")],
+)
+@pytest.mark.parametrize(
+    "config, required",
+    [(PageviewsConfig, {}), (EndpointConfig, {"base_url": "http://x", "model": "m"})],
+)
+def test_both_clients_check_their_transport_settings_alike(config, required, changes, message):
+    with pytest.raises(ValidationError) as info:
+        config(**required, **changes)
+    assert str(info.value) == message
+
+
+def test_page_view_and_completion_defaults():
+    pageviews, endpoint = PageviewsConfig(), EndpointConfig(base_url="http://x", model="m")
+    assert (pageviews.timeout_s, pageviews.requests_per_second) == (30.0, 10.0)
+    assert (endpoint.timeout_s, endpoint.requests_per_second) == (60.0, None)
+    for config in (pageviews, endpoint):
+        assert (config.max_retries, config.backoff_s, config.max_parallelism) == (3, 0.5, 4)
 
 
 def test_import_does_not_load_requests():

@@ -177,6 +177,28 @@ class TestFewshotPoolAgainstReference:
 
 
 
+# Completion bodies in a wrong shape, each with the text of its ProtocolError.
+MALFORMED_COMPLETION_BODIES = [
+    pytest.param({"nonsense": True}, "missing choices[0].text", id="no-choices"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "non-JSON body", id="too-deep"),
+    pytest.param({"choices": [{"text": 5}]}, "non-string completion text", id="text-5"),
+    pytest.param({"choices": [{"text": "ok"}], "usage": {"prompt_tokens": "abc"}},
+                 "usage.prompt_tokens 'abc', not a count", id="count-abc"),
+    pytest.param({"choices": [{"text": "ok"}], "usage": {"prompt_tokens": None}},
+                 "usage.prompt_tokens None, not a count", id="count-null"),
+    pytest.param({"choices": [{"text": "ok"}], "usage": [1]},
+                 "usage [1], not an object", id="usage-list"),
+    pytest.param(b'{"choices": [{"text": "ok"}], "usage": {"completion_tokens": 1e400}}',
+                 "usage.completion_tokens inf, not a count", id="count-1e400"),
+    pytest.param({"choices": [{"text": "ok"}], "usage": {"completion_tokens": 2.5}},
+                 "usage.completion_tokens 2.5, not a count", id="count-2.5"),
+    pytest.param({"choices": [{"text": "ok"}], "usage": {"prompt_tokens": True}},
+                 "usage.prompt_tokens True, not a count", id="count-true"),
+    pytest.param({"choices": [{"text": "ok"}], "usage": {"prompt_tokens": -1}},
+                 "usage.prompt_tokens -1, not a count", id="count-negative"),
+]
+
+
 def make_endpoint(base_url: str, cache_dir, **kwargs) -> EndpointConfig:
     defaults = dict(
         base_url=base_url,
@@ -237,11 +259,26 @@ class TestCompletionClient:
             with pytest.raises(TransportError, match="elapsed"):
                 CompletionClient(config).complete("hi")
 
-    def test_malformed_body_is_protocol_error(self, tmp_path):
-        with MockServer(lambda m, p, b: (200, {"nonsense": True})) as server:
+    @pytest.mark.parametrize("body, message", MALFORMED_COMPLETION_BODIES)
+    def test_malformed_body_is_protocol_error(self, tmp_path, body, message):
+        with MockServer(lambda m, p, b: (200, body)) as server:
             config = make_endpoint(server.base_url, tmp_path / "cache")
-            with pytest.raises(ProtocolError, match="choices"):
+            with pytest.raises(ProtocolError) as info:
                 CompletionClient(config).complete("hi")
+        assert message in str(info.value)
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "usage, counts",
+        [(None, (3, 2)), ({}, (3, 2)), ({"completion_tokens": 7}, (3, 7)),
+         ({"prompt_tokens": 0, "completion_tokens": 9}, (0, 9))],
+    )
+    def test_absent_usage_count_is_the_whitespace_count(self, tmp_path, usage, counts):
+        payload = {"choices": [{"text": "two words"}], "usage": usage}
+        with MockServer(lambda m, p, b: (200, payload)) as server:
+            config = make_endpoint(server.base_url, tmp_path / "cache")
+            completion = CompletionClient(config).complete("a b c")
+        assert (completion.prompt_tokens, completion.completion_tokens) == counts
 
     def test_exhausted_retries_is_transport_error(self, tmp_path):
         with MockServer(lambda m, p, b: (500, {"error": "boom"})) as server:
@@ -420,11 +457,24 @@ class TestRunPredictions:
         assert len(server.requests) == len(dataset)
 
 
+def with_completion(**changes):
+    """A cache-entry corruption that sets fields of its stored completion."""
+
+    def corrupt(text: str) -> str:
+        entry = json.loads(text)
+        entry["completion"].update(changes)
+        return json.dumps(entry)
+
+    return corrupt
+
+
 class TestCorruptCompletionCache:
     @pytest.mark.parametrize(
         "corrupt",
         [lambda text: text[: len(text) // 2], lambda text: '{"completion": {"txt": 1}}',
-         lambda text: "[" * 100_000 + "]" * 100_000],
+         lambda text: "[" * 100_000 + "]" * 100_000, with_completion(text=5),
+         with_completion(prompt_tokens=2.5), with_completion(completion_tokens=True),
+         with_completion(latency_ms=-1), with_completion(latency_ms=None)],
     )
     def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
         with completions_server(lambda prompt: "fresh answer") as server:

@@ -5,11 +5,24 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from popgate.errors import TransportError, ValidationError
+from popgate.errors import ProtocolError, TransportError, ValidationError
 from popgate.popularity import PageviewsClient, PageviewsConfig, PopularityRecord
 
 from conftest import make_example
-from mockserver import pageviews_server
+from mockserver import MockServer, pageviews_server
+
+# Page-view bodies in a wrong shape, each with part of its ProtocolError's text.
+MALFORMED_PAGEVIEWS_BODIES = [
+    pytest.param(b'{"items": [{"views": 1e400}]}', "views inf", id="views-1e400"),
+    pytest.param({"items": [{"views": "12"}]}, "views '12'", id="views-string"),
+    pytest.param({"items": [{"views": True}]}, "views True", id="views-true"),
+    pytest.param({"items": [{"views": 2.5}]}, "views 2.5", id="views-2.5"),
+    pytest.param({"items": [{"views": 3}, {"views": -1}]}, "views -1", id="views-negative"),
+    pytest.param({"items": [{"views": None}]}, "views None", id="views-null"),
+    pytest.param({"items": [{}]}, "'views'", id="no-views"),
+    pytest.param({"items": 5}, "'int' object is not iterable", id="items-5"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth", id="too-deep"),
+]
 
 
 class TestLogPopularity:
@@ -81,6 +94,15 @@ class TestPageviewsClient:
                 client.fetch("Black", "2022-12")
             assert len(server.requests) == 3
 
+    @pytest.mark.parametrize("body, message", MALFORMED_PAGEVIEWS_BODIES)
+    def test_malformed_payload_is_protocol_error(self, tmp_path, body, message):
+        with MockServer(lambda method, path, _body: (200, body)) as server:
+            client = self._client(server.base_url, tmp_path / "cache")
+            with pytest.raises(ProtocolError, match="unexpected pageviews payload") as info:
+                client.fetch("Black", "2022-12")
+        assert message in str(info.value)
+        assert not (tmp_path / "cache").exists()
+
     def test_malformed_month_rejected(self, tmp_path):
         client = self._client("http://127.0.0.1:1", tmp_path / "cache")
         with pytest.raises(ValidationError, match="YYYY-MM"):
@@ -120,11 +142,18 @@ class TestPopularityRecord:
             PopularityRecord("X", "202201", 1, "2022-01-01T00:00:00+00:00")
 
 
+def with_record(**changes):
+    """A cache-entry corruption that sets fields of the stored record."""
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
 class TestCorruptPageviewsCache:
     @pytest.mark.parametrize(
         "corrupt",
         [lambda text: text[: len(text) // 2], lambda text: '{"title": "Black"}',
-         lambda text: "[" * 100_000 + "]" * 100_000],
+         lambda text: "[" * 100_000 + "]" * 100_000, with_record(views=True),
+         with_record(views=2.5), with_record(missing="no"), with_record(entity_title=5),
+         with_record(fetched_at=None), with_record(views=-1)],
     )
     def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
         with pageviews_server({"Black": 10000}) as server:

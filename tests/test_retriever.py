@@ -12,6 +12,7 @@ from popgate.cli import main
 from popgate.errors import IndexFormatError, ValidationError
 from popgate.retriever import (
     INDEX_MAGIC,
+    _idf,
     Bm25Index,
     Passage,
     build_index,
@@ -52,9 +53,10 @@ class TestBuildIndex:
         passages = [Passage("d1", "t", "a b a"), Passage("d2", "t", "b c")]
         index = build_index(passages)
         assert index.doc_count == 2
-        assert index.idf("a") == math.log(1.0 + 1.5 / 1.5)
-        assert index.idf("b") == math.log(1.0 + 0.5 / 2.5)
-        assert index.idf("absent") == math.log(1.0 + 2.5 / 0.5)
+        # idf by document frequency: "a" is in one document, "b" in both, "absent" in none.
+        assert _idf(index.doc_count, 1) == math.log(1.0 + 1.5 / 1.5)
+        assert _idf(index.doc_count, 2) == math.log(1.0 + 0.5 / 2.5)
+        assert _idf(index.doc_count, 0) == math.log(1.0 + 2.5 / 0.5)
         for query in ("a", "b", "a b a", "c b"):
             expected = brute_force_bm25(passages, query, 1.2, 0.75)
             hits = index.search(query, k=2)

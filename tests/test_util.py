@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import logging
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from popgate.errors import ValidationError
-from popgate.util import atomic_writer, iter_jsonl, read_text
+from popgate.util import JsonCache, atomic_writer, iter_jsonl, map_in_order, read_text
 
 
 class TestAtomicWriter:
@@ -30,6 +33,48 @@ class TestAtomicWriter:
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"old"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestMapInOrder:
+    def test_results_keep_item_order_whatever_the_finishing_order(self):
+        def slow_first(i):
+            time.sleep(0.005 * (8 - i))
+            return i * i
+
+        assert map_in_order(slow_first, range(8), workers=4) == [i * i for i in range(8)]
+
+    def test_one_worker_runs_inline(self):
+        assert map_in_order(lambda _: threading.get_ident(), "ab", 1) == [threading.get_ident()] * 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failing_item_raises(self, workers):
+        def fail_on_odd(i):
+            if i % 2:
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            map_in_order(fail_on_odd, range(6), workers)
+
+
+class TestJsonCacheThrough:
+    LOGGER = logging.getLogger("popgate.test")
+
+    def test_miss_stores_the_entry_and_hit_skips_the_fetch(self, tmp_path):
+        cache = JsonCache(tmp_path / "c", lambda entry: entry["v"], self.LOGGER)
+        fetched = []
+        fetch = lambda: fetched.append(1) or "é"
+        assert cache.through("k", fetch, lambda v: {"v": v, "a": 1}) == "é"
+        assert cache.through("k", fetch, lambda v: {"v": v, "a": 1}) == "é"
+        assert fetched == [1]
+        assert (tmp_path / "c" / "k.json").read_bytes() == '{"a": 1, "v": "é"}'.encode()
+
+    def test_no_directory_fetches_every_time_and_stores_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = JsonCache(None, lambda entry: entry, self.LOGGER)
+        calls = iter(range(5))
+        assert [cache.through("k", lambda: next(calls), dict) for _ in "ab"] == [0, 1]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNotUtf8:
