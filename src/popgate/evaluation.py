@@ -8,11 +8,8 @@ available behind a flag.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
-import statistics
-import unicodedata
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
@@ -20,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
+from .retriever import normalize_text
 from .util import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
@@ -27,11 +25,6 @@ BIN_WIDTH_LOG10 = 0.5
 DEFAULT_MIN_BIN_N = 40
 
 MODES = ("vanilla", "retrieval", "genread")
-
-
-def normalize_text(text: str) -> str:
-    """NFKC, lowercase, and collapse runs of whitespace to single spaces."""
-    return " ".join(unicodedata.normalize("NFKC", text).lower().split())
 
 
 def is_correct(prediction: str, gold_answers: Iterable[str], strict: bool = False) -> bool:
@@ -212,6 +205,8 @@ def _per_relation(
     dataset: Sequence[QAExample], rows: Sequence[PredictionRecord]
 ) -> list[RelationRow]:
     """One row per relation of a joined run, sorted by relation."""
+    import statistics
+
     grouped: dict[str, tuple[list[float], list[bool]]] = {}
     for ex, rec in zip(dataset, rows):
         pops, flags = grouped.setdefault(ex.relation_type, ([], []))
@@ -410,6 +405,8 @@ def evaluate_run(
 def _csv_text(row_class: type, rows: Iterable) -> str:
     """The table as CSV; the header comes from the class, so a table with no
     rows still has one. None is written as an empty cell."""
+    import csv
+
     header = _columns(row_class)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

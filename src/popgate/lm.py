@@ -199,15 +199,16 @@ class CompletionClient:
         )
 
     def complete(self, prompt: str) -> Completion:
+        request = {
+            "model": self.config.model,
+            "endpoint": self.config.effective_id(),
+            "prompt": prompt,
+        }
         return self._cache.through(
             completion_cache_key(self.config, prompt),
+            request,
             lambda: self._request(prompt),
-            lambda completion: {
-                "model": self.config.model,
-                "endpoint": self.config.effective_id(),
-                "prompt": prompt,
-                "completion": vars(completion),
-            },
+            lambda completion: {**request, "completion": vars(completion)},
         )
 
     def _request(self, prompt: str) -> Completion:

@@ -90,7 +90,10 @@ class PageviewsClient:
     def fetch(self, entity_title: str, month: str) -> PopularityRecord:
         """Return the cached record if present, otherwise fetch and cache it."""
         key = sha256_hex(f"{entity_title}\x00{month}")[:24]
-        return self._cache.through(key, lambda: self._fetch_remote(entity_title, month), asdict)
+        request = {"entity_title": entity_title, "month": month}
+        return self._cache.through(
+            key, request, lambda: self._fetch_remote(entity_title, month), asdict
+        )
 
     def fetch_many(self, titles: Sequence[str], month: str) -> dict[str, PopularityRecord]:
         """Fetch several titles with bounded parallelism; returns title -> record."""

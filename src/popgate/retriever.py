@@ -10,7 +10,9 @@ contribution to that document's score). Search is an exact top-k that uses
 each term's largest impact as an upper bound (MaxScore, Turtle & Flood 1995)
 to stop reading posting lists once no unseen document can reach the k-th
 score; survivors are then rescored exactly, so scores are bit-identical to a
-full scan that sums impacts in query-token order.
+full scan that sums impacts in query-token order. A term's bound is computed
+the first time a search reads the term, so loading an index does no work per
+term.
 """
 
 from __future__ import annotations
@@ -21,15 +23,17 @@ import math
 import re
 import struct
 import sys
+import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexFormatError, ValidationError
-from .evaluation import normalize_text
 from .util import atomic_writer, dumps_stable, read_jsonl, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -55,16 +59,24 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+def normalize_text(text: str) -> str:
+    """NFKC, lowercase, and collapse runs of whitespace to single spaces."""
+    return " ".join(unicodedata.normalize("NFKC", text).lower().split())
+
+
+@dataclass(slots=True)
 class Passage:
+    """One corpus paragraph: a plain slotted record, checked when built.
+    Callers must not mutate one; nothing re-checks it."""
+
     doc_id: str
     title: str
     text: str
 
     def __post_init__(self):
-        for name in ("doc_id", "title", "text"):
-            if not isinstance(getattr(self, name), str):
-                raise ValidationError(f"passage {self.doc_id!r}: {name} is not a string")
+        if not (type(self.doc_id) is str and type(self.title) is str and type(self.text) is str):
+            name = next(n for n in ("doc_id", "title", "text") if type(getattr(self, n)) is not str)
+            raise ValidationError(f"passage {self.doc_id!r}: {name} is not a string")
         if not self.doc_id:
             raise ValidationError("passage with empty doc_id")
         if not self.text:
@@ -88,8 +100,8 @@ class Bm25Index:
     Posting lists live in two flat arrays, term after term: ascending document
     positions (int32) and the term's impact in each of those documents
     (float64), idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl)).
-    `_postings` maps each term to its (start, end) slice of both arrays and
-    its largest impact.
+    `_postings` maps each term to its (start, end) slice of both arrays;
+    `_bounds` holds the largest impact of each term a search has read.
     """
 
     def __init__(self, passages: Sequence[Passage], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
@@ -120,17 +132,15 @@ class Bm25Index:
         norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths] if avgdl else []
         k1_plus_1 = k1 + 1.0
         docs, impacts = array("i"), array("d")
-        postings: dict[str, tuple[int, int, float]] = {}
+        postings: dict[str, tuple[int, int]] = {}
         for term, entry in raw.items():
             term_docs = entry[0::2]
-            df = len(term_docs)
-            idf = _idf(doc_count, df)
-            term_impacts = [
-                idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in zip(term_docs, entry[1::2])
-            ]
-            postings[term] = (len(docs), len(docs) + df, max(term_impacts))
+            idf = _idf(doc_count, len(term_docs))
+            postings[term] = (len(docs), len(docs) + len(term_docs))
             docs.extend(term_docs)
-            impacts.extend(term_impacts)
+            impacts.extend(
+                [idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in zip(term_docs, entry[1::2])]
+            )
         self._assemble(by_id, k1, b, avgdl, docs, impacts, postings)
 
     def _assemble(
@@ -141,7 +151,8 @@ class Bm25Index:
         avg_doc_length: float,
         docs: array,
         impacts: array,
-        postings: dict[str, tuple[int, int, float]],
+        postings: dict[str, tuple[int, int]],
+        path: str | Path | None = None,
     ) -> None:
         self.k1 = k1
         self.b = b
@@ -152,6 +163,24 @@ class Bm25Index:
         self._docs = docs
         self._impacts = impacts
         self._postings = postings
+        self._bounds: dict[str, float] = {}
+        self._path = path  # the file a loaded index came from, for error messages
+
+    def _bound(self, term: str) -> float:
+        """The term's largest impact, computed and kept on its first read;
+        threads that race on that read store the same value. A term whose
+        document positions do not strictly ascend, as a corrupt file can
+        hold, raises IndexFormatError: search looks them up by bisection."""
+        bound = self._bounds.get(term)
+        if bound is None:
+            start, end = self._postings[term]
+            docs = self._docs[start:end]
+            if not all(map(lt, docs, docs[1:])):
+                raise IndexFormatError(
+                    f"{self._path}: document positions of term {term!r} do not ascend"
+                )
+            bound = self._bounds[term] = max(self._impacts[start:end])
+        return bound
 
     def search(self, query: str, k: int = 1) -> list[SearchHit]:
         """Top-k passages by BM25 score; ties broken by ascending doc_id.
@@ -171,8 +200,9 @@ class Bm25Index:
         counts: dict[str, int] = {}
         for tok in tokens:
             counts[tok] = counts.get(tok, 0) + 1
+        term_bound = self._bound
         order = sorted(
-            [(count * postings[term][2], term) for term, count in counts.items()], reverse=True
+            [(count * term_bound(term), term) for term, count in counts.items()], reverse=True
         )
         bounds = [bound for bound, _ in order]
         partial: dict[int, float] = {}
@@ -182,7 +212,7 @@ class Bm25Index:
             if rest < theta * _SLACK:
                 break
             count = counts[term]
-            start, end, _ = postings[term]
+            start, end = postings[term]
             get = partial.get
             for d, w in zip(docs[start:end], impacts[start:end]):
                 partial[d] = get(d, 0.0) + count * w
@@ -198,7 +228,7 @@ class Bm25Index:
             if estimate < floor:
                 continue
             score = 0.0
-            for start, end, _ in spans:
+            for start, end in spans:
                 j = bisect_left(docs, d, start, end)
                 if j < end and docs[j] == d:
                     score += impacts[j]
@@ -256,7 +286,7 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
                 for p in index.passages.values()
             ],
             "terms": list(index._postings),
-            "lengths": [end - start for start, end, _ in index._postings.values()],
+            "lengths": [end - start for start, end in index._postings.values()],
         }
     ).encode("utf-8")
     with atomic_writer(path) as fh:
@@ -341,12 +371,14 @@ def _load_v2(path, body) -> Bm25Index:
         isinstance(terms, list)
         and isinstance(lengths, list)
         and len(terms) == len(lengths)
-        and all(isinstance(term, str) for term in terms)
-        and all(type(n) is int and n > 0 for n in lengths)
+        and set(map(type, terms)) <= {str}
+        and set(map(type, lengths)) <= {int}
+        and (not lengths or min(lengths) > 0)
     ):
         raise IndexFormatError(f"{path}: bad term table in header")
+    offsets = list(accumulate(lengths, initial=0))
     docs, impacts = array("i"), array("d")
-    total = sum(lengths)
+    total = offsets[-1]
     arrays = body[size + header_len :]
     if len(arrays) != total * (docs.itemsize + impacts.itemsize):
         raise IndexFormatError(
@@ -359,15 +391,11 @@ def _load_v2(path, body) -> Bm25Index:
         impacts.byteswap()
     if docs and not 0 <= min(docs) <= max(docs) < len(passages):
         raise IndexFormatError(f"{path}: document position out of range")
-    postings: dict[str, tuple[int, int, float]] = {}
-    start = 0
-    for term, n in zip(terms, lengths):
-        postings[term] = (start, start + n, max(impacts[start : start + n]))
-        start += n
+    postings = dict(zip(terms, zip(offsets, offsets[1:])))
     if len(postings) != len(terms):
         raise IndexFormatError(f"{path}: duplicate term in header")
     index = Bm25Index.__new__(Bm25Index)
-    index._assemble(by_id, k1, b, avgdl, docs, impacts, postings)
+    index._assemble(by_id, k1, b, avgdl, docs, impacts, postings, path)
     return index
 
 

@@ -4,9 +4,7 @@ HTTP with retries, the JSON-file cache and an ordered thread fan-out."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-import logging
 import math
 import os
 import tempfile
@@ -23,9 +21,11 @@ from .errors import ConfigError, PopgateError, TransportError, ValidationError
 
 # The HTTP stack (http.client, ssl, urllib.request and the email package they
 # pull in) costs about 30 ms of CPU to import; HttpClient imports it on first
-# use, so processes that send no request never load it.
+# use, so processes that send no request never load it. Loggers come from the
+# API clients, which import logging themselves.
 if TYPE_CHECKING:
     import http.client
+    import logging
     import ssl
 
 T = TypeVar("T")
@@ -149,6 +149,8 @@ def read_text(path: str | Path) -> str:
 
 
 def sha256_hex(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -227,7 +229,8 @@ class JsonCache:
     `decode` turns a parsed entry into the cached value. An entry that is not
     valid JSON, is nested too deeply to parse, or that `decode` rejects with
     ValueError, TypeError, KeyError or ValidationError, is logged as a warning
-    and treated as a miss, so it is fetched again and replaced.
+    and treated as a miss, so it is fetched again and replaced. So is an entry
+    whose request fields differ from the request it is read for.
     """
 
     def __init__(
@@ -237,19 +240,31 @@ class JsonCache:
         self._decode = decode
         self._logger = logger
 
-    def through(self, key: str, fetch: Callable[[], T], entry: Callable[[T], Any]) -> T:
-        """The decoded entry for `key`; on a miss, `fetch()`, stored as the
-        JSON of `entry(value)`."""
+    def through(
+        self, key: str, request: dict[str, Any], fetch: Callable[[], T], entry: Callable[[T], Any]
+    ) -> T:
+        """The decoded entry for `key` if it holds each field of `request`
+        with its value; otherwise `fetch()`, stored as the JSON of
+        `entry(value)`."""
         if self._directory is None:
             return fetch()
         path = self._directory / f"{key}.json"
         try:
             with open(path, "rb") as fh:
-                return self._decode(json.loads(fh.read()))
+                stored = json.loads(fh.read())
+            value = self._decode(stored)
+            differs = [name for name, want in request.items() if stored[name] != want]
         except FileNotFoundError:
             pass
         except (ValueError, TypeError, KeyError, RecursionError, ValidationError) as exc:
             self._logger.warning("%s: unreadable cache entry (%s); fetching again", path, exc)
+        else:
+            if not differs:
+                return value
+            self._logger.warning(
+                "%s: cache entry for another request (%s differs); fetching again",
+                path, ", ".join(differs),
+            )
         value = fetch()
         atomic_write_text(path, dumps_stable(entry(value)))
         return value

@@ -25,6 +25,12 @@ directory once the installed package has written its dataset there:
         --templates DIR/templates.json --freq-corpus DIR/freq.txt --out DIR/dataset.jsonl
     python tests/test_artifact_pins.py --build DIR
 
+and runs the oracle CLI chain (`index` through `savings`) over that demo
+directory through the installed `popgate` console script, then checks its
+outputs:
+
+    python tests/test_artifact_pins.py --chain DIR
+
 and runs the `fetch-popularity` step through the installed `popgate` console
 script against a mock page-view server it starts, then checks its outputs:
 
@@ -40,6 +46,7 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
 import zlib
 from pathlib import Path
 from typing import Callable
@@ -115,16 +122,14 @@ def run_steps(steps: list[list]) -> None:
             assert main([str(a) for a in argv]) == 0, argv
 
 
-def demo_and_chain(tmp: Path) -> tuple[Path, Path]:
-    """The pinned demo under tmp/demo, then, on its dataset and corpus, the
-    oracle CLI chain under tmp/cli."""
-    demo, out = tmp / "demo", tmp / "cli"
-    run_steps([[*DEMO_ARGV, "--out", demo]])
+def chain_steps(demo: Path, out: Path) -> list[list]:
+    """The argv of each step of the oracle CLI chain over the demo in `demo`,
+    writing under `out`: `index` through `savings`."""
     data = demo / "dataset.jsonl"
     vanilla, retrieval = out / "run_vanilla.jsonl", out / "run_retrieval.jsonl"
     policy = out / "policy.json"
     run = ["run", "--dataset", data, "--oracle", "--seed", 5]
-    run_steps([
+    steps = [
         ["index", "--corpus", demo / "corpus.jsonl", "--out", out / "index.pgidx"],
         [*run, "--mode", "vanilla", "--shots", 0, "--out", vanilla],
         [*run, "--mode", "retrieval", "--shots", 0, "--index", out / "index.pgidx",
@@ -136,7 +141,16 @@ def demo_and_chain(tmp: Path) -> tuple[Path, Path]:
         ["route", "--dataset", data, "--policy", policy, "--out", out / "decisions.jsonl"],
         ["savings", "--dataset", data, "--vanilla", vanilla, "--retrieval", retrieval,
          "--policy", policy, "--out", out / "savings.json"],
-    ])
+    ]
+    return [[str(a) for a in step] for step in steps]
+
+
+def demo_and_chain(tmp: Path) -> tuple[Path, Path]:
+    """The pinned demo under tmp/demo, then, on its dataset and corpus, the
+    oracle CLI chain under tmp/cli."""
+    demo, out = tmp / "demo", tmp / "cli"
+    run_steps([[*DEMO_ARGV, "--out", demo]])
+    run_steps(chain_steps(demo, out))
     return demo, out
 
 
@@ -292,12 +306,23 @@ def installed_popgate(argv: list[str]) -> None:
     subprocess.run(["popgate", *argv], check=True)
 
 
+def installed_chain(demo: Path) -> dict[str, str]:
+    """Digests of the oracle CLI chain over the demo in `demo`, each step run
+    by the installed `popgate` console script in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in chain_steps(demo, Path(tmp)):
+            installed_popgate(argv)
+        return digests(Path(tmp))
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "--build-inputs":
         write_build_inputs(Path(sys.argv[2]))
         sys.exit(0)
     if sys.argv[1] == "--fetch-popularity":
         kind, actual = "fetch-popularity", fetch_popularity(Path(sys.argv[2]), installed_popgate)
+    elif sys.argv[1] == "--chain":
+        kind, actual = "cli", installed_chain(Path(sys.argv[2]))
     elif sys.argv[1] == "--build":
         kind, actual = "build", digests(Path(sys.argv[2]))
     else:

@@ -50,6 +50,31 @@ def test_dataset_and_retriever_import_leave_http_and_pool_out():
     assert loaded_after("from popgate import dataset, retriever") == []
 
 
+# What setup (read a dataset, load an index) imports without running.
+SETUP_UNUSED = ("hashlib", "logging", "statistics", "csv", "popgate.evaluation")
+
+
+def test_setup_imports_load_only_what_setup_runs(tmp_path):
+    # Compared with a bare interpreter: `site` may load some of these itself.
+    bare = loaded_after("pass", SETUP_UNUSED)
+    assert set(loaded_after("from popgate import dataset, retriever", SETUP_UNUSED)) == set(bare)
+    code = f"""
+from popgate import dataset, retriever
+from popgate import evaluation, util
+digest = util.sha256_hex("a")
+assert digest == "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb", digest
+examples = [dataset.QAExample(f"q{{i}}", "Q?", frozenset({{"A"}}), f"s{{i}}", "S", "director",
+                              popularity=10 ** i) for i in range(3)]
+records = [evaluation.PredictionRecord(ex.id, "vanilla", "A" if i else "B", bool(i))
+           for i, ex in enumerate(examples)]
+assert evaluation.popularity_correlation(records, examples)["director"] > 0.8
+report = evaluation.evaluate_run(records, examples, min_bin_n=1)
+evaluation.write_report(report, {str(tmp_path)!r})
+"""
+    assert {"hashlib", "statistics", "csv"} <= set(loaded_after(code, SETUP_UNUSED))
+    assert (tmp_path / "report_per_relation.csv").read_text().startswith("relation,n,")
+
+
 def test_offline_cli_pipeline_leaves_http_and_pool_out(tmp_path):
     examples = synthetic_examples(40)
     dataset = tmp_path / "dataset.jsonl"

@@ -468,13 +468,20 @@ def with_completion(**changes):
     return corrupt
 
 
+def with_request(**changes):
+    """A cache-entry corruption that sets request fields of the entry."""
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
 class TestCorruptCompletionCache:
     @pytest.mark.parametrize(
         "corrupt",
         [lambda text: text[: len(text) // 2], lambda text: '{"completion": {"txt": 1}}',
          lambda text: "[" * 100_000 + "]" * 100_000, with_completion(text=5),
          with_completion(prompt_tokens=2.5), with_completion(completion_tokens=True),
-         with_completion(latency_ms=-1), with_completion(latency_ms=None)],
+         with_completion(latency_ms=-1), with_completion(latency_ms=None),
+         with_request(prompt="bye"), with_request(model="other-model"),
+         with_request(endpoint="http://elsewhere")],
     )
     def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
         with completions_server(lambda prompt: "fresh answer") as server:
@@ -489,3 +496,22 @@ class TestCorruptCompletionCache:
         entry = json.loads(path.read_text(encoding="utf-8"))
         assert Completion(**entry["completion"]) == completion
         assert [r for r in caplog.records if str(path) in r.getMessage()]
+
+    def test_entry_of_another_prompt_is_refetched_once(self, tmp_path, caplog):
+        with completions_server(lambda prompt: f"re: {prompt}") as server:
+            config = make_endpoint(server.base_url, tmp_path / "cache")
+            client = CompletionClient(config)
+            client.complete("first")
+            client.complete("second")
+            path = tmp_path / "cache" / f"{completion_cache_key(config, 'second')}.json"
+            other = tmp_path / "cache" / f"{completion_cache_key(config, 'first')}.json"
+            path.write_bytes(other.read_bytes())
+            with caplog.at_level("WARNING", logger="popgate.lm"):
+                first = CompletionClient(config).complete("second")
+                again = CompletionClient(config).complete("second")
+            assert len(server.requests) == 3
+        assert first.text == "re: second"
+        assert again == first
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and str(path) in warnings[0]
+        assert "prompt differs" in warnings[0]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from popgate.errors import ProtocolError, TransportError, ValidationError
 from popgate.popularity import PageviewsClient, PageviewsConfig, PopularityRecord
+from popgate.util import sha256_hex
 
 from conftest import make_example
 from mockserver import MockServer, pageviews_server
@@ -147,13 +148,20 @@ def with_record(**changes):
     return lambda text: json.dumps({**json.loads(text), **changes})
 
 
+def entry_path(cache, title: str, month: str = "2022-12"):
+    """The cache file of a (title, month) page-view entry."""
+    key = sha256_hex(f"{title}\x00{month}")[:24]
+    return cache / f"{key}.json"
+
+
 class TestCorruptPageviewsCache:
     @pytest.mark.parametrize(
         "corrupt",
         [lambda text: text[: len(text) // 2], lambda text: '{"title": "Black"}',
          lambda text: "[" * 100_000 + "]" * 100_000, with_record(views=True),
          with_record(views=2.5), with_record(missing="no"), with_record(entity_title=5),
-         with_record(fetched_at=None), with_record(views=-1)],
+         with_record(fetched_at=None), with_record(views=-1),
+         with_record(entity_title="White"), with_record(month="2022-11")],
     )
     def test_corrupt_entry_is_refetched_and_replaced(self, tmp_path, caplog, corrupt):
         with pageviews_server({"Black": 10000}) as server:
@@ -172,3 +180,26 @@ class TestCorruptPageviewsCache:
         assert record.views == 10000
         assert PopularityRecord(**json.loads(path.read_text(encoding="utf-8"))) == record
         assert [r for r in caplog.records if str(path) in r.getMessage()]
+
+    def test_entry_of_another_title_is_refetched_once(self, tmp_path, caplog):
+        with pageviews_server({"C++": 7, "Who?": 9}) as server:
+            config = PageviewsConfig(
+                base_url=server.base_url,
+                cache_dir=tmp_path / "cache",
+                requests_per_second=None,
+                backoff_s=0.01,
+            )
+            client = PageviewsClient(config)
+            client.fetch("C++", "2022-12")
+            client.fetch("Who?", "2022-12")
+            path = entry_path(tmp_path / "cache", "Who?")
+            path.write_bytes(entry_path(tmp_path / "cache", "C++").read_bytes())
+            with caplog.at_level("WARNING", logger="popgate.popularity"):
+                first = PageviewsClient(config).fetch("Who?", "2022-12")
+                again = PageviewsClient(config).fetch("Who?", "2022-12")
+            assert len(server.requests) == 3
+        assert (first.entity_title, first.views) == ("Who?", 9)
+        assert again == first
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and str(path) in warnings[0]
+        assert "entity_title differs" in warnings[0]

@@ -83,6 +83,12 @@ class TestBuildIndex:
         with pytest.raises(ValidationError):
             Passage("d1", "t", "")
 
+    @pytest.mark.parametrize("field", ["doc_id", "title", "text"])
+    def test_non_string_field_rejected(self, field):
+        values = {"doc_id": "d1", "title": "t", "text": "x", field: 5}
+        with pytest.raises(ValidationError, match=f"passage .*: {field} is not a string"):
+            Passage(**values)
+
 
 WORDS = ("aa", "bb", "cc")
 UNIVERSAL = "the"
@@ -176,16 +182,21 @@ class TestSearch:
 
     @settings(max_examples=300, deadline=None)
     @given(tie_heavy_cases())
-    def test_pruned_top_k_matches_brute_force_for_every_k(self, case):
+    def test_pruned_top_k_matches_brute_force_for_every_k(self, tmp_path_factory, case):
         passages, query, k1, b = case
         index = build_index(passages, k1=k1, b=b)
+        path = tmp_path_factory.getbasetemp() / "pruned.pgidx"
+        save_index(index, path)
+        loaded = load_index(path)
         expected = brute_force_bm25(passages, query, k1, b)
         ranking = bm25_ranking(passages, query, k1, b)
         for k in range(1, len(passages) + 1):
             hits = index.search(query, k=k)
             assert [h.doc_id for h in hits] == ranking[:k]
             assert [h.score for h in hits] == [expected[doc_id] for doc_id in ranking[:k]]
+            assert loaded.search(query, k=k) == hits
             assert index.search(" ".join(UNKNOWN), k=k) == []
+            assert loaded.search(" ".join(UNKNOWN), k=k) == []
 
     def test_new_doc_without_query_terms_never_becomes_a_hit(self):
         # Adding a document does shift BM25 scores (N and avgdl change), but it
@@ -346,6 +357,50 @@ class TestSerialization:
         path.write_bytes(join_v2(header, arrays))
         with pytest.raises(IndexFormatError, match="out of range"):
             load_index(path)
+
+    def test_bounds_are_computed_on_a_terms_first_search(self, tmp_path):
+        path = tmp_path / "bounds.pgidx"
+        save_index(build_index(small_corpus()), path)
+        loaded = load_index(path)
+        assert loaded._bounds == {}
+        loaded.search("cat cat zebra", k=1)
+        assert set(loaded._bounds) == {"cat"}
+        loaded.search("the dog", k=2)
+        assert set(loaded._bounds) == {"cat", "the", "dog"}
+        start, end = loaded._postings["cat"]
+        assert loaded._bounds["cat"] == max(loaded._impacts[start:end])
+
+    def test_posting_list_that_does_not_ascend(self, tmp_path, capsys):
+        passages = [
+            Passage("d0", "", "apple pie and more words here"),
+            Passage("d1", "", "apple apple"),
+            Passage("d2", "", "pear"),
+            Passage("d3", "", "apple with a long tail of other words in it"),
+            Passage("d4", "", "plum"),
+        ]
+        path = tmp_path / "swapped.pgidx"
+        save_index(build_index(passages), path)
+        assert [h.doc_id for h in load_index(path).search("apple", k=3)] == ["d1", "d0", "d3"]
+        header, arrays = split_v2(path.read_bytes())
+        at = 4 * sum(header["lengths"][: header["terms"].index("apple")])
+        first, second = arrays[at : at + 4], arrays[at + 4 : at + 8]
+        path.write_bytes(join_v2(header, arrays[:at] + second + first + arrays[at + 8 :]))
+        loaded = load_index(path)  # load reads no posting list
+        assert loaded.search("pear", k=1)[0].doc_id == "d2"
+        with pytest.raises(IndexFormatError, match="swapped.pgidx.*'apple'"):
+            loaded.search("apple pie", k=3)
+        dataset = tmp_path / "dataset.jsonl"
+        write_jsonl(dataset, [{"id": "S0:director", "question": "Who was the director of apple?",
+                               "answers": ["pie"], "subj": "apple", "subj_id": "S0",
+                               "relation": "director", "popularity": 100}])
+        out = tmp_path / "run.jsonl"
+        capsys.readouterr()
+        code = main(["run", "--dataset", str(dataset), "--mode", "retrieval", "--oracle",
+                     "--shots", "0", "--index", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "apple" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_every_truncation_is_an_index_format_error(self, tmp_path, capsys, version):

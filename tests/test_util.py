@@ -64,8 +64,8 @@ class TestJsonCacheThrough:
         cache = JsonCache(tmp_path / "c", lambda entry: entry["v"], self.LOGGER)
         fetched = []
         fetch = lambda: fetched.append(1) or "é"
-        assert cache.through("k", fetch, lambda v: {"v": v, "a": 1}) == "é"
-        assert cache.through("k", fetch, lambda v: {"v": v, "a": 1}) == "é"
+        assert cache.through("k", {"a": 1}, fetch, lambda v: {"v": v, "a": 1}) == "é"
+        assert cache.through("k", {"a": 1}, fetch, lambda v: {"v": v, "a": 1}) == "é"
         assert fetched == [1]
         assert (tmp_path / "c" / "k.json").read_bytes() == '{"a": 1, "v": "é"}'.encode()
 
@@ -73,7 +73,7 @@ class TestJsonCacheThrough:
         monkeypatch.chdir(tmp_path)
         cache = JsonCache(None, lambda entry: entry, self.LOGGER)
         calls = iter(range(5))
-        assert [cache.through("k", lambda: next(calls), dict) for _ in "ab"] == [0, 1]
+        assert [cache.through("k", {}, lambda: next(calls), dict) for _ in "ab"] == [0, 1]
         assert list(tmp_path.iterdir()) == []
 
 
