@@ -279,14 +279,18 @@ class RepeatOutcome:
 @dataclass
 class TuneResult:
     policy: ThresholdPolicy
-    mean_test_accuracy: float
     repeat_outcomes: list[RepeatOutcome]
-    # The tuning settings and mean test accuracy, as saved with the policy.
-    metadata: dict
+    # The tuning settings, saved with the policy beside the mean test accuracy.
+    settings: dict
+    # What `tune` prints: the mean test accuracy and, over all questions, the
+    # refit policy's accuracy, each baseline's and its retrieval fraction.
+    summary: dict
 
     @property
-    def per_repeat_test_accuracies(self) -> list[float]:
-        return [r.test_accuracy for r in self.repeat_outcomes]
+    def metadata(self) -> dict:
+        """The tuning settings and mean test accuracy, as saved with the policy."""
+        mean = self.summary["mean_test_adaptive_accuracy"]
+        return {**self.settings, "mean_test_adaptive_accuracy": mean}
 
 
 def tune_thresholds(
@@ -302,13 +306,15 @@ def tune_thresholds(
     Each repeat assigns `split_fraction` of every relation's questions to a
     tuning split (the rest to test), fits thresholds on the tuning split, and
     records test-split adaptive accuracy. The returned policy is refit on the
-    full dataset; the mean of the per-repeat test accuracies is reported
-    alongside it.
+    full dataset and takes its `retrieval_mode` from the augmented run; the
+    mean of the per-repeat test accuracies is reported alongside it.
     """
     if not 0 < split_fraction < 1:
         raise ValidationError("split_fraction must be in (0, 1)")
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    if not dataset:
+        raise ValidationError("cannot tune thresholds on an empty dataset")
     grouped: dict[str, list[tuple[QAExample, PredictionRecord, PredictionRecord]]] = {}
     for row in zip(dataset, *join_runs(dataset, vanilla_records, retrieval_records)):
         grouped.setdefault(row[0].relation_type, []).append(row)
@@ -363,21 +369,28 @@ def tune_thresholds(
                 test_accuracy=test_hits / len(test_ids) if test_ids else 0.0,
             )
         )
-    policy = ThresholdPolicy(
-        thresholds={
-            relation: _fit(rows, bytearray([1]) * len(rows.pops))[0]
-            for relation, rows in relations.items()
-        },
-        tuned_on=dataset_fingerprint(dataset),
-    )
-    mean_test = math.fsum(o.test_accuracy for o in outcomes) / len(outcomes)
-    metadata = {
-        "seed": rng_seed,
-        "split_fraction": split_fraction,
-        "repeats": repeats,
-        "mean_test_adaptive_accuracy": mean_test,
+    refit = {
+        relation: _fit(rows, bytearray([1]) * len(rows.pops))
+        for relation, rows in relations.items()
     }
-    return TuneResult(policy, mean_test, outcomes, metadata)
+    policy = ThresholdPolicy(
+        thresholds={relation: threshold for relation, (threshold, _) in refit.items()},
+        tuned_on=dataset_fingerprint(dataset),
+        retrieval_mode=retrieval_records[0].mode,
+    )
+    n = len(dataset)
+    summary = {
+        "mean_test_adaptive_accuracy": math.fsum(o.test_accuracy for o in outcomes) / repeats,
+        "full_fit_adaptive_accuracy": sum(hits for _, hits in refit.values()) / n,
+        "vanilla_accuracy": sum(rows.hits[0] for rows in relations.values()) / n,
+        "retrieval_accuracy": sum(rows.hits[-1] for rows in relations.values()) / n,
+        "retrieval_fraction": sum(
+            bisect_left(rows.pops, threshold)
+            for rows, (threshold, _) in zip(relations.values(), refit.values())
+        ) / n,
+    }
+    settings = {"seed": rng_seed, "split_fraction": split_fraction, "repeats": repeats}
+    return TuneResult(policy, outcomes, settings, summary)
 
 
 def retrieval_fraction(dataset: Sequence[QAExample], policy: ThresholdPolicy) -> float:

@@ -127,8 +127,8 @@ def _cmd_run(args) -> int:
         rng_seed=args.seed,
         genread_instruction=args.config.genread_instruction,
     )
-    count = eval_mod.write_records(records, args.out)
     accuracy = eval_mod.overall_accuracy(records)
+    count = eval_mod.write_records(records, args.out)
     logger.info(
         "mode=%s accuracy=%.4f over %d questions -> %s", args.mode, accuracy, count, args.out
     )
@@ -191,27 +191,15 @@ def _cmd_tune(args) -> int:
         rng_seed=args.seed,
     )
     result.policy.save(args.out, metadata=result.metadata)
-    full_fit = adaptive_mod.adaptive_accuracy(vanilla, retrieval, examples, result.policy)
+    summary = result.summary
     logger.info(
         "tuned %d relations: mean test adaptive accuracy %.4f, full-fit %.4f -> %s",
         len(result.policy.thresholds),
-        result.mean_test_accuracy,
-        full_fit,
+        summary["mean_test_adaptive_accuracy"],
+        summary["full_fit_adaptive_accuracy"],
         args.out,
     )
-    print(
-        dumps_stable(
-            {
-                "mean_test_adaptive_accuracy": result.mean_test_accuracy,
-                "full_fit_adaptive_accuracy": full_fit,
-                "vanilla_accuracy": eval_mod.overall_accuracy(vanilla),
-                "retrieval_accuracy": eval_mod.overall_accuracy(retrieval),
-                "retrieval_fraction": adaptive_mod.retrieval_fraction(
-                    examples, result.policy
-                ),
-            }
-        )
-    )
+    print(dumps_stable(summary))
     return 0
 
 
@@ -227,8 +215,10 @@ def _cmd_route(args) -> int:
         }
         for ex in examples
     ]
+    if not rows:
+        raise ValidationError("cannot compute retrieval fraction of an empty dataset")
+    fraction = sum(row["decision"] == adaptive_mod.RETRIEVE for row in rows) / len(rows)
     count = write_jsonl(args.out, rows)
-    fraction = adaptive_mod.retrieval_fraction(examples, policy)
     logger.info("routed %d questions (retrieval fraction %.3f) -> %s", count, fraction, args.out)
     return 0
 

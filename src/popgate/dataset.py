@@ -67,7 +67,6 @@ class KnowledgeTriple:
     subject_label: str
     subject_aliases: frozenset[str]
     relation_type: str
-    object_ids: frozenset[str]
     object_labels_and_aliases: frozenset[str]
 
     def __post_init__(self):
@@ -292,7 +291,6 @@ def triple_from_row(row: dict) -> KnowledgeTriple:
     if not isinstance(objects, list):
         raise ValidationError(_NOT_OBJECTS)
     labels: set[str] = set()
-    ids: set[str] = set()
     for obj in objects:
         if not (
             isinstance(obj, dict)
@@ -301,7 +299,6 @@ def triple_from_row(row: dict) -> KnowledgeTriple:
             and _is_strings(obj.get("aliases", []))
         ):
             raise ValidationError(_NOT_OBJECTS)
-        ids.add(obj["id"])
         labels.add(obj["label"])
         labels.update(obj.get("aliases", []))
     return KnowledgeTriple(
@@ -309,7 +306,6 @@ def triple_from_row(row: dict) -> KnowledgeTriple:
         subject_label=row["subj"],
         subject_aliases=frozenset(subj_aliases),
         relation_type=row["relation"],
-        object_ids=frozenset(ids),
         object_labels_and_aliases=frozenset(l for l in labels if l),
     )
 

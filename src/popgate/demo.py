@@ -11,25 +11,16 @@ beats both always-retrieving and never-retrieving.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adaptive import (
-    CostModel,
-    adaptive_accuracy,
-    cost_report,
-    retrieval_fraction,
-    routed_records,
-    tune_thresholds,
-)
+from .adaptive import CostModel, cost_report, routed_records, tune_thresholds
 from .dataset import (
     KnowledgeTriple,
     QAExample,
     RELATIONS,
     default_templates,
-    sample_triples,
     verbalize,
     write_dataset,
 )
@@ -37,7 +28,6 @@ from .evaluation import (
     EvalReport,
     evaluate_run,
     join_runs,
-    overall_accuracy,
     quadrant_analysis,
     write_records,
     write_report,
@@ -51,6 +41,7 @@ HIGH_POP_HIT_RATE = 0.35
 _MIN_LOG10_POP = 1.0
 _MAX_LOG10_POP = 6.0
 _DEMO_MIN_BIN_N = 20
+_ORACLE = OracleParams()
 
 
 @dataclass
@@ -59,54 +50,39 @@ class SyntheticWorld:
     passages: list[Passage]
 
 
-def generate_world(
-    seed: int | str,
-    size: int = DEMO_SIZE,
-    pop_boundary: float = 3.5,
-) -> SyntheticWorld:
+def generate_world(seed: int | str, size: int = DEMO_SIZE) -> SyntheticWorld:
     """Build `size` synthetic questions plus a one-passage-per-subject corpus.
 
     Each subject gets a unique label token so BM25 retrieves its own passage;
     whether that passage contains the gold answer is a popularity-dependent
-    coin flip (LOW_POP_HIT_RATE below pop_boundary, HIGH_POP_HIT_RATE above).
+    coin flip (LOW_POP_HIT_RATE below the oracle LM's popularity midpoint `b`,
+    HIGH_POP_HIT_RATE above).
     """
     rng = random.Random(f"demo\x00{seed}")
-    triples = []
-    for i in range(size):
-        relation = RELATIONS[i % len(RELATIONS)]
-        subject = f"Topic{i:05d}"
-        answer = f"Fact{i:05d}"
-        triples.append(
-            KnowledgeTriple(
-                subject_id=f"S{i:05d}",
-                subject_label=subject,
-                subject_aliases=frozenset({subject}),
-                relation_type=relation,
-                object_ids=frozenset({f"O{i:05d}"}),
-                object_labels_and_aliases=frozenset({answer}),
-            )
-        )
-    # Uniform acceptance (frequency pinned above the rejection ceiling) keeps
-    # the question count exact while still exercising the sampling stage.
-    sampled = sample_triples(
-        triples, lambda t: math.e**2, per_relation_cap=size, rng_seed=seed
-    )
     templates = default_templates()
     examples = []
     passages = []
-    for triple in sampled:
+    for i in range(size):
+        subject = f"Topic{i:05d}"
+        answer = f"Fact{i:05d}"
+        triple = KnowledgeTriple(
+            subject_id=f"S{i:05d}",
+            subject_label=subject,
+            subject_aliases=frozenset({subject}),
+            relation_type=RELATIONS[i % len(RELATIONS)],
+            object_labels_and_aliases=frozenset({answer}),
+        )
         example = verbalize(triple, templates)
         log10_pop = rng.uniform(_MIN_LOG10_POP, _MAX_LOG10_POP)
         example = example.with_popularity(round(10.0**log10_pop))
-        rare = example.log10_popularity < pop_boundary
+        rare = example.log10_popularity < _ORACLE.b
         hit_rate = LOW_POP_HIT_RATE if rare else HIGH_POP_HIT_RATE
-        answer = sorted(example.gold_answers)[0]
         detail = answer if rng.random() < hit_rate else "unverified"
         passages.append(
             Passage(
                 doc_id=f"D-{triple.subject_id}",
-                title=triple.subject_label,
-                text=f"{triple.subject_label} dossier entry. {detail}.",
+                title=subject,
+                text=f"{subject} dossier entry. {detail}.",
             )
         )
         examples.append(example)
@@ -119,23 +95,19 @@ def run_demo(
     size: int = DEMO_SIZE,
     repeats: int = 100,
     split_fraction: float = 0.75,
-    oracle: OracleParams | None = None,
-    cost_model: CostModel | None = None,
 ) -> EvalReport:
     """Run the full synthetic pipeline and write every artifact under out_dir."""
-    oracle = oracle or OracleParams()
-    cost_model = cost_model or CostModel()
     out_dir = Path(out_dir)
-    world = generate_world(seed, size=size, pop_boundary=oracle.b)
+    world = generate_world(seed, size=size)
     dataset = world.examples
     index = build_index(world.passages)
 
-    vanilla = run_predictions(dataset, "vanilla", oracle=oracle, rng_seed=seed)
+    vanilla = run_predictions(dataset, "vanilla", oracle=_ORACLE, rng_seed=seed)
     retrieval = run_predictions(
-        dataset, "retrieval", oracle=oracle, index=index, rng_seed=seed
+        dataset, "retrieval", oracle=_ORACLE, index=index, rng_seed=seed
     )
     tuned = tune_thresholds(vanilla, retrieval, dataset, split_fraction, repeats, rng_seed=seed)
-    policy = tuned.policy
+    policy, summary = tuned.policy, tuned.summary
 
     report = evaluate_run(
         routed_records(*join_runs(dataset, vanilla, retrieval), dataset, policy),
@@ -143,16 +115,16 @@ def run_demo(
         min_bin_n=_DEMO_MIN_BIN_N,
     )
     report.quadrants = quadrant_analysis(vanilla, retrieval, dataset)
-    report.retrieval_fraction = retrieval_fraction(dataset, policy)
-    report.cost = cost_report(vanilla, retrieval, dataset, policy, cost_model)
+    report.retrieval_fraction = summary["retrieval_fraction"]
+    report.cost = cost_report(vanilla, retrieval, dataset, policy, CostModel())
     report.baselines = {
-        "vanilla": overall_accuracy(vanilla),
-        "retrieval": overall_accuracy(retrieval),
+        "vanilla": summary["vanilla_accuracy"],
+        "retrieval": summary["retrieval_accuracy"],
     }
     report.adaptive = {
         **tuned.metadata,
-        "full_fit_adaptive_accuracy": adaptive_accuracy(vanilla, retrieval, dataset, policy),
-        "per_repeat_test_accuracies": tuned.per_repeat_test_accuracies,
+        "full_fit_adaptive_accuracy": summary["full_fit_adaptive_accuracy"],
+        "per_repeat_test_accuracies": [o.test_accuracy for o in tuned.repeat_outcomes],
         "thresholds": policy.to_dict()["thresholds"],
     }
 

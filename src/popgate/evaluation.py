@@ -2,15 +2,14 @@
 
 A prediction counts as correct when some gold answer occurs as a contiguous
 substring of the prediction after light normalization (Unicode NFKC,
-lowercasing, whitespace collapsing). A strict mode with no normalization is
-available behind a flag.
+lowercasing, whitespace collapsing).
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,16 +26,12 @@ DEFAULT_MIN_BIN_N = 40
 MODES = ("vanilla", "retrieval", "genread")
 
 
-def is_correct(prediction: str, gold_answers: Iterable[str], strict: bool = False) -> bool:
-    """True iff some gold answer is a substring of the prediction.
-
-    Both sides are normalized unless strict=True, which compares raw strings.
-    """
+def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:
+    """True iff some normalized gold answer is a substring of the normalized
+    prediction."""
     golds = list(gold_answers)
     if not golds:
         raise ValidationError("is_correct needs a non-empty gold answer set")
-    if strict:
-        return any(g in prediction for g in golds)
     pred = normalize_text(prediction)
     return any(g in pred for g in (normalize_text(g) for g in golds) if g)
 
@@ -269,15 +264,13 @@ def _binned_accuracy(
 
 @dataclass(frozen=True)
 class QuadrantCell:
-    """One cell of the quadrant table; fields in CSV column order. The
-    question ids are no column."""
+    """One cell of the quadrant table; fields in CSV column order."""
 
     lm_correct: bool
     retrieval_correct: bool
     fraction: float
     mean_recall1: float | None
     n: int
-    question_ids: tuple[str, ...] = field(repr=False, default=(), metadata={"column": False})
 
 
 QuadrantTable = dict[tuple[bool, bool], QuadrantCell]
@@ -297,21 +290,20 @@ def quadrant_analysis(
     lacking = sorted(rec.question_id for rec in ret if rec.retrieval_recall1 is None)
     if lacking:
         raise ValidationError(f"retrieval records without recall@1: {lacking[:10]}")
-    cells: dict[tuple[bool, bool], list[PredictionRecord]] = {
+    # The recall@1 of each cell's retrieval records.
+    cells: dict[tuple[bool, bool], list[bool]] = {
         (v, r): [] for v in (True, False) for r in (True, False)
     }
     for v, r in zip(van, ret):
-        cells[(v.correct, r.correct)].append(r)
+        cells[(v.correct, r.correct)].append(r.retrieval_recall1)
     total = len(dataset)
     table: QuadrantTable = {}
-    for key, recs in cells.items():
-        recalls = [rec.retrieval_recall1 for rec in recs]
+    for key, recalls in cells.items():
         table[key] = QuadrantCell(
             *key,
-            fraction=len(recs) / total,
+            fraction=len(recalls) / total,
             mean_recall1=(sum(recalls) / len(recalls)) if recalls else None,
-            n=len(recs),
-            question_ids=tuple(rec.question_id for rec in recs),
+            n=len(recalls),
         )
     return table
 
@@ -345,7 +337,7 @@ _KEY_COLUMNS = ("relation", "lm_correct", "retrieval_correct")
 
 def _columns(row_class: type) -> list[str]:
     """A report table's CSV header: its row class's fields, in order."""
-    return [f.name for f in fields(row_class) if f.metadata.get("column", True)]
+    return [f.name for f in fields(row_class)]
 
 
 def _values(row) -> dict:

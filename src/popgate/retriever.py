@@ -10,9 +10,9 @@ contribution to that document's score). Search is an exact top-k that uses
 each term's largest impact as an upper bound (MaxScore, Turtle & Flood 1995)
 to stop reading posting lists once no unseen document can reach the k-th
 score; survivors are then rescored exactly, so scores are bit-identical to a
-full scan that sums impacts in query-token order. A term's bound is computed
-the first time a search reads the term, so loading an index does no work per
-term.
+full scan that sums impacts in query-token order. A term's bound, and the
+check of its document positions, are computed the first time a search reads
+the term, so loading an index does no work per term or posting.
 """
 
 from __future__ import annotations
@@ -169,15 +169,18 @@ class Bm25Index:
     def _bound(self, term: str) -> float:
         """The term's largest impact, computed and kept on its first read;
         threads that race on that read store the same value. A term whose
-        document positions do not strictly ascend, as a corrupt file can
-        hold, raises IndexFormatError: search looks them up by bisection."""
+        document positions do not strictly ascend within [0, doc_count), as
+        a corrupt file can hold, raises IndexFormatError: search looks them
+        up by bisection and indexes documents by them. With ascent, the first
+        and last position bound the rest."""
         bound = self._bounds.get(term)
         if bound is None:
             start, end = self._postings[term]
             docs = self._docs[start:end]
-            if not all(map(lt, docs, docs[1:])):
+            if not (0 <= docs[0] and docs[-1] < self.doc_count and all(map(lt, docs, docs[1:]))):
                 raise IndexFormatError(
-                    f"{self._path}: document positions of term {term!r} do not ascend"
+                    f"{self._path}: document positions of term {term!r} do not ascend "
+                    f"within [0, {self.doc_count})"
                 )
             bound = self._bounds[term] = max(self._impacts[start:end])
         return bound
@@ -302,7 +305,9 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 def load_index(path: str | Path) -> Bm25Index:
     """Read an index saved by `save_index`. Format v2 posting lists are read
     back as stored; a format v1 file (passages only) is reindexed. A
-    truncated or inconsistent file raises IndexFormatError naming the path."""
+    truncated or inconsistent file raises IndexFormatError naming the path;
+    for document positions in a posting list, the first search that reads
+    the list raises it."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(INDEX_MAGIC):
@@ -389,8 +394,6 @@ def _load_v2(path, body) -> Bm25Index:
     if sys.byteorder == "big":
         docs.byteswap()
         impacts.byteswap()
-    if docs and not 0 <= min(docs) <= max(docs) < len(passages):
-        raise IndexFormatError(f"{path}: document position out of range")
     postings = dict(zip(terms, zip(offsets, offsets[1:])))
     if len(postings) != len(terms):
         raise IndexFormatError(f"{path}: duplicate term in header")

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -49,10 +48,12 @@ def dumps_stable(obj: Any) -> str:
 @contextmanager
 def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """Binary file handle on a temp file in the same directory; renamed into
-    place when the block exits normally, removed when it raises."""
+    place when the block exits normally, removed when it raises. The file is
+    created with mode 0o666 less the umask, as `open` creates one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -13,7 +13,6 @@ def make_triple(i: int, relation: str = "director", objects: tuple[str, ...] = (
         subject_label=f"Subject{i:05d}",
         subject_aliases=frozenset({f"Subject{i:05d}"}),
         relation_type=relation,
-        object_ids=frozenset(f"O{i:05d}-{j}" for j in range(len(objects))),
         object_labels_and_aliases=frozenset(objects),
     )
 

@@ -281,7 +281,7 @@ class TestTuneThresholds:
         a = tune_thresholds(vanilla, retrieval, dataset, repeats=7, rng_seed=9)
         b = tune_thresholds(vanilla, retrieval, dataset, repeats=7, rng_seed=9)
         assert a.policy == b.policy
-        assert a.mean_test_accuracy == b.mean_test_accuracy
+        assert a.summary == b.summary
         assert [o.tuning_ids for o in a.repeat_outcomes] == [
             o.tuning_ids for o in b.repeat_outcomes
         ]
@@ -401,6 +401,21 @@ def adjacent_floats(start: float, n: int) -> list[float]:
 POPULARITIES = adjacent_floats(0.0, 7) + adjacent_floats(2.5, 7) + [1.0, 3.0, 4.75, 6.0]
 
 
+def log_pop_case(rows):
+    """Dataset and both runs of (id, relation, log10 popularity, vanilla
+    correct, retrieval correct) rows."""
+    dataset = [
+        LogPopExample(
+            id=qid, question="q?", gold_answers=frozenset({"a"}), subject_id=qid,
+            subject_label=qid, relation_type=rel, popularity=1, log_pop=pop,
+        )
+        for qid, rel, pop, _, _ in rows
+    ]
+    vanilla = [record(qid, van) for qid, _, _, van, _ in rows]
+    retrieval = [record(qid, ret, mode="retrieval") for qid, _, _, _, ret in rows]
+    return dataset, vanilla, retrieval
+
+
 @st.composite
 def tuning_cases(draw):
     sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
@@ -410,22 +425,7 @@ def tuning_cases(draw):
             pop = draw(st.sampled_from(POPULARITIES))
             van, ret = draw(st.booleans()), draw(st.booleans())
             rows.append((f"Q{r}-{j}:rel{r}", f"rel{r}", pop, van, ret))
-    rows = draw(st.permutations(rows))
-    dataset = [
-        LogPopExample(
-            id=qid,
-            question="q?",
-            gold_answers=frozenset({"a"}),
-            subject_id=qid,
-            subject_label=qid,
-            relation_type=rel,
-            popularity=1,
-            log_pop=pop,
-        )
-        for qid, rel, pop, _, _ in rows
-    ]
-    vanilla = [record(qid, van) for qid, _, _, van, _ in rows]
-    retrieval = [record(qid, ret, mode="retrieval") for qid, _, _, _, ret in rows]
+    dataset, vanilla, retrieval = log_pop_case(draw(st.permutations(rows)))
     split = draw(st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.9]))
     return dataset, vanilla, retrieval, split, draw(st.integers(1, 4)), draw(st.integers(0, 99))
 
@@ -459,7 +459,7 @@ class TestTuneEquivalence:
             vanilla, retrieval, dataset, split, repeats, seed
         )
         assert result.policy.thresholds == final
-        assert result.mean_test_accuracy == mean_test
+        assert result.summary["mean_test_adaptive_accuracy"] == mean_test
         assert len(result.repeat_outcomes) == len(outcomes)
         for got, (thresholds, tuning, test, tuning_acc, test_acc) in zip(
             result.repeat_outcomes, outcomes
@@ -482,6 +482,60 @@ class TestTuneEquivalence:
         # wrongly score 2.
         entries = [(lo, False, True), (hi, True, False)]
         assert full_fit(entries) == reference_choose_threshold(entries) == (NEG_INF, 1)
+
+
+class TestTuneSummary:
+    """The figures `tune_thresholds` reports equal, bit for bit, what the
+    scorers compute for its refit policy."""
+
+    def check(self, dataset, vanilla, retrieval, **kwargs):
+        result = tune_thresholds(vanilla, retrieval, dataset, **kwargs)
+        assert result.summary == {
+            "mean_test_adaptive_accuracy": math.fsum(
+                o.test_accuracy for o in result.repeat_outcomes
+            ) / len(result.repeat_outcomes),
+            "full_fit_adaptive_accuracy": adaptive_accuracy(
+                vanilla, retrieval, dataset, result.policy
+            ),
+            "vanilla_accuracy": overall_accuracy(vanilla),
+            "retrieval_accuracy": overall_accuracy(retrieval),
+            "retrieval_fraction": retrieval_fraction(dataset, result.policy),
+        }
+        assert result.metadata["mean_test_adaptive_accuracy"] == (
+            result.summary["mean_test_adaptive_accuracy"]
+        )
+        return result
+
+    @settings(max_examples=300, deadline=None)
+    @given(tuning_cases())
+    def test_equals_the_scorers_of_the_refit_policy(self, case):
+        """Tied popularities, adjacent floats whose midpoints round down to
+        the lower one, and relations of one row."""
+        dataset, vanilla, retrieval, split, repeats, seed = case
+        self.check(
+            dataset, vanilla, retrieval, split_fraction=split, repeats=repeats, rng_seed=seed
+        )
+
+    def test_infinite_thresholds_and_one_row_relations(self):
+        lo = adjacent_floats(2.5, 2)[0]
+        rows = [
+            ("A0:always", "always", lo, False, True),
+            ("N0:never", "never", lo, True, False),
+            ("N1:never", "never", 6.0, True, True),
+            ("M0:mixed", "mixed", 1.0, False, True),
+            ("M1:mixed", "mixed", lo, True, False),
+            ("M2:mixed", "mixed", math.nextafter(lo, math.inf), True, False),
+        ]
+        result = self.check(*log_pop_case(rows), repeats=3, rng_seed=1)
+        assert result.policy.thresholds == {
+            "always": POS_INF, "never": NEG_INF, "mixed": (1.0 + lo) / 2.0
+        }
+        assert result.summary["retrieval_fraction"] == 2 / 6
+        assert result.summary["full_fit_adaptive_accuracy"] == 1.0
+
+    def test_empty_dataset_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="empty dataset"):
+            tune_thresholds([], [], [])
 
 
 class TestRetrievalFraction:

@@ -201,6 +201,7 @@ class TestRuntimeErrors:
             ({"objects": "x"}, "field 'objects' is not a list of objects"),
             ({"objects": [{"id": 1, "label": "Maker"}]}, "field 'objects' is not a list of objects"),
             ({"objects": [{"id": "O1"}]}, "field 'objects' is not a list of objects"),
+            ({"objects": [{"label": "Maker"}]}, "field 'objects' is not a list of objects"),
             ({"objects": [{"id": "O1", "label": "Maker", "aliases": "M"}]},
              "field 'objects' is not a list of objects"),
             ({"objects": ["O1"]}, "field 'objects' is not a list of objects"),
@@ -262,6 +263,24 @@ class TestRuntimeErrors:
         assert run_cli(["route", "--dataset", dataset, "--policy", policy, "--out", out]) == 1
         assert_one_line_error(capsys, "dataset.jsonl:2: duplicate question id 'S0:director'")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, argv, fragment",
+        [
+            ("run", ["--mode", "vanilla", "--oracle", "--shots", 0],
+             "cannot compute accuracy of an empty record set"),
+            ("route", ["--policy", "policy.json"],
+             "cannot compute retrieval fraction of an empty dataset"),
+        ],
+    )
+    def test_empty_dataset_leaves_no_output(self, tmp_path, capsys, monkeypatch, command, argv,
+                                            fragment):
+        monkeypatch.chdir(tmp_path)
+        Path("dataset.jsonl").write_text("")
+        Path("policy.json").write_text('{"thresholds": {"director": 2.0}}')
+        assert run_cli([command, "--dataset", "dataset.jsonl", *argv, "--out", "out.jsonl"]) == 1
+        assert_one_line_error(capsys, fragment)
+        assert not Path("out.jsonl").exists()
 
     @pytest.mark.parametrize(
         "flags, fragment",
@@ -757,7 +776,9 @@ class TestRunChecks:
         ]
         genread = tmp_path / "run_genread.jsonl"
         write_jsonl(genread, rows)
-        assert run_cli(tune_argv(demo_out, tmp_path / "policy.json", None, genread)) == 0
+        policy = tmp_path / "policy.json"
+        assert run_cli(tune_argv(demo_out, policy, None, genread)) == 0
+        assert json.loads(policy.read_text())["retrieval_mode"] == "genread"
 
     @pytest.mark.parametrize(
         "command, mode, key, value",

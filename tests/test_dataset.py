@@ -82,7 +82,6 @@ class TestVerbalize:
             subject_label="Black",
             subject_aliases=frozenset({"Black"}),
             relation_type="director",
-            object_ids=frozenset({"Q2"}),
             object_labels_and_aliases=frozenset({"Sanjay Leela Bhansali"}),
         )
         example = verbalize(triple, default_templates())
@@ -95,7 +94,6 @@ class TestVerbalize:
             subject_label="Pierre",
             subject_aliases=frozenset({"Pierre"}),
             relation_type="country",
-            object_ids=frozenset({"Q4"}),
             object_labels_and_aliases=frozenset({"United States"}),
         )
         assert verbalize(triple, default_templates()).question == "In what country is Pierre?"
@@ -122,7 +120,6 @@ class TestVerbalize:
             subject_label="[subj]",
             subject_aliases=frozenset(),
             relation_type="director",
-            object_ids=frozenset({"Q2"}),
             object_labels_and_aliases=frozenset({"X"}),
         )
         example = verbalize(triple, {"director": template})
@@ -241,7 +238,6 @@ class TestCorpusTermFrequency:
             subject_label="Ada Lovelace",
             subject_aliases=frozenset({"Ada Lovelace"}),
             relation_type="occupation",
-            object_ids=frozenset({"Q2"}),
             object_labels_and_aliases=frozenset({"mathematician"}),
         )
         assert CorpusTermFrequency(corpus)(triple) == 2.0
@@ -253,7 +249,6 @@ class TestCorpusTermFrequency:
             subject_label="Shakespeare",
             subject_aliases=frozenset({"The Bard"}),
             relation_type="occupation",
-            object_ids=frozenset({"Q2"}),
             object_labels_and_aliases=frozenset({"playwright"}),
         )
         assert CorpusTermFrequency(corpus)(triple) == 2.0
@@ -309,6 +304,5 @@ def name_triple(label: str, aliases=()) -> KnowledgeTriple:
         subject_label=label,
         subject_aliases=frozenset(aliases),
         relation_type="occupation",
-        object_ids=frozenset({"Q2"}),
         object_labels_and_aliases=frozenset({"x"}),
     )

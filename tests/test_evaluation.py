@@ -5,7 +5,7 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from popgate.errors import JoinError, ValidationError
 from popgate.evaluation import (
@@ -68,10 +68,6 @@ class TestIsCorrect:
 
     def test_nfkc_normalization(self):
         assert is_correct("Ｗａｌｔｅｒ Ｗａｎｇｅｒ", {"Walter Wanger"})
-
-    def test_strict_mode_is_byte_exact(self):
-        assert not is_correct("walter wanger", {"Walter Wanger"}, strict=True)
-        assert is_correct("by Walter Wanger.", {"Walter Wanger"}, strict=True)
 
     def test_empty_gold_set_rejected(self):
         with pytest.raises(ValidationError):
@@ -263,8 +259,24 @@ class TestQuadrants:
         table = quadrant_analysis(vanilla, retrieval, dataset)
         assert all(cell.fraction == 0.25 for cell in table.values())
         assert math.fsum(cell.fraction for cell in table.values()) == pytest.approx(1.0, abs=1e-9)
-        covered = {qid for cell in table.values() for qid in cell.question_ids}
-        assert covered == {ex.id for ex in dataset}
+        assert all(cell.n == 1 for cell in table.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=30))
+    def test_cells_match_a_reference_partition(self, flags):
+        dataset = [make_example(i) for i in range(len(flags))]
+        vanilla, retrieval = self.build(dataset, *zip(*flags))
+        partition = {(v, r): [] for v in (True, False) for r in (True, False)}
+        for v, r, recall1 in flags:
+            partition[(v, r)].append(recall1)
+        table = quadrant_analysis(vanilla, retrieval, dataset)
+        assert set(table) == set(partition)
+        for key, recalls in partition.items():
+            cell = table[key]
+            assert (cell.lm_correct, cell.retrieval_correct) == key
+            assert cell.n == len(recalls)
+            assert cell.fraction == len(recalls) / len(dataset)
+            assert cell.mean_recall1 == (sum(recalls) / len(recalls) if recalls else None)
 
     def test_reported_table_shape(self):
         # 10000 questions split 24/10/17/49 percent with per-cell recall@1 of

@@ -251,6 +251,23 @@ def small_corpus() -> list[Passage]:
     ]
 
 
+def assert_retrieval_run_fails(tmp_path, capsys, index, term: str) -> None:
+    """`run --mode retrieval` of a question naming `term` over `index` exits 1
+    with one `error:` line naming the term, and writes no run file."""
+    dataset = tmp_path / "dataset.jsonl"
+    write_jsonl(dataset, [{"id": "S0:director", "question": f"Who was the director of {term}?",
+                           "answers": ["pie"], "subj": term, "subj_id": "S0",
+                           "relation": "director", "popularity": 100}])
+    out = tmp_path / "run.jsonl"
+    capsys.readouterr()
+    code = main(["run", "--dataset", str(dataset), "--mode", "retrieval", "--oracle",
+                 "--shots", "0", "--index", str(index), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and repr(term) in err
+    assert not out.exists()
+
+
 def write_v1_index(passages, k1: float, b: float, path, doc_count: int | None = None) -> None:
     """An index file in format v1: magic, version byte 1, passages as JSON."""
     payload = {
@@ -347,16 +364,20 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match="postings"):
             load_index(path)
 
-    def test_doc_position_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize("term, position", [("ran", 3), ("cat", -1)])
+    def test_doc_position_out_of_range(self, tmp_path, capsys, term, position):
         path = tmp_path / "range.pgidx"
         save_index(build_index(small_corpus()), path)
         header, arrays = split_v2(path.read_bytes())
-        # Doc positions are the first 4 bytes per posting; make the last one 7.
-        end_of_docs = 4 * sum(header["lengths"])
-        arrays = arrays[: end_of_docs - 4] + (7).to_bytes(4, "little") + arrays[end_of_docs:]
+        # Doc positions are the first 4 bytes per posting; set the term's first one.
+        at = 4 * sum(header["lengths"][: header["terms"].index(term)])
+        arrays = arrays[:at] + position.to_bytes(4, "little", signed=True) + arrays[at + 4 :]
         path.write_bytes(join_v2(header, arrays))
-        with pytest.raises(IndexFormatError, match="out of range"):
-            load_index(path)
+        loaded = load_index(path)  # load reads no posting list
+        assert loaded.search("mat", k=1)[0].doc_id == "d1"
+        with pytest.raises(IndexFormatError, match=f"range.pgidx.*'{term}'.*within"):
+            loaded.search(f"the {term}", k=2)
+        assert_retrieval_run_fails(tmp_path, capsys, path, term)
 
     def test_bounds_are_computed_on_a_terms_first_search(self, tmp_path):
         path = tmp_path / "bounds.pgidx"
@@ -389,18 +410,7 @@ class TestSerialization:
         assert loaded.search("pear", k=1)[0].doc_id == "d2"
         with pytest.raises(IndexFormatError, match="swapped.pgidx.*'apple'"):
             loaded.search("apple pie", k=3)
-        dataset = tmp_path / "dataset.jsonl"
-        write_jsonl(dataset, [{"id": "S0:director", "question": "Who was the director of apple?",
-                               "answers": ["pie"], "subj": "apple", "subj_id": "S0",
-                               "relation": "director", "popularity": 100}])
-        out = tmp_path / "run.jsonl"
-        capsys.readouterr()
-        code = main(["run", "--dataset", str(dataset), "--mode", "retrieval", "--oracle",
-                     "--shots", "0", "--index", str(path), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "apple" in err
-        assert not out.exists()
+        assert_retrieval_run_fails(tmp_path, capsys, path, "apple")
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_every_truncation_is_an_index_format_error(self, tmp_path, capsys, version):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 import tempfile
 import threading
 import time
@@ -11,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from popgate.errors import ValidationError
-from popgate.util import JsonCache, atomic_writer, iter_jsonl, map_in_order, read_text
+from popgate.util import (
+    JsonCache,
+    atomic_write_text,
+    atomic_writer,
+    iter_jsonl,
+    map_in_order,
+    read_text,
+)
 
 
 class TestAtomicWriter:
@@ -33,6 +42,30 @@ class TestAtomicWriter:
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"old"
         assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def test_artifacts_and_cache_entries_take_the_umask(tmp_path, umask_022):
+    """Files are created 0o666 less the umask, as `open` creates them, and a
+    rewrite of a 0o644 file leaves it 0o644."""
+    new, rewritten = tmp_path / "policy.json", tmp_path / "report.json"
+    rewritten.write_text("{}")
+    assert stat.S_IMODE(rewritten.stat().st_mode) == 0o644
+    atomic_write_text(new, "{}")
+    atomic_write_text(rewritten, "{}")
+    cache = JsonCache(tmp_path / "cache", lambda entry: entry["v"], logging.getLogger("t"))
+    cache.through("k", {}, lambda: 1, lambda v: {"v": v})
+    for path in (new, rewritten, tmp_path / "cache" / "k.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "policy.json", "report.json"]
 
 
 class TestMapInOrder:
