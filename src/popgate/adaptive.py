@@ -327,6 +327,11 @@ def tune_thresholds(
         )
         for relation, rows in sorted(grouped.items())
     }
+    for relation, rows in relations.items():
+        if not int(len(rows.pops) * split_fraction):
+            logger.warning(
+                "relation %r has no tuning questions; defaulting its threshold to -inf", relation
+            )
     outcomes = []
     for i in range(repeats):
         getrandbits = random.Random(f"{rng_seed}\x00{i}").getrandbits
@@ -347,11 +352,6 @@ def tune_thresholds(
             mask = bytearray(b"\x01") * len(positions)
             for position in test:
                 mask[position] = 0
-            if not k:
-                logger.warning(
-                    "relation %r has no tuning questions; defaulting its threshold to -inf",
-                    relation,
-                )
             threshold, hits = _fit(rows, mask)
             thresholds[relation] = threshold
             tuning_hits += hits

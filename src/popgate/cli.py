@@ -105,27 +105,20 @@ def _cmd_run(args) -> int:
         retriever_mod.load_index(args.index) if args.index and args.mode == "retrieval" else None
     )
 
+    if bool(args.endpoint) == args.oracle:
+        raise ConfigError("--endpoint and --oracle are mutually exclusive" if args.oracle
+                          else "run needs --endpoint CFG or --oracle")
     client = None
-    oracle = None
-    if args.endpoint and args.oracle:
-        raise ConfigError("--endpoint and --oracle are mutually exclusive")
     if args.endpoint:
         client = lm_mod.CompletionClient(load_file(lm_mod.EndpointConfig, args.endpoint))
-    elif args.config.endpoint is not None and not args.oracle:
-        client = lm_mod.CompletionClient(args.config.endpoint)
-    else:
-        if not args.oracle:
-            raise ConfigError("run needs --endpoint CFG or --oracle")
-        oracle = args.config.oracle
     records = lm_mod.run_predictions(
         examples,
         args.mode,
         client=client,
-        oracle=oracle,
+        oracle=lm_mod.OracleParams() if client is None else None,
         index=index,
         shots=args.shots,
         rng_seed=args.seed,
-        genread_instruction=args.config.genread_instruction,
     )
     accuracy = eval_mod.overall_accuracy(records)
     count = eval_mod.write_records(records, args.out)
@@ -224,13 +217,14 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_savings(args) -> int:
+    cost_model = adaptive_mod.CostModel()
     if args.cost_model:
         cost_model = load_file(adaptive_mod.CostModel, args.cost_model)
-    else:
-        cost_model = args.config.cost_model
     examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
+    if adaptive_mod.dataset_fingerprint(examples) == policy.tuned_on:
+        logger.warning("%s was tuned on this dataset, so its savings are in-sample", args.policy)
     report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)
     text = dumps_stable(report)
     if args.out:
@@ -326,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("demo", _cmd_demo, "synthetic end-to-end pipeline")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, default=demo_mod.DEMO_SIZE)
-    p.add_argument("--repeats", type=int, default=100)
-    p.add_argument("--split", type=float, default=0.75)
+    p.add_argument("--repeats", type=int, default=adaptive_mod.DEFAULT_REPEATS)
+    p.add_argument("--split", type=float, default=adaptive_mod.DEFAULT_SPLIT_FRACTION)
     p.add_argument("--out", default="demo-out")
 
     return parser

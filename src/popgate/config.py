@@ -1,10 +1,10 @@
 """Run configuration: one JSON file with per-stage sections.
 
 Each section is a dataclass whose fields are the section's keys, defaults and
-types, and `load_file` decodes a config, endpoint or cost-model file into its
-dataclass. Unknown keys are rejected (with their dotted path) so typos fail
-loudly, and every seed default is an explicit constant, never wall-clock
-derived.
+types, and every key is one a command-line flag also sets (`cli.CONFIG_FLAGS`).
+`load_file` decodes a config, endpoint or cost-model file into its dataclass.
+Unknown keys are rejected (with their dotted path) so typos fail loudly, and
+every seed default is an explicit constant, never wall-clock derived.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, TypeVar
 
-from .adaptive import CostModel
 from .errors import ConfigError, ValidationError
 from .evaluation import MODES
-from .lm import DEFAULT_GENREAD_INSTRUCTION, EndpointConfig, OracleParams
 from .popularity import DEFAULT_PAGEVIEWS_MONTH
 from .retriever import DEFAULT_B, DEFAULT_K1
 from .util import read_json
@@ -74,10 +72,6 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
     bm25: Bm25Section = field(default_factory=Bm25Section)
     pageviews: PageviewsSection = field(default_factory=PageviewsSection)
-    oracle: OracleParams = field(default_factory=OracleParams)
-    endpoint: EndpointConfig | None = None
-    cost_model: CostModel = field(default_factory=CostModel)
-    genread_instruction: str = DEFAULT_GENREAD_INSTRUCTION
 
 
 _TYPE_NAMES = {str: "a string", Path: "a string", int: "an integer", float: "a number",

@@ -247,10 +247,7 @@ def example_from_row(row: dict) -> QAExample:
 
 def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
     """Write examples as JSON Lines; returns the number of lines written."""
-    try:
-        return write_jsonl(path, (example_to_row(e) for e in examples))
-    except OSError as exc:
-        raise OSError(f"cannot write dataset to {path}: {exc}") from exc
+    return write_jsonl(path, (example_to_row(e) for e in examples))
 
 
 def read_dataset(path: str | Path) -> list[QAExample]:

@@ -15,7 +15,9 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adaptive import CostModel, cost_report, routed_records, tune_thresholds
+from .adaptive import (
+    DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION, CostModel, cost_report, routed_records, tune_thresholds,
+)
 from .dataset import (
     KnowledgeTriple,
     QAExample,
@@ -93,8 +95,8 @@ def run_demo(
     seed: int,
     out_dir: str | Path,
     size: int = DEMO_SIZE,
-    repeats: int = 100,
-    split_fraction: float = 0.75,
+    repeats: int = DEFAULT_REPEATS,
+    split_fraction: float = DEFAULT_SPLIT_FRACTION,
 ) -> EvalReport:
     """Run the full synthetic pipeline and write every artifact under out_dir."""
     out_dir = Path(out_dir)

@@ -254,7 +254,6 @@ def genread_answer(
     client: CompletionClient,
     question: str,
     fewshot_pairs: Sequence[tuple[str, str]] = (),
-    instruction: str = DEFAULT_GENREAD_INSTRUCTION,
 ) -> tuple[str, Completion]:
     """Two-stage answering: generate a context document, then answer with it.
 
@@ -262,7 +261,7 @@ def genread_answer(
     latencies summed. An empty stage-1 document falls back to a vanilla
     second stage.
     """
-    stage1 = client.complete(f"{instruction}\n\n{question}")
+    stage1 = client.complete(f"{DEFAULT_GENREAD_INSTRUCTION}\n\n{question}")
     context = stage1.text.strip()
     stage2 = client.complete(render_prompt(question, fewshot_pairs, context or None))
     combined = Completion(
@@ -282,13 +281,6 @@ class OracleParams:
     a: float = 2.0
     b: float = 3.5
     readout: float = 0.9
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 <= self.readout <= 1:
-            raise ValidationError(f"readout must lie in [0, 1], got {self.readout}")
 
 
 def _sigmoid(x: float) -> float:
@@ -344,7 +336,6 @@ def run_predictions(
     index: Bm25Index | None = None,
     shots: int = 0,
     rng_seed: int | str = 0,
-    genread_instruction: str = DEFAULT_GENREAD_INSTRUCTION,
 ) -> list[PredictionRecord]:
     """Run one mode over the dataset and return scored prediction records.
     A repeated question id is a ValidationError, raised before any request."""
@@ -376,9 +367,7 @@ def run_predictions(
     def answer(item) -> tuple[Completion, bool | None]:
         ex, fewshot, _doc_id, recall1, context = item
         if mode == "genread":
-            generated, completion = genread_answer(
-                client, ex.question, fewshot, genread_instruction
-            )
+            generated, completion = genread_answer(client, ex.question, fewshot)
             return completion, generated == ""
         prompt = render_prompt(ex.question, fewshot, context)
         if oracle is not None:

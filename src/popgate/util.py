@@ -9,7 +9,7 @@ import math
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
@@ -49,21 +49,25 @@ def dumps_stable(obj: Any) -> str:
 def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """Binary file handle on a temp file in the same directory; renamed into
     place when the block exits normally, removed when it raises. The file is
-    created with mode 0o666 less the umask, as `open` creates one."""
+    created with mode 0o666 less the umask, as `open` creates one. The temp
+    name has a fixed length, so any name the directory takes can be written.
+    An OSError from creating, writing or renaming the temp file is raised
+    again naming `path`, with its errno and strerror."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = path.parent / f".{os.urandom(8).hex()}.tmp"
     try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -287,15 +287,21 @@ class TestTuneThresholds:
         ]
 
     def test_relation_without_tuning_questions_warns_and_defaults(self, caplog):
+        # Whether a relation has tuning questions depends only on its size, so
+        # each such relation is named once, whatever the repeats.
         dataset = synthetic_examples(40, relations=("common",), seed=1)
-        dataset.append(make_example(999, relation="rare", popularity=100))
+        dataset += [make_example(900 + i, relation=r, popularity=100)
+                    for i, r in enumerate(("rare", "scarce"))]
         vanilla, retrieval = run_pair(dataset, lambda ex: True, lambda ex: False)
         with caplog.at_level("WARNING"):
             result = tune_thresholds(
-                vanilla, retrieval, dataset, split_fraction=0.5, repeats=1, rng_seed=0
+                vanilla, retrieval, dataset, split_fraction=0.5, repeats=20, rng_seed=0
             )
-        assert result.repeat_outcomes[0].thresholds["rare"] == NEG_INF
-        assert any("rare" in r.message for r in caplog.records)
+        assert all(o.thresholds["rare"] == NEG_INF for o in result.repeat_outcomes)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"relation {name!r} has no tuning questions; defaulting its threshold to -inf"
+            for name in ("rare", "scarce")
+        ]
 
     def test_parameter_validation(self):
         dataset = synthetic_examples(4, seed=0)

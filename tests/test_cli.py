@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -567,6 +569,47 @@ def test_policy_field_of_wrong_type_or_value_rejected(demo_out, tmp_path, capsys
     assert not out.exists()
 
 
+def test_savings_warns_when_scoring_the_tuning_dataset(demo_out, tmp_path, capsys, caplog):
+    """The demo's policy was tuned on its dataset: `savings` warns once that
+    its figures are in-sample, `route` never does, and the warning changes
+    neither the output file nor stdout."""
+    policy = json.loads((demo_out / "policy.json").read_text(encoding="utf-8"))
+    elsewhere = tmp_path / "elsewhere-policy.json"
+    elsewhere.write_text(json.dumps({**policy, "tuned_on": "0" * 64}), encoding="utf-8")
+    route = ["route", "--dataset", demo_out / "dataset.jsonl", "--policy", demo_out / "policy.json",
+             "--out", tmp_path / "decisions.jsonl"]
+    outputs = []
+    for name, argv, warnings in [
+        ("in-sample", savings_argv(demo_out, tmp_path / "in-sample.json"), 1),
+        ("elsewhere", savings_argv(demo_out, tmp_path / "elsewhere.json"), 0),
+        ("route", route, 0),
+    ]:
+        if name == "elsewhere":
+            argv[argv.index("--policy") + 1] = elsewhere
+        caplog.clear()
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        in_sample = [r for r in caplog.records if "in-sample" in r.getMessage()]
+        assert len(in_sample) == warnings, name
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert (tmp_path / "in-sample.json").read_bytes() == (tmp_path / "elsewhere.json").read_bytes()
+
+
+@pytest.mark.parametrize("length, code", [(240, 0), (300, 1)])
+def test_artifact_name_length(demo_out, tmp_path, capsys, length, code):
+    """Any name the directory takes can be written; one it refuses is one
+    `error:` line naming the artifact."""
+    out = tmp_path / "o" / ("a" * length + ".jsonl")
+    argv = ["route", "--dataset", demo_out / "dataset.jsonl", "--policy", demo_out / "policy.json",
+            "--out", out]
+    capsys.readouterr()
+    assert run_cli(argv) == code
+    if code:
+        assert_one_line_error(capsys, f"error: {os.strerror(errno.ENAMETOOLONG)}: {out}")
+    assert [p.name for p in out.parent.iterdir()] == ([out.name] if code == 0 else [])
+
+
 def tune_argv(demo_out, out, vanilla=None, retrieval=None):
     return [
         "tune", "--dataset", demo_out / "dataset.jsonl",
@@ -605,13 +648,13 @@ class TestBadSettingsFiles:
              "timeout_s must be finite and >= 0, got nan"),
             ("config", '{"run": {"shots": "x"}}', "run.shots must be an integer, got 'x'"),
             ("config", '{"run": {"seed": "abc"}}', "run.seed must be an integer, got 'abc'"),
-            ("config", '{"oracle": {"a": null}}', "oracle.a must be a number, got None"),
+            ("config", '{"bm25": {"k1": null}}', "bm25.k1 must be a number, got None"),
             ("config", '{"run": {"shots": 1.7}}', "run.shots must be an integer, got 1.7"),
             ("config", '{"run": {"seed": true}}', "run.seed must be an integer, got True"),
             ("config", '{"paths": {"dataset": 5}}', "paths.dataset must be a string or null"),
-            ("config", '{"genread_instruction": 7}', "genread_instruction must be a string"),
-            ("config", '{"endpoint": [1]}', "endpoint must be a JSON object, got [1]"),
-            ("config", '{"oracle": {"readout": 1.5}}', "oracle.readout must lie in [0, 1]"),
+            ("config", '{"pageviews": {"month": 7}}', "pageviews.month must be a string"),
+            ("config", '{"run": [1]}', "run must be a JSON object, got [1]"),
+            ("config", '{"bm25": {"b": 1.5}}', "bm25.b must lie in [0, 1]"),
             pytest.param("config", '{"bm25": {"k1": %s}}' % ("9" * 400),
                          "bm25.k1 must be a number a float can hold, got an integer of 400 digits",
                          id="config-k1-400-digits"),
@@ -623,12 +666,21 @@ class TestBadSettingsFiles:
              "requests_per_second must be null or finite and > 0, got 0"),
             ("endpoint", "{" + ENDPOINT + ', "requests_per_second": Infinity}',
              "requests_per_second must be null or finite and > 0, got inf"),
-            ("config", '{"endpoint": {' + ENDPOINT + ', "max_retries": -2}}',
-             "endpoint.max_retries must be >= 0, got -2"),
+            ("endpoint", "{" + ENDPOINT + ', "max_retries": 1.5}',
+             "max_retries must be an integer, got 1.5"),
             ("endpoint", "{" + ENDPOINT + ', "max_parallelism": 0}',
              "max_parallelism must be >= 1, got 0"),
-            ("config", '{"endpoint": {' + ENDPOINT + ', "cache_dir": ""}}',
-             "endpoint.cache_dir must be a non-empty path or null"),
+            ("endpoint", "{" + ENDPOINT + ', "cache_dir": ""}',
+             "cache_dir must be a non-empty path or null"),
+            # The endpoint and cost model come only from their own files, and
+            # the oracle and the genread instruction are fixed.
+            ("config", '{"endpoint": {' + ENDPOINT + "}}", "unknown config key 'endpoint'"),
+            ("config", '{"cost_model": {"retrieval_latency_ms": 50}}',
+             "unknown config key 'cost_model'"),
+            ("config", '{"oracle": {"a": 2.0, "b": 3.5, "readout": 0.9}}',
+             "unknown config key 'oracle'"),
+            ("config", '{"genread_instruction": "Generate a background document."}',
+             "unknown config key 'genread_instruction'"),
         ],
     )
     def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):

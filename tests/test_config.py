@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from popgate.adaptive import CostModel
+from popgate.cli import CONFIG_FLAGS
 from popgate.config import RunConfig, load_file
 from popgate.errors import ConfigError
 from popgate.lm import EndpointConfig, completion_cache_key
@@ -27,8 +28,6 @@ class TestLoadConfig:
         assert config.run.shots == 15
         assert config.run.seed == 0
         assert config.run.mode == "vanilla"
-        assert config.endpoint is None
-        assert config.oracle.a == 2.0 and config.oracle.b == 3.5
         assert config == RunConfig()
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
@@ -40,9 +39,9 @@ class TestLoadConfig:
             load_file(RunConfig, write_config(tmp_path, {"bm25": {"k2": 1.0}}))
 
     def test_negative_price_rejected(self, tmp_path):
-        payload = {"cost_model": {"price_per_1k_prompt_tokens": -0.5}}
-        with pytest.raises(ConfigError, match="cost_model"):
-            load_file(RunConfig, write_config(tmp_path, payload))
+        path = write_config(tmp_path, {"price_per_1k_prompt_tokens": -0.5})
+        with pytest.raises(ConfigError, match="price_per_1k_prompt_tokens"):
+            load_file(CostModel, path)
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -60,18 +59,18 @@ class TestLoadConfig:
             "endpoint_id": "e", "temperature": 0.5, "max_tokens": 8, "timeout_s": 2.0,
             "max_retries": 1, "backoff_s": 0.1, "max_parallelism": 2, "requests_per_second": 3,
         }
-        config = load_file(RunConfig, write_config(tmp_path, {"endpoint": endpoint}))
-        assert config.endpoint.api_key_env == "KEY" and config.endpoint.max_tokens == 8
-        with pytest.raises(ConfigError, match=r"endpoint\.retries"):
-            load_file(RunConfig, write_config(tmp_path, {"endpoint": {**endpoint, "retries": 1}}))
+        config = load_file(EndpointConfig, write_config(tmp_path, endpoint))
+        assert config.api_key_env == "KEY" and config.max_tokens == 8
+        with pytest.raises(ConfigError, match="'retries'"):
+            load_file(EndpointConfig, write_config(tmp_path, {**endpoint, "retries": 1}))
 
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="mode"):
             load_file(RunConfig, write_config(tmp_path, {"run": {"mode": "telepathy"}}))
 
     def test_endpoint_requires_base_url_and_model(self, tmp_path):
-        with pytest.raises(ConfigError, match="model"):
-            load_file(RunConfig, write_config(tmp_path, {"endpoint": {"base_url": "http://x"}}))
+        with pytest.raises(ConfigError, match="model is required"):
+            load_file(EndpointConfig, write_config(tmp_path, {"base_url": "http://x"}))
 
     def test_defaults_have_explicit_seed(self):
         assert RunConfig().run.seed == 0
@@ -81,10 +80,8 @@ class TestDecoder:
     """Every settings file is decoded against its dataclass's fields."""
 
     def test_int_passes_for_float_and_is_converted(self, tmp_path):
-        payload = {"bm25": {"k1": 2}, "oracle": {"a": 1}}
-        config = load_file(RunConfig, write_config(tmp_path, payload))
+        config = load_file(RunConfig, write_config(tmp_path, {"bm25": {"k1": 2}}))
         assert type(config.bm25.k1) is float and config.bm25.k1 == 2.0
-        assert type(config.oracle.a) is float
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -95,9 +92,8 @@ class TestDecoder:
             ({"pageviews": {"month": 202212}}, "pageviews.month must be a string, got 202212"),
             ({"paths": []}, "paths must be a JSON object, got []"),
             ({"bm25": {"b": float("nan")}}, "bm25.b must lie in [0, 1], got nan"),
-            ({"oracle": {"b": float("inf")}}, "oracle.b must be finite, got inf"),
-            ({"endpoint": {"base_url": "h", "model": "m", "max_tokens": 8.0}},
-             "endpoint.max_tokens must be an integer, got 8.0"),
+            ({"bm25": {"b": float("inf")}}, "bm25.b must lie in [0, 1], got inf"),
+            ({"run": {"seed": 8.0}}, "run.seed must be an integer, got 8.0"),
         ],
     )
     def test_rejected_value_names_file_and_dotted_key(self, tmp_path, payload, message):
@@ -107,14 +103,14 @@ class TestDecoder:
         assert str(info.value) == f"{path}: {message}"
 
     def test_null_only_where_the_default_is_none(self, tmp_path):
-        payload = {"paths": {"dataset": None}, "endpoint": None}
+        payload = {"paths": {"dataset": None}}
         assert load_file(RunConfig, write_config(tmp_path, payload)) == RunConfig()
 
     def test_cost_model_file(self, tmp_path):
         path = tmp_path / "costs.json"
         path.write_text('{"price_per_1k_prompt_tokens": 1, "retrieval_latency_ms": 7}')
         assert load_file(CostModel, path) == CostModel(1.0, 0.02, 7)
-        assert CostModel() == RunConfig().cost_model == CostModel(0.02, 0.02, 50)
+        assert CostModel() == CostModel(0.02, 0.02, 50)
 
     def test_integer_temperature_keeps_the_completion_cache_key(self, tmp_path):
         # An endpoint file with "temperature": 0 keys its completions exactly
@@ -128,9 +124,29 @@ class TestDecoder:
         )
 
 
+def readme() -> str:
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
 def readme_json_examples() -> list[str]:
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    return re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    return re.findall(r"```json\n(.*?)```", readme(), flags=re.DOTALL)
+
+
+def readme_config_table_keys() -> set[str]:
+    """The backquoted keys in the first column of the README's config-file
+    table, leaving out the values named in parentheses."""
+    section = readme().split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", line.split("|")[1])))
+    return keys
+
+
+def config_file_keys() -> set[tuple[str, str]]:
+    """(section, key) of every key a config file may hold."""
+    config = RunConfig()
+    return {(s.name, k.name) for s in fields(config) for k in fields(getattr(config, s.name))}
 
 
 class TestReadmeExamples:
@@ -148,3 +164,11 @@ class TestReadmeExamples:
         config = load_file(RunConfig, path)
         assert config.paths.cache_dir == "pv-cache"
         assert replace(config, paths=RunConfig().paths) == RunConfig()
+
+    def test_config_table_lists_every_config_key(self):
+        assert readme_config_table_keys() == {f"{s}.{k}" for s, k in config_file_keys()}
+
+
+def test_config_file_holds_only_what_a_flag_sets():
+    assert [f.name for f in fields(RunConfig)] == ["paths", "run", "bm25", "pageviews"]
+    assert set(CONFIG_FLAGS.values()) == config_file_keys()

@@ -46,6 +46,10 @@ def test_package_and_cli_import_leave_http_and_pool_out():
     assert loaded_after("import popgate, popgate.cli") == []
 
 
+def test_config_import_loads_no_backend_or_tuning_module():
+    assert loaded_after("import popgate.config", ("popgate.adaptive", "popgate.lm")) == []
+
+
 def test_dataset_and_retriever_import_leave_http_and_pool_out():
     assert loaded_after("from popgate import dataset, retriever") == []
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -42,6 +43,38 @@ class TestAtomicWriter:
                 raise RuntimeError("interrupted")
         assert path.read_bytes() == b"old"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_longest_name_the_directory_takes(self, tmp_path):
+        path = tmp_path / ("a" * 249 + ".jsonl")  # 255 bytes, the usual limit
+        atomic_write_text(path, "x\n")
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "x\n"
+
+    def test_rename_error_names_the_artifact(self, tmp_path):
+        path = tmp_path / ("a" * 300)
+        with pytest.raises(OSError) as info:
+            atomic_write_text(path, "x")
+        assert (info.value.errno, info.value.filename) == (errno.ENAMETOOLONG, str(path))
+        assert info.value.strerror == os.strerror(errno.ENAMETOOLONG)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_error_names_the_artifact(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with pytest.raises(OSError) as info:
+            with atomic_writer(path):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(path))
+        assert type(info.value) is OSError and info.value.strerror == os.strerror(errno.ENOSPC)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_create_error_names_the_artifact(self, tmp_path, monkeypatch):
+        def denied(name, *args):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+
+        monkeypatch.setattr(os, "open", denied)
+        path = tmp_path / "out.bin"
+        with pytest.raises(PermissionError) as info:
+            atomic_write_text(path, "x")
+        assert (info.value.errno, info.value.filename) == (errno.EACCES, str(path))
 
 
 @pytest.fixture
