@@ -267,13 +267,25 @@ def _fit(rows: _SortedRelation, mask: bytearray) -> tuple[float, int]:
 
 @dataclass
 class RepeatOutcome:
-    """One tuning/test split with its fitted thresholds and accuracies."""
+    """One tuning/test split with its fitted thresholds and accuracies.
+
+    The split is kept as each relation's shuffled sorted positions, of which
+    the first `k` are its tuning rows; `tuning_ids` and `test_ids` map them
+    to question ids when read."""
 
     thresholds: dict[str, float]
-    tuning_ids: list[str] = field(repr=False)
-    test_ids: list[str] = field(repr=False)
     tuning_accuracy: float
     test_accuracy: float
+    # (ids in sorted order, shuffled sorted positions, k) per relation.
+    splits: list[tuple[list[str], list[int], int]] = field(repr=False)
+
+    @property
+    def tuning_ids(self) -> list[str]:
+        return [ids[p] for ids, positions, k in self.splits for p in positions[:k]]
+
+    @property
+    def test_ids(self) -> list[str]:
+        return [ids[p] for ids, positions, k in self.splits for p in positions[k:]]
 
 
 @dataclass
@@ -333,12 +345,12 @@ def tune_thresholds(
                 "relation %r has no tuning questions; defaulting its threshold to -inf", relation
             )
     outcomes = []
+    n = len(dataset)
     for i in range(repeats):
         getrandbits = random.Random(f"{rng_seed}\x00{i}").getrandbits
         thresholds: dict[str, float] = {}
-        tuning_ids: list[str] = []
-        test_ids: list[str] = []
-        tuning_hits = test_hits = 0
+        splits = []
+        n_tuning = tuning_hits = test_hits = 0
         for relation, rows in relations.items():
             # Shuffling the rows' sorted positions, listed in dataset order,
             # draws the same permutation as shuffling their ids would:
@@ -346,11 +358,10 @@ def tune_thresholds(
             positions = rows.rank[:]
             _shuffle(positions, rows.draws, getrandbits)
             k = int(len(positions) * split_fraction)
-            tuning, test = positions[:k], positions[k:]
             # positions is a permutation, so clearing the test rows leaves
             # exactly the tuning rows set.
             mask = bytearray(b"\x01") * len(positions)
-            for position in test:
+            for position in positions[k:]:
                 mask[position] = 0
             threshold, hits = _fit(rows, mask)
             thresholds[relation] = threshold
@@ -358,15 +369,14 @@ def tune_thresholds(
             # `hits` routes the tuning rows as the threshold does, so the
             # test rows score the rest of all rows' routed count.
             test_hits += rows.hits[bisect_left(rows.pops, threshold)] - hits
-            tuning_ids.extend(map(rows.ids.__getitem__, tuning))
-            test_ids.extend(map(rows.ids.__getitem__, test))
+            n_tuning += k
+            splits.append((rows.ids, positions, k))
         outcomes.append(
             RepeatOutcome(
                 thresholds=thresholds,
-                tuning_ids=tuning_ids,
-                test_ids=test_ids,
-                tuning_accuracy=tuning_hits / len(tuning_ids) if tuning_ids else 0.0,
-                test_accuracy=test_hits / len(test_ids) if test_ids else 0.0,
+                tuning_accuracy=tuning_hits / n_tuning if n_tuning else 0.0,
+                test_accuracy=test_hits / (n - n_tuning) if n_tuning < n else 0.0,
+                splits=splits,
             )
         )
     refit = {
@@ -378,7 +388,6 @@ def tune_thresholds(
         tuned_on=dataset_fingerprint(dataset),
         retrieval_mode=retrieval_records[0].mode,
     )
-    n = len(dataset)
     summary = {
         "mean_test_adaptive_accuracy": math.fsum(o.test_accuracy for o in outcomes) / repeats,
         "full_fit_adaptive_accuracy": sum(hits for _, hits in refit.values()) / n,

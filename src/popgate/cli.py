@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 2 on usage errors (argparse), 1 on runtime errors
 with a single-line cause on stderr. Structured logs go to stderr; artifacts
 are always written atomically.
+
+Each subcommand imports the modules it runs, so that, for example, `index`
+loads no LM, tuning or page-view code. A flag whose default belongs to one of
+those modules defaults to None here and, when not given, leaves the callee's
+own default in place (`_given`).
 """
 
 from __future__ import annotations
@@ -13,15 +18,9 @@ import math
 import sys
 from pathlib import Path
 
-from . import adaptive as adaptive_mod
-from . import dataset as dataset_mod
-from . import demo as demo_mod
-from . import evaluation as eval_mod
-from . import lm as lm_mod
 from . import retriever as retriever_mod
-from .config import RunConfig, load_file
+from .config import MODES, RunConfig, load_file
 from .errors import ConfigError, PopgateError, ValidationError
-from .popularity import DEFAULT_PAGEVIEWS_BASE_URL, PageviewsClient, PageviewsConfig
 from .util import atomic_write_text, dumps_stable, read_text, write_jsonl
 
 logger = logging.getLogger("popgate")
@@ -57,7 +56,15 @@ def _apply_config(args) -> None:
             setattr(args, dest, value)
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flag was given (not None), so that the
+    others keep the callee's own defaults."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
 def _cmd_build_dataset(args) -> int:
+    from . import dataset as dataset_mod
+
     triples = dataset_mod.read_triples(args.triples)
     templates = (
         dataset_mod.load_templates(args.templates)
@@ -70,7 +77,7 @@ def _cmd_build_dataset(args) -> int:
         # Without a frequency corpus every triple passes the sampler.
         term_frequency = lambda triple: math.e**2
     sampled = dataset_mod.sample_triples(
-        triples, term_frequency, per_relation_cap=args.cap, rng_seed=args.seed
+        triples, term_frequency, rng_seed=args.seed, **_given(per_relation_cap=args.cap)
     )
     examples = dataset_mod.verbalize_all(sampled, templates)
     count = dataset_mod.write_dataset(examples, args.out)
@@ -79,9 +86,12 @@ def _cmd_build_dataset(args) -> int:
 
 
 def _cmd_fetch_popularity(args) -> int:
+    from . import dataset as dataset_mod
+    from .popularity import PageviewsClient, PageviewsConfig
+
     examples = dataset_mod.read_dataset(args.dataset)
     client = PageviewsClient(PageviewsConfig(
-        base_url=args.endpoint, cache_dir=args.cache, max_parallelism=args.parallelism
+        cache_dir=args.cache, **_given(base_url=args.endpoint, max_parallelism=args.parallelism)
     ))
     annotated = client.annotate(examples, args.month)
     count = dataset_mod.write_dataset(annotated, args.out)
@@ -100,6 +110,10 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import dataset as dataset_mod
+    from . import evaluation as eval_mod
+    from . import lm as lm_mod
+
     examples = dataset_mod.read_dataset(args.dataset)
     index = (
         retriever_mod.load_index(args.index) if args.index and args.mode == "retrieval" else None
@@ -129,6 +143,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import dataset as dataset_mod
+    from . import evaluation as eval_mod
+
     examples = dataset_mod.read_dataset(args.dataset)
     by_mode = {}
     for path in args.runs:
@@ -148,7 +165,7 @@ def _cmd_report(args) -> int:
     # Every report is computed before any is written, so a run that fails
     # to join leaves no report files behind.
     reports = {
-        mode: eval_mod.evaluate_run(records, examples, min_bin_n=args.min_bin_n)
+        mode: eval_mod.evaluate_run(records, examples, **_given(min_bin_n=args.min_bin_n))
         for mode, records in by_mode.items()
     }
     for mode, report in reports.items():
@@ -163,6 +180,8 @@ def _cmd_report(args) -> int:
 def _read_vanilla_and_retrieval(args) -> list[list]:
     """The --vanilla and --retrieval runs. Swapped files are an error:
     --vanilla must hold vanilla records, --retrieval retrieval or genread ones."""
+    from . import evaluation as eval_mod
+
     runs = []
     for flag, path in (("--vanilla", args.vanilla), ("--retrieval", args.retrieval)):
         records = eval_mod.read_run(path)
@@ -173,15 +192,17 @@ def _read_vanilla_and_retrieval(args) -> list[list]:
 
 
 def _cmd_tune(args) -> int:
+    from . import adaptive as adaptive_mod
+    from . import dataset as dataset_mod
+
     examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     result = adaptive_mod.tune_thresholds(
         vanilla,
         retrieval,
         examples,
-        split_fraction=args.split,
-        repeats=args.repeats,
         rng_seed=args.seed,
+        **_given(split_fraction=args.split, repeats=args.repeats),
     )
     result.policy.save(args.out, metadata=result.metadata)
     summary = result.summary
@@ -197,6 +218,9 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_route(args) -> int:
+    from . import adaptive as adaptive_mod
+    from . import dataset as dataset_mod
+
     examples = dataset_mod.read_dataset(args.dataset)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     rows = [
@@ -217,6 +241,9 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_savings(args) -> int:
+    from . import adaptive as adaptive_mod
+    from . import dataset as dataset_mod
+
     cost_model = adaptive_mod.CostModel()
     if args.cost_model:
         cost_model = load_file(adaptive_mod.CostModel, args.cost_model)
@@ -234,12 +261,12 @@ def _cmd_savings(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from . import demo as demo_mod
+
     report = demo_mod.run_demo(
         seed=args.seed,
         out_dir=args.out,
-        size=args.size,
-        repeats=args.repeats,
-        split_fraction=args.split,
+        **_given(size=args.size, repeats=args.repeats, split_fraction=args.split),
     )
     print(report.to_json())
     return 0
@@ -274,15 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples")
     p.add_argument("--templates", help="JSON {relation: pattern}; defaults to built-ins")
     p.add_argument("--freq-corpus", help="text corpus for alias term frequencies")
-    p.add_argument("--cap", type=int, default=dataset_mod.DEFAULT_PER_RELATION_CAP)
+    p.add_argument("--cap", type=int)
 
     p = command("fetch-popularity", _cmd_fetch_popularity, "annotate a dataset with page views",
                 config, dataset, out)
     p.add_argument("--month", help="YYYY-MM; defaults to the configured month")
     p.add_argument("--cache")
-    p.add_argument("--endpoint", default=DEFAULT_PAGEVIEWS_BASE_URL,
-                   help="pageviews API base URL override")
-    p.add_argument("--parallelism", type=int, default=4)
+    p.add_argument("--endpoint", help="pageviews API base URL override")
+    p.add_argument("--parallelism", type=int)
 
     p = command("index", _cmd_index, "build a BM25 index over a passage corpus", config, out)
     p.add_argument("--corpus")
@@ -291,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("run", _cmd_run, "run one answering mode over a dataset",
                 config, dataset, seed, out)
-    p.add_argument("--mode", choices=["vanilla", "retrieval", "genread"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--index")
     p.add_argument("--endpoint", help="endpoint config JSON file")
     p.add_argument("--oracle", action="store_true", help="use the synthetic oracle LM")
@@ -300,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("report", _cmd_report, "score runs and write evaluation tables",
                 config, dataset, out)
     p.add_argument("--runs", nargs="+", required=True)
-    p.add_argument("--min-bin-n", type=int, default=eval_mod.DEFAULT_MIN_BIN_N)
+    p.add_argument("--min-bin-n", type=int)
 
     p = command("tune", _cmd_tune, "tune per-relation popularity thresholds",
                 config, dataset, runs, seed, out)
-    p.add_argument("--split", type=float, default=adaptive_mod.DEFAULT_SPLIT_FRACTION)
-    p.add_argument("--repeats", type=int, default=adaptive_mod.DEFAULT_REPEATS)
+    p.add_argument("--split", type=float)
+    p.add_argument("--repeats", type=int)
 
     p = command("route", _cmd_route, "emit per-question retrieve/parametric decisions",
                 config, dataset, out)
@@ -319,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("demo", _cmd_demo, "synthetic end-to-end pipeline")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, default=demo_mod.DEMO_SIZE)
-    p.add_argument("--repeats", type=int, default=adaptive_mod.DEFAULT_REPEATS)
-    p.add_argument("--split", type=float, default=adaptive_mod.DEFAULT_SPLIT_FRACTION)
+    p.add_argument("--size", type=int)
+    p.add_argument("--repeats", type=int)
+    p.add_argument("--split", type=float)
     p.add_argument("--out", default="demo-out")
 
     return parser

@@ -9,18 +9,21 @@ every seed default is an explicit constant, never wall-clock derived.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, TypeVar
 
 from .errors import ConfigError, ValidationError
-from .evaluation import MODES
-from .popularity import DEFAULT_PAGEVIEWS_MONTH
 from .retriever import DEFAULT_B, DEFAULT_K1
 from .util import read_json
 
 T = TypeVar("T")
+
+MODES = ("vanilla", "retrieval", "genread")
+# Pinned so unconfigured runs are reproducible; override via config/CLI.
+DEFAULT_PAGEVIEWS_MONTH = "2022-12"
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class Bm25Section:
     b: float = DEFAULT_B
 
     def __post_init__(self):
-        if not self.k1 >= 0:
-            raise ValidationError(f"k1 must be >= 0, got {self.k1}")
+        if not (math.isfinite(self.k1) and self.k1 >= 0):
+            raise ValidationError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValidationError(f"b must lie in [0, 1], got {self.b}")
 

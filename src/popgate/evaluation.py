@@ -14,6 +14,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .config import MODES
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
 from .retriever import normalize_text
@@ -22,8 +23,6 @@ from .util import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
 DEFAULT_MIN_BIN_N = 40
-
-MODES = ("vanilla", "retrieval", "genread")
 
 
 def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .config import MODES
 from .dataset import QAExample
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
 from .evaluation import PredictionRecord, is_correct
@@ -339,7 +340,7 @@ def run_predictions(
 ) -> list[PredictionRecord]:
     """Run one mode over the dataset and return scored prediction records.
     A repeated question id is a ValidationError, raised before any request."""
-    if mode not in ("vanilla", "retrieval", "genread"):
+    if mode not in MODES:
         raise ValidationError(f"unknown run mode {mode!r}")
     if (client is None) == (oracle is None):
         raise ConfigError("exactly one of endpoint client or oracle params is required")

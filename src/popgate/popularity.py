@@ -23,8 +23,6 @@ from .util import HttpClient, HttpSettings, JsonCache, is_count, map_in_order, s
 logger = logging.getLogger(__name__)
 
 DEFAULT_PAGEVIEWS_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews"
-# Pinned so unconfigured runs are reproducible; override via config/CLI.
-DEFAULT_PAGEVIEWS_MONTH = "2022-12"
 # Views of English Wikipedia articles from every access method, by users.
 _PROJECT = "en.wikipedia"
 _ACCESS = "all-access"

@@ -37,6 +37,10 @@ from .errors import IndexFormatError, ValidationError
 from .util import atomic_writer, dumps_stable, read_jsonl, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every byte that is not an ASCII letter or digit, mapped to a space.
+_ASCII_SEPARATORS = bytes(
+    c if chr(c).isascii() and chr(c).isalnum() else 0x20 for c in range(256)
+)
 
 INDEX_MAGIC = b"PGIDX"
 INDEX_VERSION = 2
@@ -56,7 +60,13 @@ def _idf(doc_count: int, df: int) -> float:
 
 def tokenize(text: str) -> list[str]:
     """Lowercased maximal runs of Unicode letters and digits."""
-    return _TOKEN_RE.findall(text.lower())
+    text = text.lower()
+    # The fast path needs text that is ASCII after lower(): there `[^\W_]`
+    # matches exactly [a-z0-9], so the runs are what split() leaves once every
+    # other byte is a space.
+    if text.isascii():
+        return text.encode().translate(_ASCII_SEPARATORS).decode().split()
+    return _TOKEN_RE.findall(text)
 
 
 def normalize_text(text: str) -> str:

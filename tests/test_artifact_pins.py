@@ -1,8 +1,10 @@
 """sha256 pins of every artifact of a seeded demo, of an oracle CLI chain, of
-`build-dataset` with a frequency text and a templates file, and of the two
-writers that talk HTTP: `fetch-popularity` and a 15-shot `run --mode genread`,
-each against a mock server from `mockserver.py`. Cache entries hold a fetch
-time or a measured latency, so the caches are pinned by their file names.
+`build-dataset` with a frequency text and a templates file, of an index and
+an oracle retrieval run over text that mixes ASCII and non-ASCII words, and
+of the two writers that talk HTTP: `fetch-popularity` and a 15-shot `run
+--mode genread`, each against a mock server from `mockserver.py`. Cache
+entries hold a fetch time or a measured latency, so the caches are pinned by
+their file names.
 
 Byte-identical reruns are part of popgate's contract, so a change that alters
 any artifact byte fails here. A change that alters bytes on purpose updates
@@ -35,6 +37,12 @@ and runs the `fetch-popularity` step through the installed `popgate` console
 script against a mock page-view server it starts, then checks its outputs:
 
     python tests/test_artifact_pins.py --fetch-popularity DIR
+
+and writes a corpus and a dataset that mix ASCII and non-ASCII text, runs
+`index` and an oracle `run --mode retrieval` over them through the installed
+`popgate` console script, then checks the inputs and outputs:
+
+    python tests/test_artifact_pins.py --mixed-index DIR
 """
 
 from __future__ import annotations
@@ -79,6 +87,22 @@ PAGEVIEW_TITLES = [label for label, _aliases in BUILD_NAMES] + [
     "AC/DC", "Who?", "50% Off", "Nobody Here", "Gone Missing",
 ]
 GENREAD_LATENCY_MS = 25
+# Words of the pinned mixed-text index: some are ASCII after `lower()`, and
+# some are not: accented letters, "ß", "İ" (which lowers to "i" and a
+# combining dot), the Kelvin sign (which lowers to ASCII "k"), fullwidth
+# digits, "²", a combining acute, Greek, Cyrillic and CJK. Every character
+# has had one Unicode category and one lowercase mapping since well before
+# Python 3.10's Unicode 13, so one digest serves every Python version.
+MIXED_ASCII_WORDS = [
+    "Paris", "PARIS", "R2-D2", "x_y", "C++", "2nd", "it's", "Zurich", "STRASSE",
+    "Istanbul", "K", "123", "x2", "Jose", "a.b", "__init__", "0x1F", "New York",
+]
+MIXED_OTHER_WORDS = [
+    "Zürich", "Straße", "İstanbul", "\u212a", "\uff11\uff12\uff13", "x\u00b2",
+    "Jose\u0301", "José", "Αθήνα", "Москва", "中国", "naïve", "ÉCOLE",
+]
+# What separates two words of a mixed passage or question.
+MIXED_GAPS = [" ", " ", ", ", "-", "_", ".", "\n", "!", "\t", " (", ") "]
 BUILD_TEMPLATES = {
     "director": "Who directed [subj]?",
     "author": "Who wrote [subj]?",
@@ -280,6 +304,57 @@ def genread_from_cache(directory: Path) -> dict[str, str]:
             "completions-cache names": names_digest(cache)}
 
 
+def mixed_text(rng: random.Random, words: list[str]) -> str:
+    """`words` joined by random MIXED_GAPS, with a gap before the first."""
+    return "".join(rng.choice(MIXED_GAPS) + word for word in words)
+
+
+def write_mixed_inputs(directory: Path) -> None:
+    """Seeded `corpus.jsonl` and `dataset.jsonl` for the pinned mixed-text
+    index: 40 passages, every second one all ASCII and the rest mixing in
+    non-ASCII words, and 24 questions, each naming two words of one passage
+    and asking for one of its words; every second question may also draw a
+    non-ASCII word from outside the passage."""
+    rng = random.Random(5)
+    every = MIXED_ASCII_WORDS + MIXED_OTHER_WORDS
+    texts = [rng.choices(every if i % 2 else MIXED_ASCII_WORDS, k=rng.randint(3, 14))
+             for i in range(40)]
+    passages = [{"doc_id": f"m{i:02d}", "title": f"Passage {i}", "text": mixed_text(rng, words)}
+                for i, words in enumerate(texts)]
+    rows = []
+    for i in range(24):
+        words = rng.choice(texts)
+        if i % 2:
+            words = [*words, rng.choice(MIXED_OTHER_WORDS)]
+        relation = ("director", "author")[i % 3 == 0]
+        rows.append({
+            "id": f"M{i}:{relation}", "question": f"Who is{mixed_text(rng, rng.sample(words, 2))}?",
+            "answers": [rng.choice(words)], "subj": f"M{i}", "subj_id": f"M{i}",
+            "relation": relation, "popularity": rng.randrange(10 ** 6),
+        })
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, lines in (("corpus.jsonl", passages), ("dataset.jsonl", rows)):
+        (directory / name).write_text(
+            "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+            encoding="utf-8",
+        )
+
+
+def mixed_index(directory: Path, popgate: Callable[[list[str]], None]) -> dict[str, str]:
+    """The pinned mixed-text `index` and oracle `run --mode retrieval`, each
+    run by `popgate(argv)`. Digests of their inputs and outputs."""
+    write_mixed_inputs(directory)
+    index = directory / "index.pgidx"
+    for argv in (
+        ["index", "--corpus", directory / "corpus.jsonl", "--out", index],
+        ["run", "--dataset", directory / "dataset.jsonl", "--mode", "retrieval", "--oracle",
+         "--shots", 0, "--seed", 5, "--index", index,
+         "--out", directory / "run_retrieval.jsonl"],
+    ):
+        popgate([str(a) for a in argv])
+    return digests(directory)
+
+
 def test_artifacts_match_their_pins(tmp_path):
     demo, cli = demo_and_chain(tmp_path)
     wrong = mismatches("demo", digests(demo)) + mismatches("cli", digests(cli))
@@ -302,6 +377,11 @@ def test_genread_run_from_cache_matches_its_pins(tmp_path):
     assert not wrong, "\n".join(wrong)
 
 
+def test_mixed_text_index_matches_its_pins(tmp_path):
+    wrong = mismatches("mixed-index", mixed_index(tmp_path, lambda argv: run_steps([argv])))
+    assert not wrong, "\n".join(wrong)
+
+
 def installed_popgate(argv: list[str]) -> None:
     subprocess.run(["popgate", *argv], check=True)
 
@@ -321,6 +401,8 @@ if __name__ == "__main__":
         sys.exit(0)
     if sys.argv[1] == "--fetch-popularity":
         kind, actual = "fetch-popularity", fetch_popularity(Path(sys.argv[2]), installed_popgate)
+    elif sys.argv[1] == "--mixed-index":
+        kind, actual = "mixed-index", mixed_index(Path(sys.argv[2]), installed_popgate)
     elif sys.argv[1] == "--chain":
         kind, actual = "cli", installed_chain(Path(sys.argv[2]))
     elif sys.argv[1] == "--build":

@@ -655,6 +655,8 @@ class TestBadSettingsFiles:
             ("config", '{"pageviews": {"month": 7}}', "pageviews.month must be a string"),
             ("config", '{"run": [1]}', "run must be a JSON object, got [1]"),
             ("config", '{"bm25": {"b": 1.5}}', "bm25.b must lie in [0, 1]"),
+            ("config", '{"bm25": {"k1": Infinity}}', "bm25.k1 must be finite and >= 0, got inf"),
+            ("config", '{"bm25": {"k1": NaN}}', "bm25.k1 must be finite and >= 0, got nan"),
             pytest.param("config", '{"bm25": {"k1": %s}}' % ("9" * 400),
                          "bm25.k1 must be a number a float can hold, got an integer of 400 digits",
                          id="config-k1-400-digits"),

@@ -1,5 +1,6 @@
 """What `import popgate.<module>` loads: the HTTP stack and the thread pool
-only once a client sends a request or a pool is created, never at import.
+only once a client sends a request or a pool is created, never at import;
+and what each CLI subcommand loads: only the popgate modules it runs.
 Also, every popgate attribute the benchmark tracer hooks still exists."""
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ evaluation.write_report(report, {str(tmp_path)!r})
     assert (tmp_path / "report_per_relation.csv").read_text().startswith("relation,n,")
 
 
-def test_offline_cli_pipeline_leaves_http_and_pool_out(tmp_path):
+def offline_pipeline(tmp_path) -> str:
+    """Code that runs the oracle CLI pipeline over a small dataset and corpus
+    written under tmp_path: index, both runs, report, tune, route and savings."""
     examples = synthetic_examples(40)
     dataset = tmp_path / "dataset.jsonl"
     write_dataset(examples, dataset)
@@ -89,24 +92,57 @@ def test_offline_cli_pipeline_leaves_http_and_pool_out(tmp_path):
          for i, ex in enumerate(examples)],
         corpus,
     )
+    runs = ["--vanilla", tmp_path / "run_vanilla.jsonl",
+            "--retrieval", tmp_path / "run_retrieval.jsonl"]
     steps = [
         ["index", "--corpus", corpus, "--out", tmp_path / "index.pgidx"],
         ["run", "--dataset", dataset, "--mode", "vanilla", "--oracle", "--shots", "0",
          "--out", tmp_path / "run_vanilla.jsonl"],
         ["run", "--dataset", dataset, "--mode", "retrieval", "--oracle", "--shots", "0",
          "--index", tmp_path / "index.pgidx", "--out", tmp_path / "run_retrieval.jsonl"],
-        ["tune", "--dataset", dataset, "--vanilla", tmp_path / "run_vanilla.jsonl",
-         "--retrieval", tmp_path / "run_retrieval.jsonl", "--repeats", "3",
-         "--out", tmp_path / "policy.json"],
+        ["report", "--dataset", dataset, "--runs", runs[1], runs[3], "--out", tmp_path / "report"],
+        ["tune", "--dataset", dataset, *runs, "--repeats", "3", "--out", tmp_path / "policy.json"],
+        ["route", "--dataset", dataset, "--policy", tmp_path / "policy.json",
+         "--out", tmp_path / "decisions.jsonl"],
+        ["savings", "--dataset", dataset, *runs, "--policy", tmp_path / "policy.json"],
     ]
     argvs = [[str(a) for a in step] for step in steps]
-    code = (
+    return (
+        "import contextlib, io\n"
         "from popgate.cli import main\n"
         f"for argv in {argvs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
     )
-    assert loaded_after(code) == []
+
+
+def test_offline_cli_pipeline_leaves_http_and_pool_out(tmp_path):
+    assert loaded_after(offline_pipeline(tmp_path)) == []
     assert (tmp_path / "policy.json").exists()
+
+
+# The modules that `popgate index` does not run.
+NOT_INDEX = tuple(
+    f"popgate.{name}" for name in ("adaptive", "dataset", "demo", "evaluation", "lm", "popularity")
+)
+
+
+def test_cli_import_and_index_load_only_what_index_runs(tmp_path):
+    assert loaded_after("import popgate.cli", NOT_INDEX) == []
+    corpus, index = tmp_path / "corpus.jsonl", tmp_path / "index.pgidx"
+    write_corpus([Passage("d1", "t", "Alpha beta"), Passage("d2", "t", "Zürich, beta!")], corpus)
+    code = (
+        "from popgate.cli import main\n"
+        f"assert main(['index', '--corpus', {str(corpus)!r}, '--out', {str(index)!r}]) == 0\n"
+    )
+    assert loaded_after(code, NOT_INDEX) == []
+    assert index.exists()
+
+
+def test_pipeline_steps_load_neither_demo_nor_popularity(tmp_path):
+    code = offline_pipeline(tmp_path)
+    assert loaded_after(code, ("popgate.demo", "popgate.popularity")) == []
+    assert (tmp_path / "decisions.jsonl").exists()
 
 
 def test_first_completion_loads_http_client(tmp_path):

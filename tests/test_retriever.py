@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import string
 
 import pytest
@@ -37,6 +38,28 @@ def random_corpus(
     return passages, vocab
 
 
+def findall_tokens(text: str) -> list[str]:
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+# ASCII weighted toward what separates tokens: punctuation, control
+# characters, "_" and digits.
+ASCII_CHARS = st.one_of(
+    st.sampled_from(string.punctuation),
+    st.characters(max_codepoint=0x1F),
+    st.sampled_from("_\x7f \t\n"),
+    st.sampled_from(string.digits),
+    st.sampled_from(string.ascii_letters),
+)
+# Accented letters, "ß", "İ" (lowers to "i" and a combining dot), the Kelvin
+# sign (lowers to ASCII "k"), fullwidth digits, "²", combining marks,
+# non-ASCII spaces, other scripts, and any character at all.
+OTHER_CHARS = st.one_of(
+    st.sampled_from("éÉñüßİ\u212a\uff10\uff19²\u0301\u0307\u00a0\u2028Ω中"),
+    st.characters(),
+)
+
+
 class TestTokenize:
     def test_lowercases_and_splits_on_nonword(self):
         assert tokenize("Ada's 2nd-best friend!") == ["ada", "s", "2nd", "best", "friend"]
@@ -46,6 +69,18 @@ class TestTokenize:
 
     def test_unicode_letters_kept(self):
         assert tokenize("Zijah Sokolović") == ["zijah", "sokolović"]
+
+    def test_every_ascii_character(self):
+        text = "".join(map(chr, range(128)))
+        letters = string.ascii_lowercase
+        assert tokenize(text) == ["0123456789", letters, letters] == findall_tokens(text)
+
+    # Text that is ASCII after lower() takes a byte-table path; the rest keeps
+    # the regex. Both must agree with the expression tests/oracles.py uses.
+    @given(st.one_of(st.text(ASCII_CHARS), st.text(st.one_of(ASCII_CHARS, OTHER_CHARS))))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_regex_on_any_text(self, text):
+        assert tokenize(text) == findall_tokens(text)
 
 
 class TestBuildIndex:
