@@ -35,6 +35,7 @@ PARAMETRIC = "parametric"
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+_SENTINEL_NAMES = {NEG_INF: "-inf", POS_INF: "+inf"}
 
 DEFAULT_SPLIT_FRACTION = 0.75
 DEFAULT_REPEATS = 100
@@ -61,26 +62,30 @@ class ThresholdPolicy:
         except KeyError:
             raise PolicyError(f"policy has no threshold for relation {relation!r}") from None
 
-    def to_dict(self) -> dict:
-        def encode(value: float) -> float | str:
-            if value == NEG_INF:
-                return "-inf"
-            if value == POS_INF:
-                return "+inf"
-            return value
+    @property
+    def json_thresholds(self) -> dict[str, float | str]:
+        """The thresholds as `save` writes them, the infinite sentinels as
+        "-inf" and "+inf"."""
+        return {rel: _SENTINEL_NAMES.get(t, t) for rel, t in sorted(self.thresholds.items())}
 
-        return {
-            "thresholds": {rel: encode(t) for rel, t in sorted(self.thresholds.items())},
+    def save(self, path: str | Path, metadata: dict | None = None) -> None:
+        payload = {
+            "thresholds": self.json_thresholds,
             "tuned_on": self.tuned_on,
             "retrieval_mode": self.retrieval_mode,
         }
+        if metadata:
+            payload["metadata"] = metadata
+        atomic_write_text(path, dumps_stable(payload) + "\n")
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ThresholdPolicy":
-        """Raises PolicyError when the payload has no thresholds mapping, a
-        threshold is not a number, `tuned_on` is not a string or
-        `retrieval_mode` is not "retrieval" or "genread"; the only
-        non-finite thresholds accepted are the "-inf" and "+inf" sentinels."""
+    def load(cls, path: str | Path) -> "ThresholdPolicy":
+        """Raises PolicyError naming `path` when the file is not UTF-8 JSON,
+        has no thresholds mapping, a threshold is not a number, `tuned_on` is
+        not a string or `retrieval_mode` is not "retrieval" or "genread"; the
+        only non-finite thresholds accepted are the "-inf" and "+inf"
+        sentinels."""
+        payload = read_json(path, PolicyError)
 
         def decode(relation: str, value) -> float:
             if value == "-inf":
@@ -93,43 +98,28 @@ class ThresholdPolicy:
                 threshold = math.nan
             if isinstance(value, bool) or not math.isfinite(threshold):
                 raise PolicyError(
-                    f"threshold for relation {relation!r} is {value!r}; "
+                    f"{path}: threshold for relation {relation!r} is {value!r}; "
                     'expected a finite number, "-inf" or "+inf"'
                 )
             return threshold
 
         thresholds = payload.get("thresholds") if isinstance(payload, dict) else None
         if not isinstance(thresholds, dict):
-            raise PolicyError("bad policy payload: no 'thresholds' object")
+            raise PolicyError(f"{path}: bad policy payload: no 'thresholds' object")
         tuned_on = payload.get("tuned_on", "")
         if not isinstance(tuned_on, str):
-            raise PolicyError(f"'tuned_on' is {tuned_on!r}; expected a string")
+            raise PolicyError(f"{path}: 'tuned_on' is {tuned_on!r}; expected a string")
         retrieval_mode = payload.get("retrieval_mode", "retrieval")
         if retrieval_mode not in ("retrieval", "genread"):
             raise PolicyError(
-                f"'retrieval_mode' is {retrieval_mode!r}; expected \"retrieval\" or \"genread\""
+                f"{path}: 'retrieval_mode' is {retrieval_mode!r}; "
+                'expected "retrieval" or "genread"'
             )
         return cls(
             thresholds={rel: decode(rel, t) for rel, t in thresholds.items()},
             tuned_on=tuned_on,
             retrieval_mode=retrieval_mode,
         )
-
-    def save(self, path: str | Path, metadata: dict | None = None) -> None:
-        payload = self.to_dict()
-        if metadata:
-            payload["metadata"] = metadata
-        atomic_write_text(path, dumps_stable(payload) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ThresholdPolicy":
-        """Raises PolicyError naming `path` when the file is not UTF-8 JSON or
-        not a valid policy."""
-        payload = read_json(path, PolicyError)
-        try:
-            return cls.from_dict(payload)
-        except PolicyError as exc:
-            raise PolicyError(f"{path}: {exc}") from exc
 
 
 def route(example: QAExample, policy: ThresholdPolicy) -> str:

@@ -129,7 +129,7 @@ def _cmd_run(args) -> int:
         examples,
         args.mode,
         client=client,
-        oracle=lm_mod.OracleParams() if client is None else None,
+        oracle=args.oracle,
         index=index,
         shots=args.shots,
         rng_seed=args.seed,

@@ -18,25 +18,6 @@ from .util import read_json, read_jsonl, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
-RELATIONS: tuple[str, ...] = (
-    "occupation",
-    "place of birth",
-    "genre",
-    "father",
-    "country",
-    "producer",
-    "director",
-    "capital of",
-    "screenwriter",
-    "composer",
-    "color",
-    "religion",
-    "sport",
-    "author",
-    "mother",
-    "capital",
-)
-
 DEFAULT_TEMPLATE_PATTERNS: dict[str, str] = {
     "occupation": "What is [subj]'s occupation?",
     "place of birth": "In what city was [subj] born?",
@@ -55,6 +36,7 @@ DEFAULT_TEMPLATE_PATTERNS: dict[str, str] = {
     "mother": "Who is the mother of [subj]?",
     "capital": "What is the capital of [subj]?",
 }
+RELATIONS: tuple[str, ...] = tuple(DEFAULT_TEMPLATE_PATTERNS)
 
 DEFAULT_PER_RELATION_CAP = 2000
 

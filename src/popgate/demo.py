@@ -34,7 +34,7 @@ from .evaluation import (
     write_records,
     write_report,
 )
-from .lm import OracleParams, run_predictions
+from .lm import ORACLE_B, run_predictions
 from .retriever import Passage, build_index, save_index, write_corpus
 
 DEMO_SIZE = 2000
@@ -43,7 +43,6 @@ HIGH_POP_HIT_RATE = 0.35
 _MIN_LOG10_POP = 1.0
 _MAX_LOG10_POP = 6.0
 _DEMO_MIN_BIN_N = 20
-_ORACLE = OracleParams()
 
 
 @dataclass
@@ -57,8 +56,8 @@ def generate_world(seed: int | str, size: int = DEMO_SIZE) -> SyntheticWorld:
 
     Each subject gets a unique label token so BM25 retrieves its own passage;
     whether that passage contains the gold answer is a popularity-dependent
-    coin flip (LOW_POP_HIT_RATE below the oracle LM's popularity midpoint `b`,
-    HIGH_POP_HIT_RATE above).
+    coin flip (LOW_POP_HIT_RATE below the oracle LM's popularity midpoint
+    ORACLE_B, HIGH_POP_HIT_RATE above).
     """
     rng = random.Random(f"demo\x00{seed}")
     templates = default_templates()
@@ -77,7 +76,7 @@ def generate_world(seed: int | str, size: int = DEMO_SIZE) -> SyntheticWorld:
         example = verbalize(triple, templates)
         log10_pop = rng.uniform(_MIN_LOG10_POP, _MAX_LOG10_POP)
         example = example.with_popularity(round(10.0**log10_pop))
-        rare = example.log10_popularity < _ORACLE.b
+        rare = example.log10_popularity < ORACLE_B
         hit_rate = LOW_POP_HIT_RATE if rare else HIGH_POP_HIT_RATE
         detail = answer if rng.random() < hit_rate else "unverified"
         passages.append(
@@ -104,10 +103,8 @@ def run_demo(
     dataset = world.examples
     index = build_index(world.passages)
 
-    vanilla = run_predictions(dataset, "vanilla", oracle=_ORACLE, rng_seed=seed)
-    retrieval = run_predictions(
-        dataset, "retrieval", oracle=_ORACLE, index=index, rng_seed=seed
-    )
+    vanilla = run_predictions(dataset, "vanilla", oracle=True, rng_seed=seed)
+    retrieval = run_predictions(dataset, "retrieval", oracle=True, index=index, rng_seed=seed)
     tuned = tune_thresholds(vanilla, retrieval, dataset, split_fraction, repeats, rng_seed=seed)
     policy, summary = tuned.policy, tuned.summary
 
@@ -127,7 +124,7 @@ def run_demo(
         **tuned.metadata,
         "full_fit_adaptive_accuracy": summary["full_fit_adaptive_accuracy"],
         "per_repeat_test_accuracies": [o.test_accuracy for o in tuned.repeat_outcomes],
-        "thresholds": policy.to_dict()["thresholds"],
+        "thresholds": policy.json_thresholds,
     }
 
     write_dataset(dataset, out_dir / "dataset.jsonl")

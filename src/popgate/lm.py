@@ -34,6 +34,10 @@ DEFAULT_GENREAD_INSTRUCTION = (
     "Generate a background document that answers the given question."
 )
 ORACLE_WRONG_ANSWER = "UNKNOWN_ENTITY"
+# The synthetic oracle's fixed parameters; `oracle_lm` says how each is used.
+ORACLE_A = 2.0
+ORACLE_B = 3.5
+ORACLE_READOUT = 0.9
 ORACLE_MISS_RATE = 0.05
 
 
@@ -274,16 +278,6 @@ def genread_answer(
     return context, combined
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    """Synthetic LM: popularity-dependent parametric recall, readout-limited
-    retrieval-augmented recall."""
-
-    a: float = 2.0
-    b: float = 3.5
-    readout: float = 0.9
-
-
 def _sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-min(x, 700.0)))
@@ -294,23 +288,23 @@ def oracle_lm(
     example: QAExample,
     mode: str,
     retrieval_hit: bool,
-    params: OracleParams,
     rng_seed: int | str = 0,
 ) -> str:
     """Deterministic synthetic prediction for one example.
 
-    Vanilla mode answers correctly with probability sigmoid(a*(log10_pop - b));
-    retrieval mode with probability `readout` when the retrieved passage
-    contains the answer, else a small residual rate. Wrong answers are a fixed
-    sentinel string. The draw depends only on (seed, example id, mode).
+    Vanilla mode answers correctly with probability
+    sigmoid(ORACLE_A * (log10_pop - ORACLE_B)); retrieval mode with probability
+    ORACLE_READOUT when the retrieved passage contains the answer, else
+    ORACLE_MISS_RATE. Wrong answers are a fixed sentinel string. The draw
+    depends only on (seed, example id, mode).
     """
     if mode not in ("vanilla", "retrieval"):
         raise ValidationError(f"oracle LM does not support mode {mode!r}")
     rng = random.Random(f"{rng_seed}\x00{example.id}\x00{mode}")
     if mode == "vanilla":
-        p = _sigmoid(params.a * (example.log10_popularity - params.b))
+        p = _sigmoid(ORACLE_A * (example.log10_popularity - ORACLE_B))
     else:
-        p = params.readout if retrieval_hit else ORACLE_MISS_RATE
+        p = ORACLE_READOUT if retrieval_hit else ORACLE_MISS_RATE
     if rng.random() < p:
         return sorted(example.gold_answers)[0]
     return ORACLE_WRONG_ANSWER
@@ -333,20 +327,21 @@ def run_predictions(
     mode: str,
     *,
     client: CompletionClient | None = None,
-    oracle: OracleParams | None = None,
+    oracle: bool = False,
     index: Bm25Index | None = None,
     shots: int = 0,
     rng_seed: int | str = 0,
 ) -> list[PredictionRecord]:
-    """Run one mode over the dataset and return scored prediction records.
-    A repeated question id is a ValidationError, raised before any request."""
+    """Run one mode over the dataset and return scored prediction records,
+    answered by `client` or, with `oracle`, by the synthetic oracle. A
+    repeated question id is a ValidationError, raised before any request."""
     if mode not in MODES:
         raise ValidationError(f"unknown run mode {mode!r}")
-    if (client is None) == (oracle is None):
-        raise ConfigError("exactly one of endpoint client or oracle params is required")
+    if (client is None) != oracle:
+        raise ConfigError("exactly one of an endpoint client or the oracle is required")
     if mode == "retrieval" and index is None:
         raise ConfigError("retrieval mode needs a built index")
-    if mode == "genread" and oracle is not None:
+    if mode == "genread" and oracle:
         raise ConfigError("the synthetic oracle does not implement genread")
 
     candidates = FewshotCandidates(dataset)
@@ -371,8 +366,8 @@ def run_predictions(
             generated, completion = genread_answer(client, ex.question, fewshot)
             return completion, generated == ""
         prompt = render_prompt(ex.question, fewshot, context)
-        if oracle is not None:
-            prediction = oracle_lm(ex, mode, bool(recall1), oracle, rng_seed)
+        if oracle:
+            prediction = oracle_lm(ex, mode, bool(recall1), rng_seed)
             return _oracle_completion(prompt, prediction), None
         return client.complete(prompt), None
 

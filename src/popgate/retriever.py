@@ -179,20 +179,26 @@ class Bm25Index:
     def _bound(self, term: str) -> float:
         """The term's largest impact, computed and kept on its first read;
         threads that race on that read store the same value. A term whose
-        document positions do not strictly ascend within [0, doc_count), as
-        a corrupt file can hold, raises IndexFormatError: search looks them
-        up by bisection and indexes documents by them. With ascent, the first
-        and last position bound the rest."""
+        document positions do not strictly ascend within [0, doc_count), or
+        whose impacts are not all finite and > 0, as a corrupt file can hold,
+        raises IndexFormatError: search looks positions up by bisection,
+        indexes documents by them and ranks by impacts. With ascent, the
+        first and last position bound the rest; a NaN or infinite impact
+        makes the sum NaN or infinite, and without one `min` is exact."""
         bound = self._bounds.get(term)
         if bound is None:
             start, end = self._postings[term]
-            docs = self._docs[start:end]
+            docs, impacts = self._docs[start:end], self._impacts[start:end]
             if not (0 <= docs[0] and docs[-1] < self.doc_count and all(map(lt, docs, docs[1:]))):
                 raise IndexFormatError(
                     f"{self._path}: document positions of term {term!r} do not ascend "
                     f"within [0, {self.doc_count})"
                 )
-            bound = self._bounds[term] = max(self._impacts[start:end])
+            if not (math.isfinite(sum(impacts)) and min(impacts) > 0):
+                raise IndexFormatError(
+                    f"{self._path}: impacts of term {term!r} are not all finite and > 0"
+                )
+            bound = self._bounds[term] = max(impacts)
         return bound
 
     def search(self, query: str, k: int = 1) -> list[SearchHit]:
@@ -346,20 +352,47 @@ def _parse_header(path, data) -> dict:
 def _header_passages(path, header: dict) -> list[Passage]:
     try:
         passages = [Passage(**row) for row in header["passages"]]
-        doc_count = header["doc_count"]
     except (KeyError, TypeError, ValidationError) as exc:
         raise IndexFormatError(f"{path}: bad passages in header: {exc}") from exc
+    (doc_count,) = _header_numbers(path, header, "doc_count")
     if len(passages) != doc_count:
         raise IndexFormatError(f"{path}: doc count mismatch")
     return passages
 
 
+# Each number of an index header: the JSON types it may have (never a
+# boolean), its upper bound and its range in words. k1 and b follow
+# config.Bm25Section.
+_HEADER_NUMBERS = {
+    "k1": ((int, float), sys.float_info.max, "a finite number >= 0"),
+    "b": ((int, float), 1.0, "a number in [0, 1]"),
+    "avg_doc_length": ((int, float), sys.float_info.max, "a finite number >= 0"),
+    "doc_count": ((int,), math.inf, "an integer >= 0"),
+}
+
+
+def _header_numbers(path, header: dict, *keys: str) -> list[float]:
+    """The header's values of `keys`, each checked against _HEADER_NUMBERS.
+    NaN fails every comparison, and an integer too large for a float exceeds
+    the bound of a float key."""
+    try:
+        values = [header[key] for key in keys]
+    except KeyError as exc:
+        raise IndexFormatError(f"{path}: header lacks {exc}") from exc
+    for key, value in zip(keys, values):
+        types, high, wording = _HEADER_NUMBERS[key]
+        if not (type(value) in types and 0 <= value <= high):
+            raise IndexFormatError(f"{path}: header {key} is {value!r}; expected {wording}")
+    return values
+
+
 def _load_v1(path, body) -> Bm25Index:
     header = _parse_header(path, body)
     passages = _header_passages(path, header)
+    k1, b = _header_numbers(path, header, "k1", "b")
     try:
-        return Bm25Index(passages, k1=header["k1"], b=header["b"])
-    except (KeyError, TypeError, ValidationError) as exc:
+        return Bm25Index(passages, k1=k1, b=b)
+    except ValidationError as exc:
         raise IndexFormatError(f"{path}: bad index payload: {exc}") from exc
 
 
@@ -375,13 +408,11 @@ def _load_v2(path, body) -> Bm25Index:
     by_id = {p.doc_id: p for p in passages}
     if len(by_id) != len(passages):
         raise IndexFormatError(f"{path}: duplicate doc_id in header")
+    k1, b, avgdl = _header_numbers(path, header, "k1", "b", "avg_doc_length")
     try:
-        k1, b, avgdl = header["k1"], header["b"], header["avg_doc_length"]
         terms, lengths = header["terms"], header["lengths"]
     except KeyError as exc:
         raise IndexFormatError(f"{path}: header lacks {exc}") from exc
-    if not all(isinstance(x, (int, float)) for x in (k1, b, avgdl)):
-        raise IndexFormatError(f"{path}: bad BM25 parameters in header")
     if not (
         isinstance(terms, list)
         and isinstance(lengths, list)

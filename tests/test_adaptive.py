@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -664,9 +665,11 @@ class TestPolicyIO:
         assert '"-inf"' in text and '"+inf"' in text
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", 1e999, True, None, [1.0]])
-    def test_non_finite_or_non_numeric_threshold_rejected(self, value):
-        with pytest.raises(PolicyError, match="director"):
-            ThresholdPolicy.from_dict({"thresholds": {"director": value}})
+    def test_non_finite_or_non_numeric_threshold_rejected(self, tmp_path, value):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"thresholds": {"director": value}}))
+        with pytest.raises(PolicyError, match="policy.json: threshold for relation 'director'"):
+            ThresholdPolicy.load(path)
 
     def test_json_nan_threshold_rejected_with_path(self, tmp_path):
         path = tmp_path / "policy.json"

@@ -11,7 +11,9 @@ from popgate.adaptive import CostModel
 from popgate.cli import CONFIG_FLAGS
 from popgate.config import RunConfig, load_file
 from popgate.errors import ConfigError
-from popgate.lm import EndpointConfig, completion_cache_key
+from popgate.lm import (
+    ORACLE_A, ORACLE_B, ORACLE_MISS_RATE, ORACLE_READOUT, EndpointConfig, completion_cache_key,
+)
 
 
 def write_config(tmp_path, payload: dict):
@@ -167,6 +169,13 @@ class TestReadmeExamples:
 
     def test_config_table_lists_every_config_key(self):
         assert readme_config_table_keys() == {f"{s}.{k}" for s, k in config_file_keys()}
+
+    def test_oracle_paragraph_states_the_oracle_constants(self):
+        paragraph = readme().split("\n`run --oracle` answers", 1)[1].split("\n\n", 1)[0]
+        text = " ".join(paragraph.split())
+        for stated in (f"a {ORACLE_A}", f"b {ORACLE_B}", f"readout {ORACLE_READOUT}",
+                       f"else {ORACLE_MISS_RATE}"):
+            assert stated in text
 
 
 def test_config_file_holds_only_what_a_flag_sets():

@@ -325,15 +325,14 @@ class TestQuadrants:
         # concentrate where retrieval found the answer, and right->wrong flips
         # where it did not.
         from popgate.demo import generate_world
-        from popgate.lm import OracleParams, run_predictions
+        from popgate.lm import run_predictions
         from popgate.retriever import build_index
 
         world = generate_world(seed=3, size=600)
         index = build_index(world.passages)
-        oracle = OracleParams()
-        vanilla = run_predictions(world.examples, "vanilla", oracle=oracle, rng_seed=3)
+        vanilla = run_predictions(world.examples, "vanilla", oracle=True, rng_seed=3)
         retrieval = run_predictions(
-            world.examples, "retrieval", oracle=oracle, index=index, rng_seed=3
+            world.examples, "retrieval", oracle=True, index=index, rng_seed=3
         )
         table = quadrant_analysis(vanilla, retrieval, world.examples)
         helped = table[(False, True)].mean_recall1

@@ -1,0 +1,125 @@
+"""The error contract under fault injection: each input file a subcommand
+reads, cut short at a random offset or with one byte changed, either still
+runs (exit 0) or fails with exit 1, exactly one `error:` line on stderr and
+no output file. Any exception that escapes `cli.main` fails the test."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from popgate import util
+from popgate.cli import main
+from popgate.dataset import DEFAULT_TEMPLATE_PATTERNS
+from popgate.demo import run_demo
+from popgate.retriever import INDEX_MAGIC
+from popgate.util import HttpResponse
+
+# Each input file, and the subcommand that reads it with `{}` in its place.
+# `out` is the output path; the other names are the valid inputs.
+COMMANDS = {
+    "dataset.jsonl": ["run", "--dataset", "{}", "--mode", "vanilla", "--oracle", "--shots", "0"],
+    "corpus.jsonl": ["index", "--corpus", "{}"],
+    "index.pgidx": ["run", "--dataset", "dataset.jsonl", "--mode", "retrieval", "--oracle",
+                    "--shots", "0", "--index", "{}"],
+    "index_v1.pgidx": ["run", "--dataset", "dataset.jsonl", "--mode", "retrieval", "--oracle",
+                       "--shots", "0", "--index", "{}"],
+    "run_vanilla.jsonl": ["savings", "--dataset", "dataset.jsonl", "--vanilla", "{}",
+                          "--retrieval", "run_retrieval.jsonl", "--policy", "policy.json"],
+    "run_retrieval.jsonl": ["tune", "--dataset", "dataset.jsonl", "--vanilla",
+                            "run_vanilla.jsonl", "--retrieval", "{}", "--repeats", "3"],
+    "policy.json": ["route", "--dataset", "dataset.jsonl", "--policy", "{}"],
+    "config.json": ["index", "--config", "{}"],
+    "triples.jsonl": ["build-dataset", "--triples", "{}", "--seed", "0"],
+    "templates.json": ["build-dataset", "--triples", "triples.jsonl", "--templates", "{}",
+                       "--seed", "0"],
+    "costs.json": ["savings", "--dataset", "dataset.jsonl", "--vanilla", "run_vanilla.jsonl",
+                   "--retrieval", "run_retrieval.jsonl", "--policy", "policy.json",
+                   "--cost-model", "{}"],
+    "endpoint.json": ["run", "--dataset", "dataset.jsonl", "--mode", "vanilla", "--shots", "0",
+                      "--endpoint", "{}"],
+}
+
+
+def completion_reply(self, method, url, what, json_body=None) -> HttpResponse:
+    """A fixed 200 completion, in place of any HTTP request: a changed
+    endpoint file may name any host."""
+    body = {"choices": [{"text": "Fact00001"}], "usage": {"prompt_tokens": 3}}
+    return HttpResponse(200, json.dumps(body).encode("utf-8"), 0.001)
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """A directory, made the working directory, holding one valid file of
+    each kind that COMMANDS reads."""
+    monkeypatch.setattr(util.HttpClient, "request", completion_reply)
+    monkeypatch.chdir(tmp_path)
+    run_demo(seed=3, out_dir=tmp_path, size=48, repeats=3)
+    passages = [json.loads(line) for line in (tmp_path / "corpus.jsonl").open(encoding="utf-8")]
+    v1 = {"k1": 1.2, "b": 0.75, "doc_count": len(passages), "passages": passages}
+    (tmp_path / "index_v1.pgidx").write_bytes(
+        INDEX_MAGIC + bytes([1]) + json.dumps(v1).encode("utf-8")
+    )
+    files = {
+        "config.json": {"paths": {"corpus": "corpus.jsonl"}, "bm25": {"k1": 1.2, "b": 0.75}},
+        "templates.json": {rel: DEFAULT_TEMPLATE_PATTERNS[rel] for rel in ("genre", "author")},
+        "costs.json": {"price_per_1k_prompt_tokens": 0.5, "retrieval_latency_ms": 20},
+        # No cache and no rate limit: a changed byte cannot name a directory
+        # to write, nor make the run wait.
+        "endpoint.json": {"base_url": "http://127.0.0.1:9/v1", "model": "m", "cache_dir": None,
+                          "max_retries": 0, "max_parallelism": 2},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    triples = [
+        {"subj_id": f"S{i}", "subj": f"Subject {i}", "subj_aliases": [f"S-{i}"],
+         "relation": ("genre", "author")[i % 2],
+         "objects": [{"id": f"O{i}", "label": f"Object {i}", "aliases": []}]}
+        for i in range(6)
+    ]
+    (tmp_path / "triples.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in triples), encoding="utf-8"
+    )
+    return tmp_path
+
+
+def run_cli(name: str, path) -> tuple[int, bool]:
+    """(exit code, whether an output exists) of the command reading `path`
+    as `name`."""
+    out = path.parent / "out"
+    argv = [str(path) if arg == "{}" else arg for arg in COMMANDS[name]]
+    code = main([*argv, "--out", str(out)])
+    exists = out.exists()
+    out.unlink(missing_ok=True)
+    return code, exists
+
+
+def test_valid_inputs_run(inputs, capsys):
+    for name in COMMANDS:
+        assert run_cli(name, inputs / name) == (0, True), (name, capsys.readouterr().err)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_changed_input_exits_0_or_1_with_one_error_line(inputs, capsys, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)), label="file")
+    blob = (inputs / name).read_bytes()
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        changed = blob[:offset]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        changed = blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1 :]
+    mutated = inputs / "mutated" / name
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(changed)
+    capsys.readouterr()
+    code, wrote = run_cli(name, mutated)
+    err = capsys.readouterr().err
+    if code != 0:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not wrote

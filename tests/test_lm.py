@@ -14,7 +14,9 @@ from popgate.lm import (
     CompletionClient,
     EndpointConfig,
     FewshotCandidates,
-    OracleParams,
+    ORACLE_A,
+    ORACLE_B,
+    ORACLE_MISS_RATE,
     build_fewshot_pool,
     completion_cache_key,
     genread_answer,
@@ -354,52 +356,50 @@ class TestGenread:
 
 class TestOracleLm:
     def test_sigmoid_saturation_always_correct(self):
-        params = OracleParams(a=1000.0, b=3.0, readout=0.9)
-        example = make_example(1, popularity=100000)  # log10 pop = 5
+        # At log10 popularity 25, far above ORACLE_B, the sigmoid rounds to 1.
+        example = make_example(1, popularity=10**25)
+        assert 1.0 / (1.0 + math.exp(-ORACLE_A * (25 - ORACLE_B))) == 1.0
         for seed in range(50):
-            assert oracle_lm(example, "vanilla", False, params, seed) == "Alice Smith"
+            assert oracle_lm(example, "vanilla", False, seed) == "Alice Smith"
 
     def test_retrieval_miss_rate_close_to_residual(self):
-        params = OracleParams(readout=0.9)
         n = 10**4
         hits = 0
         for i in range(n):
             example = make_example(i, popularity=100)
-            if oracle_lm(example, "retrieval", False, params, 77) == "Alice Smith":
+            if oracle_lm(example, "retrieval", False, 77) == "Alice Smith":
                 hits += 1
-        p = 0.05
+        p = ORACLE_MISS_RATE
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) <= 3 * sigma
 
     def test_deterministic_per_seed_and_id(self):
         example = make_example(3, popularity=3000)
-        params = OracleParams()
-        a = oracle_lm(example, "vanilla", False, params, 5)
-        b = oracle_lm(example, "vanilla", False, params, 5)
+        a = oracle_lm(example, "vanilla", False, 5)
+        b = oracle_lm(example, "vanilla", False, 5)
         assert a == b
 
     def test_vanilla_rate_monotone_in_popularity(self):
-        params = OracleParams(a=2.0, b=3.5, readout=0.9)
         n = 10**4
         rates = []
         for exponent in (1, 2, 3, 4, 5, 6):
             correct = 0
             for i in range(n):
                 example = make_example(i, popularity=10**exponent)
-                if oracle_lm(example, "vanilla", False, params, exponent * 100000 + 1) != "UNKNOWN_ENTITY":
+                if oracle_lm(example, "vanilla", False, exponent * 100000 + 1) != "UNKNOWN_ENTITY":
                     correct += 1
             rates.append(correct / n)
         assert rates == sorted(rates)
 
     def test_unsupported_mode_rejected(self):
         with pytest.raises(ValidationError):
-            oracle_lm(make_example(0), "genread", False, OracleParams(), 0)
+            oracle_lm(make_example(0), "genread", False, 0)
 
 
 class TestRunPredictions:
     def test_oracle_vanilla_records(self):
         dataset = synthetic_examples(30, relations=("director", "genre"), seed=4)
-        records = run_predictions(dataset, "vanilla", oracle=OracleParams(), rng_seed=1)
+        records = run_predictions(dataset, "vanilla", oracle=True, rng_seed=1)
         assert len(records) == len(dataset)
         assert all(r.mode == "vanilla" for r in records)
         assert all(r.retrieved_doc_id is None for r in records)
@@ -409,11 +409,14 @@ class TestRunPredictions:
         dataset = synthetic_examples(4, seed=0)
         with pytest.raises(ConfigError):
             run_predictions(dataset, "vanilla", rng_seed=0)
+        client = CompletionClient(make_endpoint("http://127.0.0.1:9", None))
+        with pytest.raises(ConfigError):
+            run_predictions(dataset, "vanilla", client=client, oracle=True, rng_seed=0)
 
     def test_oracle_genread_rejected(self):
         dataset = synthetic_examples(4, seed=0)
         with pytest.raises(ConfigError):
-            run_predictions(dataset, "genread", oracle=OracleParams(), rng_seed=0)
+            run_predictions(dataset, "genread", oracle=True, rng_seed=0)
 
     def test_endpoint_run_with_fewshot(self, tmp_path, sixteen_relation_dataset):
         with completions_server(lambda p: "Fact00000") as server:

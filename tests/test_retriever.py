@@ -5,6 +5,7 @@ import math
 import random
 import re
 import string
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,6 +327,21 @@ def join_v2(header: dict, arrays: bytes) -> bytes:
     return INDEX_MAGIC + bytes([2]) + len(encoded).to_bytes(8, "little") + encoded + arrays
 
 
+# (index format version, header key, a value it must not hold); a v1 header
+# holds no avg_doc_length.
+BAD_HEADER_NUMBERS = [
+    pytest.param(version, key, value, id=f"v{version}-{key}-{value!r:.12}")
+    for key, values in {
+        "k1": [True, False, math.nan, math.inf, -0.5, "1.2", None, 10**309],
+        "b": [True, math.nan, 1.5, -0.1, [0.75]],
+        "avg_doc_length": [True, math.nan, -1.0, math.inf, "3"],
+        "doc_count": [True, 3.0, None],
+    }.items()
+    for value in values
+    for version in ((2,) if key == "avg_doc_length" else (1, 2))
+]
+
+
 class TestSerialization:
     def test_round_trip_identical_results(self, tmp_path):
         rng = random.Random(7)
@@ -414,6 +430,22 @@ class TestSerialization:
             loaded.search(f"the {term}", k=2)
         assert_retrieval_run_fails(tmp_path, capsys, path, term)
 
+    @pytest.mark.parametrize("impact", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+    def test_impact_that_is_not_finite_and_positive(self, tmp_path, capsys, impact):
+        path = tmp_path / "impact.pgidx"
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        # Impacts follow the 4-byte positions, 8 bytes each; set the term's last one.
+        i = header["terms"].index("cat")
+        at = 4 * sum(header["lengths"]) + 8 * (sum(header["lengths"][: i + 1]) - 1)
+        arrays = arrays[:at] + struct.pack("<d", impact) + arrays[at + 8 :]
+        path.write_bytes(join_v2(header, arrays))
+        loaded = load_index(path)  # load reads no impact
+        assert loaded.search("dog", k=1)[0].doc_id == "d3"
+        with pytest.raises(IndexFormatError, match="impact.pgidx.*'cat'.*finite"):
+            loaded.search("the cat", k=2)
+        assert_retrieval_run_fails(tmp_path, capsys, path, "cat")
+
     def test_bounds_are_computed_on_a_terms_first_search(self, tmp_path):
         path = tmp_path / "bounds.pgidx"
         save_index(build_index(small_corpus()), path)
@@ -446,6 +478,36 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match="swapped.pgidx.*'apple'"):
             loaded.search("apple pie", k=3)
         assert_retrieval_run_fails(tmp_path, capsys, path, "apple")
+
+    @pytest.mark.parametrize("version, key, value", BAD_HEADER_NUMBERS)
+    def test_bad_header_number(self, tmp_path, version, key, value):
+        path = tmp_path / "numbers.pgidx"
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        if version == 1:
+            header = {k: header[k] for k in ("k1", "b", "doc_count", "passages")}
+        header[key] = value
+        encoded = json.dumps(header).encode("utf-8")
+        if version == 1:
+            path.write_bytes(INDEX_MAGIC + bytes([1]) + encoded)
+        else:
+            path.write_bytes(
+                INDEX_MAGIC + bytes([2]) + len(encoded).to_bytes(8, "little") + encoded + arrays
+            )
+        with pytest.raises(IndexFormatError, match=f"numbers.pgidx: .*{key}"):
+            load_index(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("key", ["k1", "b"])
+    def test_header_bounds_load(self, tmp_path, version, key):
+        # The ends of each range, and an integer, are valid header numbers.
+        for value in (0, 1, 0.0, 1.0):
+            path = tmp_path / "bounds.pgidx"
+            if version == 1:
+                write_v1_index(small_corpus(), **{"k1": 1.2, "b": 0.75, key: value}, path=path)
+            else:
+                save_index(build_index(small_corpus(), **{"k1": 1.2, "b": 0.75, key: value}), path)
+            assert getattr(load_index(path), key) == value
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_every_truncation_is_an_index_format_error(self, tmp_path, capsys, version):
