@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, compress
@@ -26,7 +27,7 @@ from typing import Mapping, Sequence, TypeVar
 from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
 from .evaluation import PredictionRecord, join_runs
-from .util import atomic_write_text, dumps_stable, read_json, sha256_hex
+from .util import atomic_write_text, dumps_stable, read_json, require_finite, sha256_hex
 
 logger = logging.getLogger(__name__)
 
@@ -81,27 +82,22 @@ class ThresholdPolicy:
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
         """Raises PolicyError naming `path` when the file is not UTF-8 JSON,
-        has no thresholds mapping, a threshold is not a number, `tuned_on` is
-        not a string or `retrieval_mode` is not "retrieval" or "genread"; the
-        only non-finite thresholds accepted are the "-inf" and "+inf"
-        sentinels."""
+        has no thresholds mapping, a threshold is neither a JSON number a
+        float holds (not a boolean) nor the "-inf" or "+inf" sentinel,
+        `tuned_on` is not a string or `retrieval_mode` is not "retrieval" or
+        "genread"."""
         payload = read_json(path, PolicyError)
 
         def decode(relation: str, value) -> float:
-            if value == "-inf":
-                return NEG_INF
-            if value == "+inf":
-                return POS_INF
-            try:
-                threshold = float(value)
-            except (TypeError, ValueError):
-                threshold = math.nan
-            if isinstance(value, bool) or not math.isfinite(threshold):
-                raise PolicyError(
-                    f"{path}: threshold for relation {relation!r} is {value!r}; "
-                    'expected a finite number, "-inf" or "+inf"'
-                )
-            return threshold
+            # An integer past the largest float fails the bound, as NaN does.
+            if value in ("-inf", "+inf") or (
+                type(value) in (int, float) and abs(value) <= sys.float_info.max
+            ):
+                return float(value)
+            raise PolicyError(
+                f"{path}: threshold for relation {relation!r} is {value!r}; "
+                'expected a finite number, "-inf" or "+inf"'
+            )
 
         thresholds = payload.get("thresholds") if isinstance(payload, dict) else None
         if not isinstance(thresholds, dict):
@@ -408,9 +404,7 @@ class CostModel:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not value >= 0:
-                raise ValidationError(f"{f.name} must be non-negative, got {value}")
+            require_finite(f.name, getattr(self, f.name))
 
     def record_cost(self, record: PredictionRecord) -> float:
         return (
@@ -451,12 +445,17 @@ def cost_report(
         )
     # Per question: (token cost, latency, retrieved?) when answered from each run.
     lookup = cost_model.retrieval_latency_ms
-    vanilla = [(cost_model.record_cost(v), v.latency_ms, 0) for v in van]
-    always = [(cost_model.record_cost(r), r.latency_ms + lookup, 1) for r in ret]
+    try:
+        vanilla = [(cost_model.record_cost(v), v.latency_ms, 0) for v in van]
+        always = [(cost_model.record_cost(r), r.latency_ms + lookup, 1) for r in ret]
+    except OverflowError:  # a token count past the largest float
+        raise AccountingError("a token count is too large to price as a float") from None
     vanilla_cost, vanilla_ms, _ = _totals(vanilla)
     always_cost, always_ms, _ = _totals(always)
     adaptive_cost, adaptive_ms, routed = _totals(routed_records(vanilla, always, dataset, policy))
     savings = 0.0 if always_cost == 0 else 1.0 - adaptive_cost / always_cost
+    if not all(map(math.isfinite, (vanilla_cost, always_cost, adaptive_cost, savings))):
+        raise AccountingError("token costs overflow a float: prices or token counts too large")
     return {
         "adaptive_cost": adaptive_cost,
         "always_retrieve_cost": always_cost,

@@ -9,7 +9,6 @@ every seed default is an explicit constant, never wall-clock derived.
 
 from __future__ import annotations
 
-import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Any, TypeVar
 
 from .errors import ConfigError, ValidationError
 from .retriever import DEFAULT_B, DEFAULT_K1
-from .util import read_json
+from .util import read_json, require_finite
 
 T = TypeVar("T")
 
@@ -56,8 +55,7 @@ class Bm25Section:
     b: float = DEFAULT_B
 
     def __post_init__(self):
-        if not (math.isfinite(self.k1) and self.k1 >= 0):
-            raise ValidationError(f"k1 must be finite and >= 0, got {self.k1}")
+        require_finite("k1", self.k1)
         if not 0 <= self.b <= 1:
             raise ValidationError(f"b must lie in [0, 1], got {self.b}")
 

@@ -18,7 +18,7 @@ from .config import MODES
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
 from .retriever import normalize_text
-from .util import atomic_write_text, dumps_stable, read_jsonl, write_jsonl
+from .util import atomic_write_text, dumps_stable, is_count, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
@@ -68,17 +68,13 @@ class PredictionRecord:
             raise ValidationError(
                 f"record {self.question_id!r}: vanilla run cannot carry a retrieved doc"
             )
-        if self.prompt_tokens is not None and (
-            type(self.prompt_tokens) is not int or self.prompt_tokens < 0
-        ):
+        if self.retrieved_doc_id is not None and type(self.retrieved_doc_id) is not str:
+            self._reject("retrieved_doc_id", "null or a string")
+        if self.prompt_tokens is not None and not is_count(self.prompt_tokens):
             self._reject("prompt_tokens", "null or a non-negative integer")
-        if self.completion_tokens is not None and (
-            type(self.completion_tokens) is not int or self.completion_tokens < 0
-        ):
+        if self.completion_tokens is not None and not is_count(self.completion_tokens):
             self._reject("completion_tokens", "null or a non-negative integer")
-        if self.latency_ms is not None and (
-            type(self.latency_ms) is not int or self.latency_ms < 0
-        ):
+        if self.latency_ms is not None and not is_count(self.latency_ms):
             self._reject("latency_ms", "null or a non-negative integer")
 
     def _reject(self, name: str, expected: str):

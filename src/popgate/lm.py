@@ -25,7 +25,8 @@ from .errors import ConfigError, ProtocolError, TransportError, ValidationError
 from .evaluation import PredictionRecord, is_correct
 from .retriever import Bm25Index, recall_at_k
 from .util import (
-    HttpClient, HttpSettings, JsonCache, dumps_stable, is_count, map_in_order, sha256_hex,
+    HttpClient, HttpSettings, JsonCache, dumps_stable, is_count, map_in_order, require_finite,
+    sha256_hex,
 )
 
 logger = logging.getLogger(__name__)
@@ -159,8 +160,7 @@ class EndpointConfig(HttpSettings):
     max_tokens: int = 64
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise ValidationError(f"temperature must be finite and >= 0, got {self.temperature}")
+        require_finite("temperature", self.temperature)
         super().__post_init__()
 
     def effective_id(self) -> str:

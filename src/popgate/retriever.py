@@ -114,46 +114,7 @@ class Bm25Index:
     `_bounds` holds the largest impact of each term a search has read.
     """
 
-    def __init__(self, passages: Sequence[Passage], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
-        if not passages:
-            raise ValidationError("cannot index an empty passage list")
-        if not (math.isfinite(k1) and k1 >= 0) or not 0 <= b <= 1:
-            raise ValidationError(f"bad BM25 parameters k1={k1}, b={b}")
-        by_id: dict[str, Passage] = {}
-        lengths: list[int] = []
-        # term -> [pos, tf, pos, tf, ...] in ascending document position
-        raw: dict[str, list[int]] = {}
-        for pos, passage in enumerate(passages):
-            if passage.doc_id in by_id:
-                raise ValidationError(f"duplicate doc_id {passage.doc_id!r}")
-            by_id[passage.doc_id] = passage
-            tokens = tokenize(passage.text)
-            lengths.append(len(tokens))
-            for tok, tf in Counter(tokens).items():
-                entry = raw.get(tok)
-                if entry is None:
-                    raw[tok] = [pos, tf]
-                else:
-                    entry += (pos, tf)
-        doc_count = len(by_id)
-        avgdl = sum(lengths) / doc_count
-        # The document-length part of the BM25 denominator, once per document;
-        # without a single token in the corpus there is no posting to score.
-        norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths] if avgdl else []
-        k1_plus_1 = k1 + 1.0
-        docs, impacts = array("i"), array("d")
-        postings: dict[str, tuple[int, int]] = {}
-        for term, entry in raw.items():
-            term_docs = entry[0::2]
-            idf = _idf(doc_count, len(term_docs))
-            postings[term] = (len(docs), len(docs) + len(term_docs))
-            docs.extend(term_docs)
-            impacts.extend(
-                [idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in zip(term_docs, entry[1::2])]
-            )
-        self._assemble(by_id, k1, b, avgdl, docs, impacts, postings)
-
-    def _assemble(
+    def __init__(
         self,
         passages: dict[str, Passage],
         k1: float,
@@ -163,7 +124,7 @@ class Bm25Index:
         impacts: array,
         postings: dict[str, tuple[int, int]],
         path: str | Path | None = None,
-    ) -> None:
+    ):
         self.k1 = k1
         self.b = b
         self.passages = passages
@@ -262,7 +223,43 @@ class Bm25Index:
 def build_index(
     passages: Sequence[Passage], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> Bm25Index:
-    return Bm25Index(passages, k1=k1, b=b)
+    if not passages:
+        raise ValidationError("cannot index an empty passage list")
+    if not (math.isfinite(k1) and k1 >= 0) or not 0 <= b <= 1:
+        raise ValidationError(f"bad BM25 parameters k1={k1}, b={b}")
+    by_id: dict[str, Passage] = {}
+    lengths: list[int] = []
+    # term -> [pos, tf, pos, tf, ...] in ascending document position
+    raw: dict[str, list[int]] = {}
+    for pos, passage in enumerate(passages):
+        if passage.doc_id in by_id:
+            raise ValidationError(f"duplicate doc_id {passage.doc_id!r}")
+        by_id[passage.doc_id] = passage
+        tokens = tokenize(passage.text)
+        lengths.append(len(tokens))
+        for tok, tf in Counter(tokens).items():
+            entry = raw.get(tok)
+            if entry is None:
+                raw[tok] = [pos, tf]
+            else:
+                entry += (pos, tf)
+    doc_count = len(by_id)
+    avgdl = sum(lengths) / doc_count
+    # The document-length part of the BM25 denominator, once per document;
+    # without a single token in the corpus there is no posting to score.
+    norms = [k1 * (1.0 - b + b * dl / avgdl) for dl in lengths] if avgdl else []
+    k1_plus_1 = k1 + 1.0
+    docs, impacts = array("i"), array("d")
+    postings: dict[str, tuple[int, int]] = {}
+    for term, entry in raw.items():
+        term_docs = entry[0::2]
+        idf = _idf(doc_count, len(term_docs))
+        postings[term] = (len(docs), len(docs) + len(term_docs))
+        docs.extend(term_docs)
+        impacts.extend(
+            [idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in zip(term_docs, entry[1::2])]
+        )
+    return Bm25Index(by_id, k1, b, avgdl, docs, impacts, postings)
 
 
 def recall_at_k(
@@ -391,7 +388,7 @@ def _load_v1(path, body) -> Bm25Index:
     passages = _header_passages(path, header)
     k1, b = _header_numbers(path, header, "k1", "b")
     try:
-        return Bm25Index(passages, k1=k1, b=b)
+        return build_index(passages, k1=k1, b=b)
     except ValidationError as exc:
         raise IndexFormatError(f"{path}: bad index payload: {exc}") from exc
 
@@ -438,9 +435,7 @@ def _load_v2(path, body) -> Bm25Index:
     postings = dict(zip(terms, zip(offsets, offsets[1:])))
     if len(postings) != len(terms):
         raise IndexFormatError(f"{path}: duplicate term in header")
-    index = Bm25Index.__new__(Bm25Index)
-    index._assemble(by_id, k1, b, avgdl, docs, impacts, postings, path)
-    return index
+    return Bm25Index(by_id, k1, b, avgdl, docs, impacts, postings, path)
 
 
 def _passage_from_row(row) -> Passage:

@@ -70,30 +70,26 @@ def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    with atomic_writer(path) as fh:
-        fh.write(data)
-
-
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    """Write UTF-8 via a temp file in the same directory, then rename into place."""
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     """Write one JSON object per line (atomically); returns the line count."""
     lines = [_encode_stable(row) + "\n" for row in rows]
-    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
+    atomic_write_text(path, "".join(lines))
     return len(lines)
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
-    """(line number, parsed value) for each non-blank line, which must hold
-    exactly one JSON value, as `json.loads` reads it."""
+    """(line number, parsed value) for each line not all JSON whitespace; it
+    must hold exactly one JSON value, as `json.loads` reads it."""
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = line.strip(" \t\r\n")
                 if not line:
                     continue
                 # The stripped line starts and ends with no JSON whitespace, so
@@ -164,6 +160,12 @@ def is_count(value: Any) -> bool:
     return type(value) is int and value >= 0
 
 
+def require_finite(name: str, value: float) -> None:
+    """Raise ValidationError naming `name` unless `value` is finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
 def map_in_order(fn: Callable[[Any], T], items: Iterable, workers: int) -> list[T]:
     """`fn` of each item, in item order, on up to `workers` threads; inline
     when `workers` is 1. The first item whose call fails raises its error."""
@@ -187,10 +189,8 @@ class HttpSettings:
     requests_per_second: float | None = None
 
     def __post_init__(self):
-        for name in ("timeout_s", "backoff_s"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        require_finite("timeout_s", self.timeout_s)
+        require_finite("backoff_s", self.backoff_s)
         if not self.max_retries >= 0:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
         if not self.max_parallelism >= 1:

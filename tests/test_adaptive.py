@@ -664,7 +664,11 @@ class TestPolicyIO:
         text = path.read_text()
         assert '"-inf"' in text and '"+inf"' in text
 
-    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", 1e999, True, None, [1.0]])
+    @pytest.mark.parametrize(
+        "value",
+        ["nan", "NaN", "inf", "-Infinity", 1e999, True, None, [1.0], "2.5",
+         pytest.param(10**401, id="401-digits")],
+    )
     def test_non_finite_or_non_numeric_threshold_rejected(self, tmp_path, value):
         path = tmp_path / "policy.json"
         path.write_text(json.dumps({"thresholds": {"director": value}}))

@@ -84,7 +84,10 @@ def assert_one_line_error(capsys, *fragments):
 
 class TestRuntimeErrors:
     @pytest.mark.parametrize(
-        "text", ['{"thresholds": {"director": 1.', '{"thresholds": {"director": "nan"}}']
+        "text",
+        ['{"thresholds": {"director": 1.', '{"thresholds": {"director": "nan"}}',
+         '{"thresholds": {"director": "2.5"}}',
+         pytest.param('{"thresholds": {"director": %s}}' % ("9" * 401), id="401-digits")],
     )
     def test_route_rejects_truncated_or_nan_policy(self, tmp_path, capsys, text):
         policy = tmp_path / "policy.json"
@@ -635,7 +638,9 @@ class TestBadSettingsFiles:
             ("cost-model", '{"price_per_1k_prompt_tokens": "abc"}',
              "price_per_1k_prompt_tokens must be a number, got 'abc'"),
             ("cost-model", '{"price_per_1k_prompt_tokens": NaN}',
-             "price_per_1k_prompt_tokens must be non-negative, got nan"),
+             "price_per_1k_prompt_tokens must be finite and >= 0, got nan"),
+            ("cost-model", '{"price_per_1k_prompt_tokens": Infinity}',
+             "price_per_1k_prompt_tokens must be finite and >= 0, got inf"),
             ("cost-model", '{"retrieval_latency_ms": "5"}',
              "retrieval_latency_ms must be an integer, got '5'"),
             ("endpoint", "[1]", "the file must be a JSON object, got [1]"),
@@ -699,6 +704,32 @@ class TestBadSettingsFiles:
         capsys.readouterr()
         assert run_cli(argv) == 1
         assert_one_line_error(capsys, f"{bad.name}: {fragment}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "costs, prompt_tokens",
+        [({"price_per_1k_prompt_tokens": 1e308}, 10**6), ({}, int("9" * 400))],
+        ids=["price-1e308", "prompt-tokens-400-digits"],
+    )
+    def test_savings_past_the_largest_float_is_an_error(
+        self, demo_out, tmp_path, capsys, costs, prompt_tokens
+    ):
+        cost_model = tmp_path / "costs.json"
+        cost_model.write_text(json.dumps(costs))
+        rows = [json.loads(line) for line in (demo_out / "run_retrieval.jsonl").open()]
+        rows[0]["prompt_tokens"] = prompt_tokens
+        retrieval = tmp_path / "run_retrieval.jsonl"
+        write_jsonl(retrieval, rows)
+        # A policy tuned elsewhere, so that `savings` logs no in-sample warning.
+        policy = json.loads((demo_out / "policy.json").read_text(encoding="utf-8"))
+        elsewhere = tmp_path / "policy.json"
+        elsewhere.write_text(json.dumps({**policy, "tuned_on": "0" * 64}), encoding="utf-8")
+        out = tmp_path / "savings.json"
+        argv = savings_argv(demo_out, out, None, retrieval, "--cost-model", cost_model)
+        argv[argv.index("--policy") + 1] = elsewhere
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, "too large")
         assert not out.exists()
 
     def test_whole_number_cost_is_a_float(self, demo_out, tmp_path, capsys):
@@ -845,6 +876,7 @@ class TestRunChecks:
             ("tune", "vanilla", "question_id", 7),
             ("report", "vanilla", "prediction", None),
             ("report", "retrieval", "genread_empty_context", 0),
+            ("report", "retrieval", "retrieved_doc_id", [5]),
         ],
     )
     def test_bad_field_type_in_run_row(self, demo_out, tmp_path, capsys, command, mode, key, value):

@@ -1,11 +1,14 @@
 """The error contract under fault injection: each input file a subcommand
-reads, cut short at a random offset or with one byte changed, either still
-runs (exit 0) or fails with exit 1, exactly one `error:` line on stderr and
-no output file. Any exception that escapes `cli.main` fails the test."""
+reads, cut short at a random offset, with one byte changed, or with one JSON
+number replaced, either still runs (exit 0) or fails with exit 1, exactly one
+`error:` line on stderr and no output file. Any exception that escapes
+`cli.main` fails the test, and so does a JSON or JSONL output that holds
+`NaN`, `Infinity` or `-Infinity`, which are not JSON."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -85,15 +88,44 @@ def inputs(tmp_path, monkeypatch):
     return tmp_path
 
 
+# A JSON string or a JSON number. Strings are matched whole, so a digit
+# inside one is never taken for a number.
+STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?')
+# What a number is replaced by; None quotes the number as a string.
+NUMBER_CHANGES = ["Infinity", "-1", "1e400", "9" * 400, None]
+
+
+def not_json(constant: str):
+    raise AssertionError(f"output holds {constant}, which is not JSON")
+
+
 def run_cli(name: str, path) -> tuple[int, bool]:
     """(exit code, whether an output exists) of the command reading `path`
-    as `name`."""
+    as `name`. A JSON or JSONL output must parse as strict JSON."""
     out = path.parent / "out"
     argv = [str(path) if arg == "{}" else arg for arg in COMMANDS[name]]
     code = main([*argv, "--out", str(out)])
     exists = out.exists()
+    if exists and argv[0] != "index":
+        for line in out.read_text(encoding="utf-8").splitlines():
+            json.loads(line, parse_constant=not_json)
     out.unlink(missing_ok=True)
     return code, exists
+
+
+def assert_contract(inputs, capsys, name: str, changed: bytes) -> None:
+    """Run the command reading `changed` as `name`: exit 0, or exit 1 with
+    one `error:` line and no output."""
+    mutated = inputs / "mutated" / name
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(changed)
+    capsys.readouterr()
+    code, wrote = run_cli(name, mutated)
+    err = capsys.readouterr().err
+    if code != 0:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not wrote
 
 
 def test_valid_inputs_run(inputs, capsys):
@@ -113,13 +145,26 @@ def test_changed_input_exits_0_or_1_with_one_error_line(inputs, capsys, data):
     else:
         flip = data.draw(st.integers(1, 255), label="xor")
         changed = blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1 :]
-    mutated = inputs / "mutated" / name
-    mutated.parent.mkdir(exist_ok=True)
-    mutated.write_bytes(changed)
-    capsys.readouterr()
-    code, wrote = run_cli(name, mutated)
-    err = capsys.readouterr().err
-    if code != 0:
-        assert code == 1
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-        assert not wrote
+    assert_contract(inputs, capsys, name, changed)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_changed_number_exits_0_or_1_with_one_error_line(inputs, capsys, data):
+    texts = {
+        name: (inputs / name).read_text(encoding="utf-8")
+        for name in sorted(COMMANDS)
+        if not name.endswith(".pgidx")
+    }
+    numbers = {
+        name: [m.span() for m in STRING_OR_NUMBER.finditer(text) if m.group()[0] != '"']
+        for name, text in texts.items()
+    }
+    name = data.draw(st.sampled_from([name for name, spans in numbers.items() if spans]),
+                     label="file")
+    start, end = data.draw(st.sampled_from(numbers[name]), label="number")
+    text = texts[name]
+    new = data.draw(st.sampled_from(NUMBER_CHANGES), label="new")
+    changed = text[:start] + (f'"{text[start:end]}"' if new is None else new) + text[end:]
+    assert_contract(inputs, capsys, name, changed.encode("utf-8"))

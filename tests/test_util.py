@@ -158,12 +158,12 @@ class TestNotUtf8:
 
 
 def reference_jsonl(path):
-    """The per-line reader iter_jsonl must match: json.loads of each stripped,
-    non-blank line of the file read with universal newlines."""
+    """The per-line reader iter_jsonl must match: json.loads of each line of
+    the file read with universal newlines that is not all JSON whitespace."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             try:
@@ -216,6 +216,8 @@ class TestIterJsonlMatchesPerLineLoads:
     @example('{"a": "x\u2028y"}\u2028\n\x0c{"b": 1}\x0c\n')
     @example('{"a": 1}\n{"b": [1, 2')
     @example("\ufeff{}\n")
+    @example(' {"a": 1}\x1c\n')  # only " \t\r\n" is JSON whitespace
+    @example('{"a": 1}\n\x0c\n')
     def test_same_rows_or_same_error(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rows.jsonl"
