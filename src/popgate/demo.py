@@ -26,6 +26,7 @@ from .dataset import (
     verbalize,
     write_dataset,
 )
+from .errors import ValidationError
 from .evaluation import (
     EvalReport,
     evaluate_run,
@@ -59,6 +60,8 @@ def generate_world(seed: int | str, size: int = DEMO_SIZE) -> SyntheticWorld:
     coin flip (LOW_POP_HIT_RATE below the oracle LM's popularity midpoint
     ORACLE_B, HIGH_POP_HIT_RATE above).
     """
+    if size < 1:
+        raise ValidationError(f"size must be >= 1, got {size}")
     rng = random.Random(f"demo\x00{seed}")
     templates = default_templates()
     examples = []

@@ -195,8 +195,6 @@ def _per_relation(
     dataset: Sequence[QAExample], rows: Sequence[PredictionRecord]
 ) -> list[RelationRow]:
     """One row per relation of a joined run, sorted by relation."""
-    import statistics
-
     grouped: dict[str, tuple[list[float], list[bool]]] = {}
     for ex, rec in zip(dataset, rows):
         pops, flags = grouped.setdefault(ex.relation_type, ([], []))
@@ -204,12 +202,25 @@ def _per_relation(
         flags.append(rec.correct)
     out = []
     for rel, (pops, flags) in sorted(grouped.items()):
-        try:
-            corr = statistics.correlation(pops, [float(flag) for flag in flags])
-        except statistics.StatisticsError:  # fewer than two points, or a constant side
-            corr = None
-        out.append(RelationRow(rel, len(flags), sum(flags) / len(flags), corr))
+        out.append(RelationRow(rel, len(flags), sum(flags) / len(flags), _pearson(pops, flags)))
     return out
+
+
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+    """Pearson's r by Python 3.11's `statistics.correlation` formula, whose
+    `fsum`, division and `sqrt` are correctly rounded, so every Python gives
+    the same bits; None for fewer than two points or a constant side, tested
+    directly since a rounded mean would leave deviations of rounding noise."""
+    n = len(xs)
+    if n < 2 or min(xs) == max(xs) or min(ys) == max(ys):
+        return None
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(ys) / n
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    sxx = math.fsum((d := x - xbar) * d for x in xs)
+    syy = math.fsum((d := y - ybar) * d for y in ys)
+    root = math.sqrt(sxx * syy)
+    return sxy / root if root else None  # root is 0 where tiny squares underflow
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -381,6 +392,8 @@ def evaluate_run(
 ) -> EvalReport:
     """Overall accuracy, per-relation accuracy/correlation, and popularity bins
     of a run holding one record per dataset question."""
+    if not is_count(min_bin_n):
+        raise ValidationError(f"min_bin_n must be a non-negative integer, got {min_bin_n!r}")
     (rows,) = join_runs(dataset, records)
     return EvalReport(
         overall_accuracy=overall_accuracy(rows),

@@ -10,10 +10,6 @@ Byte-identical reruns are part of popgate's contract, so a change that alters
 any artifact byte fails here. A change that alters bytes on purpose updates
 `artifact_pins.json` in the same commit; the failure lists each new digest.
 
-`report*.json` and `report*_per_relation.csv` hold `statistics.correlation`
-results, whose last bits differ between Python minor versions, so those files
-are pinned per version; on a version with no pin only their names are checked.
-
 As a script, checks a demo directory written by an installed package:
 
     popgate demo --seed 5 --size 400 --repeats 10 --out DIR
@@ -52,6 +48,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -65,7 +62,6 @@ from popgate.lm import DEFAULT_GENREAD_INSTRUCTION
 from mockserver import completions_server, pageviews_server
 
 PINS = Path(__file__).with_name("artifact_pins.json")
-VERSION = f"{sys.version_info.major}.{sys.version_info.minor}"
 DEMO_ARGV = ["demo", "--seed", "5", "--size", "400", "--repeats", "10"]
 BUILD_ARGV = ["build-dataset", "--cap", "24", "--seed", "5"]
 
@@ -126,16 +122,17 @@ def digests(directory: Path) -> dict[str, str]:
 
 def mismatches(kind: str, actual: dict[str, str]) -> list[str]:
     """One line per artifact of `kind` (a top-level key of the pins file)
-    whose digest or presence differs from its pin."""
+    whose digest or presence differs from its pin, or whose pin is not one
+    sha256 hex string."""
     pins = json.loads(PINS.read_text(encoding="utf-8"))[kind]
     out = [f"{kind}/{name}: not pinned, sha256 {actual[name]}"
            for name in sorted(set(actual) - set(pins))]
     for name, pin in sorted(pins.items()):
-        if isinstance(pin, dict):
-            pin = pin.get(VERSION)
-        if name not in actual:
+        if not (isinstance(pin, str) and re.fullmatch("[0-9a-f]{64}", pin)):
+            out.append(f"{kind}/{name}: pin {pin!r} is not a sha256 hex string")
+        elif name not in actual:
             out.append(f"{kind}/{name}: missing")
-        elif pin is not None and actual[name] != pin:
+        elif actual[name] != pin:
             out.append(f"{kind}/{name}: sha256 {actual[name]}, pinned {pin}")
     return out
 
@@ -359,6 +356,18 @@ def test_artifacts_match_their_pins(tmp_path):
     demo, cli = demo_and_chain(tmp_path)
     wrong = mismatches("demo", digests(demo)) + mismatches("cli", digests(cli))
     assert not wrong, "\n".join(wrong)
+
+
+def test_a_pin_that_is_not_one_digest_is_a_mismatch(tmp_path, monkeypatch):
+    digest = "ab" * 32
+    pins = {"demo": {"a.json": {"3.11": digest}, "b.csv": digest.upper(), "c.csv": digest}}
+    pins_file = tmp_path / "pins.json"
+    pins_file.write_text(json.dumps(pins), encoding="utf-8")
+    monkeypatch.setattr(sys.modules[__name__], "PINS", pins_file)
+    assert mismatches("demo", {"a.json": digest, "b.csv": digest, "c.csv": digest}) == [
+        "demo/a.json: pin {'3.11': '%s'} is not a sha256 hex string" % digest,
+        f"demo/b.csv: pin '{digest.upper()}' is not a sha256 hex string",
+    ]
 
 
 def test_build_dataset_matches_its_pins(tmp_path):

@@ -113,6 +113,25 @@ class TestRuntimeErrors:
         assert_one_line_error(capsys, "vanilla")
         assert not out.exists()
 
+    def test_report_rejects_negative_min_bin_n(self, tmp_path, capsys):
+        run = tmp_path / "a.jsonl"
+        write_records([PredictionRecord("S0:director", "vanilla", "Y", True)], run)
+        out = tmp_path / "report"
+        code = run_cli(
+            ["report", "--dataset", one_question_dataset(tmp_path), "--runs", run,
+             "--min-bin-n", -7, "--out", out]
+        )
+        assert code == 1
+        assert_one_line_error(capsys, "min_bin_n must be a non-negative integer, got -7")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_demo_rejects_size_below_one(self, tmp_path, capsys, size):
+        out = tmp_path / "demo"
+        assert run_cli(["demo", "--seed", 5, "--size", size, "--out", out]) == 1
+        assert_one_line_error(capsys, f"size must be >= 1, got {size}")
+        assert not out.exists()
+
     def test_report_rejects_run_file_mixing_modes(self, tmp_path, capsys):
         run = tmp_path / "mixed.jsonl"
         write_records(

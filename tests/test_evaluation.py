@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import decimal
 import json
 import math
+import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from popgate.errors import JoinError, ValidationError
 from popgate.evaluation import (
     PredictionRecord,
     RelationRow,
+    _pearson,
     evaluate_run,
     format_quadrants,
     is_correct,
@@ -143,6 +147,12 @@ class TestAccuracyByRelation:
         with pytest.raises(JoinError, match="does not cover"):
             evaluate_run([], [make_example(0)])
 
+    @pytest.mark.parametrize("min_bin_n", [-1, 1.5, True, None])
+    def test_min_bin_n_must_be_a_count(self, min_bin_n):
+        dataset = [make_example(0)]
+        with pytest.raises(ValidationError, match="min_bin_n must be a non-negative integer"):
+            evaluate_run([record(dataset[0].id, True)], dataset, min_bin_n=min_bin_n)
+
     def test_unknown_question_id_is_join_error(self):
         with pytest.raises(JoinError, match="ghost"):
             evaluate_run([record("ghost", True)], [make_example(0)])
@@ -182,10 +192,104 @@ class TestPopularityCorrelation:
         records = [record(ex.id, True) for ex in dataset]
         assert popularity_correlation(records, dataset) == {"director": None}
 
+    def test_constant_popularity_is_undefined_marker(self):
+        # The fsum mean of five log10(7) rounds off the value, so Python 3.11's
+        # statistics.correlation reported rounding noise here.
+        dataset = [make_example(i, popularity=7) for i in range(5)]
+        records = [record(ex.id, i % 2 == 0) for i, ex in enumerate(dataset)]
+        assert popularity_correlation(records, dataset) == {"director": None}
+
     def test_single_record_is_undefined_marker(self):
         dataset = [make_example(0)]
         records = [record(dataset[0].id, True)]
         assert popularity_correlation(records, dataset) == {"director": None}
+
+
+def exact_pearson(xs, ys) -> float | None:
+    """r from sxy, sxx and syy computed exactly from the float inputs, and
+    rounded to a float once: r**2 is an exact Fraction, whose square root is
+    taken to 60 digits."""
+    n = len(xs)
+    if n < 2:
+        return None
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(fx) / n, sum(fy) / n
+    sxy = sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+    sxx = sum((x - mx) ** 2 for x in fx)
+    syy = sum((y - my) ** 2 for y in fy)
+    if sxx == 0 or syy == 0:
+        return None
+    r2 = sxy * sxy / (sxx * syy)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        r = (decimal.Decimal(r2.numerator) / r2.denominator).sqrt()
+    return math.copysign(float(r), sxy)
+
+
+def same_size_lists(sizes, values):
+    return st.sampled_from(sizes).flatmap(
+        lambda n: st.tuples(*[st.lists(values, min_size=n, max_size=n)] * 2)
+    )
+
+
+# Power-of-two sizes and small integer values keep the means, the deviations
+# and the centred sums exact in floating point, so only the product, the
+# square root and the division round: under 2.5 ulp in all, hence at most
+# 2 ulp from the exact value's float. Elsewhere a near-zero r can lose most of
+# its bits to cancellation in sxy under any float formula, 3.11's included.
+EXACT_SUMS = same_size_lists(
+    [0, 1, 2, 4, 8, 16, 32, 64],
+    st.one_of(st.integers(0, 1), st.integers(-(2**15), 2**15)).map(float),
+)
+
+
+class TestPearson:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(EXACT_SUMS)
+    def test_within_two_ulp_of_the_exact_value(self, xs_ys):
+        xs, ys = xs_ys
+        got, want = _pearson(xs, ys), exact_pearson(xs, ys)
+        if want is None:
+            assert got is None
+        else:
+            assert abs(got - want) <= 2 * math.ulp(want), (got, want)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [([], []), ([2.5], [1.0]), ([0.1] * 3, [1.0, 2.0, 4.0]),
+         ([math.log10(7)] * 5, [True, False, True, False, False]),
+         ([1.0, 2.0, 3.0], [True] * 3)],
+    )
+    def test_fewer_than_two_points_or_a_constant_side_is_none(self, xs, ys):
+        # The fsum means of 3 x 0.1 and 5 x log10(7) round off the value, and
+        # Python 3.11's statistics.correlation returns rounding noise for them.
+        assert _pearson(xs, ys) is None
+
+    @pytest.mark.parametrize(
+        "xs, ys, r",
+        [([1.9, 1.74, 2.8], [True, False, False], -0.37383274166710423),
+         ([4.6, 1.47, 0.5], [True, False, False], 0.9740468334125894),
+         ([0.3, 5.5, 2.5], [4.4, 5.0, 1.0], 0.22614146850335054)],
+    )
+    def test_python_3_11_bits_on_every_version(self, xs, ys, r):
+        # statistics.correlation on Python 3.12 and 3.13 differs in the last bit here.
+        assert _pearson(xs, ys).hex() == r.hex()
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="_pearson follows 3.11's formula")
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(same_size_lists(range(41), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1e9, 1e9))))
+    def test_bit_for_bit_equal_to_python_3_11(self, xs_ys):
+        import statistics
+
+        xs, ys = xs_ys
+        got = _pearson(xs, ys)
+        if len(set(xs)) < 2 or len(set(ys)) < 2:
+            assert got is None
+            return
+        try:
+            want = statistics.correlation(xs, ys).hex()
+        except statistics.StatisticsError:
+            want = None
+        assert (None if got is None else got.hex()) == want
 
 
 class TestWilson:
