@@ -26,7 +26,7 @@ from typing import Mapping, Sequence, TypeVar
 
 from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
-from .evaluation import PredictionRecord, join_runs
+from .evaluation import PredictionRecord, join_runs, overall_accuracy
 from .util import atomic_write_text, dumps_stable, read_json, require_finite, sha256_hex
 
 logger = logging.getLogger(__name__)
@@ -148,12 +148,7 @@ def adaptive_accuracy(
     """Accuracy when questions routed to RETRIEVE take the retrieval-augmented
     answer and the rest take the parametric one."""
     van, ret = join_runs(dataset, vanilla_records, retrieval_records)
-    if not dataset:
-        raise ValidationError("cannot score an empty dataset")
-    hits = 0
-    for rec in routed_records(van, ret, dataset, policy):
-        hits += rec.correct
-    return hits / len(dataset)
+    return overall_accuracy(routed_records(van, ret, dataset, policy))
 
 
 def candidate_thresholds(pops: Sequence[float]) -> list[float]:
@@ -253,14 +248,13 @@ def _fit(rows: _SortedRelation, mask: bytearray) -> tuple[float, int]:
 
 @dataclass
 class RepeatOutcome:
-    """One tuning/test split with its fitted thresholds and accuracies.
+    """One tuning/test split with its fitted thresholds and test accuracy.
 
     The split is kept as each relation's shuffled sorted positions, of which
-    the first `k` are its tuning rows; `tuning_ids` and `test_ids` map them
-    to question ids when read."""
+    the first `k` are its tuning rows; `tuning_ids` maps them to question ids
+    when read."""
 
     thresholds: dict[str, float]
-    tuning_accuracy: float
     test_accuracy: float
     # (ids in sorted order, shuffled sorted positions, k) per relation.
     splits: list[tuple[list[str], list[int], int]] = field(repr=False)
@@ -269,26 +263,16 @@ class RepeatOutcome:
     def tuning_ids(self) -> list[str]:
         return [ids[p] for ids, positions, k in self.splits for p in positions[:k]]
 
-    @property
-    def test_ids(self) -> list[str]:
-        return [ids[p] for ids, positions, k in self.splits for p in positions[k:]]
-
 
 @dataclass
 class TuneResult:
     policy: ThresholdPolicy
     repeat_outcomes: list[RepeatOutcome]
-    # The tuning settings, saved with the policy beside the mean test accuracy.
-    settings: dict
     # What `tune` prints: the mean test accuracy and, over all questions, the
     # refit policy's accuracy, each baseline's and its retrieval fraction.
     summary: dict
-
-    @property
-    def metadata(self) -> dict:
-        """The tuning settings and mean test accuracy, as saved with the policy."""
-        mean = self.summary["mean_test_adaptive_accuracy"]
-        return {**self.settings, "mean_test_adaptive_accuracy": mean}
+    # Saved with the policy: the tuning settings and the mean test accuracy.
+    metadata: dict
 
 
 def tune_thresholds(
@@ -336,7 +320,7 @@ def tune_thresholds(
         getrandbits = random.Random(f"{rng_seed}\x00{i}").getrandbits
         thresholds: dict[str, float] = {}
         splits = []
-        n_tuning = tuning_hits = test_hits = 0
+        n_tuning = test_hits = 0
         for relation, rows in relations.items():
             # Shuffling the rows' sorted positions, listed in dataset order,
             # draws the same permutation as shuffling their ids would:
@@ -351,7 +335,6 @@ def tune_thresholds(
                 mask[position] = 0
             threshold, hits = _fit(rows, mask)
             thresholds[relation] = threshold
-            tuning_hits += hits
             # `hits` routes the tuning rows as the threshold does, so the
             # test rows score the rest of all rows' routed count.
             test_hits += rows.hits[bisect_left(rows.pops, threshold)] - hits
@@ -360,7 +343,6 @@ def tune_thresholds(
         outcomes.append(
             RepeatOutcome(
                 thresholds=thresholds,
-                tuning_accuracy=tuning_hits / n_tuning if n_tuning else 0.0,
                 test_accuracy=test_hits / (n - n_tuning) if n_tuning < n else 0.0,
                 splits=splits,
             )
@@ -384,8 +366,9 @@ def tune_thresholds(
             for rows, (threshold, _) in zip(relations.values(), refit.values())
         ) / n,
     }
-    settings = {"seed": rng_seed, "split_fraction": split_fraction, "repeats": repeats}
-    return TuneResult(policy, outcomes, settings, summary)
+    metadata = {"seed": rng_seed, "split_fraction": split_fraction, "repeats": repeats}
+    metadata["mean_test_adaptive_accuracy"] = summary["mean_test_adaptive_accuracy"]
+    return TuneResult(policy, outcomes, summary, metadata)
 
 
 def retrieval_fraction(dataset: Sequence[QAExample], policy: ThresholdPolicy) -> float:
@@ -432,6 +415,11 @@ def cost_report(
 ) -> dict:
     """Token-cost and latency totals of the routed system vs. both baselines."""
     van, ret = join_runs(dataset, vanilla_records, retrieval_records)
+    if retrieval_records and retrieval_records[0].mode != policy.retrieval_mode:
+        raise PolicyError(
+            f"policy was tuned on a {policy.retrieval_mode} run, "
+            f"but the augmented run holds {retrieval_records[0].mode} records"
+        )
     incomplete = sorted(
         rec.question_id
         for rec in van + ret

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import retriever as retriever_mod
 from .config import MODES, RunConfig, load_file
 from .errors import ConfigError, PopgateError, ValidationError
-from .util import atomic_write_text, dumps_stable, read_text, write_jsonl
+from .util import atomic_write_text, dumps_stable, read_text, require_month, write_jsonl
 
 logger = logging.getLogger("popgate")
 
@@ -89,6 +89,7 @@ def _cmd_fetch_popularity(args) -> int:
     from . import dataset as dataset_mod
     from .popularity import PageviewsClient, PageviewsConfig
 
+    require_month(args.month)  # also when no question needs a fetch
     examples = dataset_mod.read_dataset(args.dataset)
     client = PageviewsClient(PageviewsConfig(
         cache_dir=args.cache, **_given(base_url=args.endpoint, max_parallelism=args.parallelism)
@@ -250,9 +251,9 @@ def _cmd_savings(args) -> int:
     examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
+    report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)
     if adaptive_mod.dataset_fingerprint(examples) == policy.tuned_on:
         logger.warning("%s was tuned on this dataset, so its savings are in-sample", args.policy)
-    report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)
     text = dumps_stable(report)
     if args.out:
         atomic_write_text(args.out, text + "\n")

@@ -16,7 +16,7 @@ from typing import Any, TypeVar
 
 from .errors import ConfigError, ValidationError
 from .retriever import DEFAULT_B, DEFAULT_K1
-from .util import read_json, require_finite
+from .util import read_json, require_finite, require_month
 
 T = TypeVar("T")
 
@@ -63,6 +63,9 @@ class Bm25Section:
 @dataclass(frozen=True)
 class PageviewsSection:
     month: str = DEFAULT_PAGEVIEWS_MONTH
+
+    def __post_init__(self):
+        require_month(self.month)
 
 
 @dataclass(frozen=True)

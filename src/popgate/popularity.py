@@ -9,7 +9,6 @@ from __future__ import annotations
 import calendar
 import json
 import logging
-import re
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -18,7 +17,9 @@ from urllib.parse import quote
 
 from .dataset import QAExample
 from .errors import ProtocolError, TransportError, ValidationError
-from .util import HttpClient, HttpSettings, JsonCache, is_count, map_in_order, sha256_hex
+from .util import (
+    HttpClient, HttpSettings, JsonCache, is_count, map_in_order, require_month, sha256_hex,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -27,8 +28,6 @@ DEFAULT_PAGEVIEWS_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageview
 _PROJECT = "en.wikipedia"
 _ACCESS = "all-access"
 _AGENT = "user"
-
-_MONTH_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ class PopularityRecord:
             raise ValidationError(f"{self.entity_title!r}: missing {self.missing!r} is not a bool")
         if not is_count(self.views):
             raise ValidationError(f"{self.entity_title!r}: views {self.views!r} is not a count")
-        if not _MONTH_RE.match(self.month):
-            raise ValidationError(f"malformed month {self.month!r}, expected YYYY-MM")
+        require_month(self.month)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,8 +62,7 @@ class PageviewsConfig(HttpSettings):
 
 
 def _month_bounds(month: str) -> tuple[str, str]:
-    if not _MONTH_RE.match(month):
-        raise ValidationError(f"malformed month {month!r}, expected YYYY-MM")
+    require_month(month)
     year, mon = (int(p) for p in month.split("-"))
     last = calendar.monthrange(year, mon)[1]
     return f"{year:04d}{mon:02d}01", f"{year:04d}{mon:02d}{last:02d}"

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 import time
 from contextlib import contextmanager, suppress
@@ -164,6 +165,12 @@ def require_finite(name: str, value: float) -> None:
     """Raise ValidationError naming `name` unless `value` is finite and >= 0."""
     if not 0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+
+
+def require_month(month: str) -> None:
+    """Raise ValidationError unless `month` is ASCII YYYY-MM with MM from 01 to 12."""
+    if not re.fullmatch(r"[0-9]{4}-(0[1-9]|1[0-2])", month):
+        raise ValidationError(f"month must be YYYY-MM, got {month!r}")
 
 
 def map_in_order(fn: Callable[[Any], T], items: Iterable, workers: int) -> list[T]:

@@ -295,6 +295,8 @@ class TestRuntimeErrors:
              "cannot compute accuracy of an empty record set"),
             ("route", ["--policy", "policy.json"],
              "cannot compute retrieval fraction of an empty dataset"),
+            ("fetch-popularity", ["--month", "2022-13", "--cache", "pv"],
+             "month must be YYYY-MM, got '2022-13'"),
         ],
     )
     def test_empty_dataset_leaves_no_output(self, tmp_path, capsys, monkeypatch, command, argv,
@@ -677,6 +679,8 @@ class TestBadSettingsFiles:
             ("config", '{"run": {"seed": true}}', "run.seed must be an integer, got True"),
             ("config", '{"paths": {"dataset": 5}}', "paths.dataset must be a string or null"),
             ("config", '{"pageviews": {"month": 7}}', "pageviews.month must be a string"),
+            ("config", '{"pageviews": {"month": "2022-13"}}',
+             "pageviews.month must be YYYY-MM, got '2022-13'"),
             ("config", '{"run": [1]}', "run must be a JSON object, got [1]"),
             ("config", '{"bm25": {"b": 1.5}}', "bm25.b must lie in [0, 1]"),
             ("config", '{"bm25": {"k1": Infinity}}', "bm25.k1 must be finite and >= 0, got inf"),
@@ -883,6 +887,26 @@ class TestRunChecks:
         policy = tmp_path / "policy.json"
         assert run_cli(tune_argv(demo_out, policy, None, genread)) == 0
         assert json.loads(policy.read_text())["retrieval_mode"] == "genread"
+
+    def test_savings_refuses_a_run_of_another_mode_than_the_policy(
+        self, demo_out, tmp_path, capsys
+    ):
+        """The demo's policy was tuned on a retrieval run; that run relabelled
+        genread is refused, before the in-sample warning."""
+        rows = [
+            {**json.loads(line), "mode": "genread"}
+            for line in (demo_out / "run_retrieval.jsonl").read_text().splitlines()
+        ]
+        genread = tmp_path / "run_genread.jsonl"
+        write_jsonl(genread, rows)
+        out = tmp_path / "savings.json"
+        capsys.readouterr()
+        assert run_cli(savings_argv(demo_out, out, None, genread)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith("error: policy was tuned on a retrieval run")
+        assert "holds genread records" in captured.err
 
     @pytest.mark.parametrize(
         "command, mode, key, value",

@@ -92,6 +92,9 @@ class TestDecoder:
             ({"run": {"shots": 2.0}}, "run.shots must be an integer, got 2.0"),
             ({"run": {"mode": None}}, "run.mode must be a string, got None"),
             ({"pageviews": {"month": 202212}}, "pageviews.month must be a string, got 202212"),
+            ({"pageviews": {"month": "2022-13"}}, "pageviews.month must be YYYY-MM, got '2022-13'"),
+            ({"pageviews": {"month": "2022-12\n"}},
+             "pageviews.month must be YYYY-MM, got '2022-12\\n'"),
             ({"paths": []}, "paths must be a JSON object, got []"),
             ({"bm25": {"b": float("nan")}}, "bm25.b must lie in [0, 1], got nan"),
             ({"bm25": {"b": float("inf")}}, "bm25.b must lie in [0, 1], got inf"),

@@ -3,22 +3,28 @@ reads, cut short at a random offset, with one byte changed, or with one JSON
 number replaced, either still runs (exit 0) or fails with exit 1, exactly one
 `error:` line on stderr and no output file. Any exception that escapes
 `cli.main` fails the test, and so does a JSON or JSONL output that holds
-`NaN`, `Infinity` or `-Infinity`, which are not JSON."""
+`NaN`, `Infinity` or `-Infinity`, which are not JSON.
+
+A page-view or completion cache entry changed in the same ways never fails
+its command: it is read, or logged once, fetched again and rewritten."""
 
 from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from popgate import util
 from popgate.cli import main
-from popgate.dataset import DEFAULT_TEMPLATE_PATTERNS
+from popgate.dataset import DEFAULT_TEMPLATE_PATTERNS, write_dataset
 from popgate.demo import run_demo
 from popgate.retriever import INDEX_MAGIC
 from popgate.util import HttpResponse
+
+from conftest import synthetic_examples
 
 # Each input file, and the subcommand that reads it with `{}` in its place.
 # `out` is the output path; the other names are the valid inputs.
@@ -133,19 +139,33 @@ def test_valid_inputs_run(inputs, capsys):
         assert run_cli(name, inputs / name) == (0, True), (name, capsys.readouterr().err)
 
 
+def cut_or_flip(data, blob: bytes) -> bytes:
+    """`blob` cut short at a drawn offset, or with the byte there changed."""
+    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:offset]
+    flip = data.draw(st.integers(1, 255), label="xor")
+    return blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1 :]
+
+
+def number_spans(text: str) -> list[tuple[int, int]]:
+    return [m.span() for m in STRING_OR_NUMBER.finditer(text) if m.group()[0] != '"']
+
+
+def change_number(data, text: str) -> bytes:
+    """`text` with one drawn JSON number replaced by one of NUMBER_CHANGES."""
+    start, end = data.draw(st.sampled_from(number_spans(text)), label="number")
+    new = data.draw(st.sampled_from(NUMBER_CHANGES), label="new")
+    changed = text[:start] + (f'"{text[start:end]}"' if new is None else new) + text[end:]
+    return changed.encode("utf-8")
+
+
 @settings(derandomize=True, max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_changed_input_exits_0_or_1_with_one_error_line(inputs, capsys, data):
     name = data.draw(st.sampled_from(sorted(COMMANDS)), label="file")
-    blob = (inputs / name).read_bytes()
-    offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
-    if data.draw(st.booleans(), label="truncate"):
-        changed = blob[:offset]
-    else:
-        flip = data.draw(st.integers(1, 255), label="xor")
-        changed = blob[:offset] + bytes([blob[offset] ^ flip]) + blob[offset + 1 :]
-    assert_contract(inputs, capsys, name, changed)
+    assert_contract(inputs, capsys, name, cut_or_flip(data, (inputs / name).read_bytes()))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None,
@@ -157,14 +177,79 @@ def test_changed_number_exits_0_or_1_with_one_error_line(inputs, capsys, data):
         for name in sorted(COMMANDS)
         if not name.endswith(".pgidx")
     }
-    numbers = {
-        name: [m.span() for m in STRING_OR_NUMBER.finditer(text) if m.group()[0] != '"']
-        for name, text in texts.items()
-    }
-    name = data.draw(st.sampled_from([name for name, spans in numbers.items() if spans]),
+    name = data.draw(st.sampled_from([name for name, text in texts.items() if number_spans(text)]),
                      label="file")
-    start, end = data.draw(st.sampled_from(numbers[name]), label="number")
-    text = texts[name]
-    new = data.draw(st.sampled_from(NUMBER_CHANGES), label="new")
-    changed = text[:start] + (f'"{text[start:end]}"' if new is None else new) + text[end:]
-    assert_contract(inputs, capsys, name, changed.encode("utf-8"))
+    assert_contract(inputs, capsys, name, change_number(data, texts[name]))
+
+
+# Each cache directory, and the subcommand that fills and reads it.
+CACHED_COMMANDS = {
+    "pageviews": ["fetch-popularity", "--dataset", "dataset.jsonl", "--month", "2022-12",
+                  "--cache", "pageviews", "--parallelism", "1"],
+    "completions": ["run", "--dataset", "dataset.jsonl", "--mode", "vanilla", "--shots", "0",
+                    "--endpoint", "endpoint.json"],
+}
+
+
+@pytest.fixture
+def caches(tmp_path, monkeypatch):
+    """A working directory whose page-view and completion caches CACHED_COMMANDS
+    have filled; the returned list gains one URL per request sent."""
+    sent = []
+
+    def reply(self, method, url, what, json_body=None) -> HttpResponse:
+        sent.append(url)
+        if "/per-article/" not in url:
+            return completion_reply(self, method, url, what, json_body)
+        return HttpResponse(200, b'{"items": [{"views": 1234}]}', 0.001)
+
+    monkeypatch.setattr(util.HttpClient, "request", reply)
+    monkeypatch.chdir(tmp_path)
+    write_dataset(synthetic_examples(6), tmp_path / "dataset.jsonl")
+    endpoint = {"base_url": "http://127.0.0.1:9/v1", "model": "m", "cache_dir": "completions",
+                "max_retries": 0, "max_parallelism": 1}
+    (tmp_path / "endpoint.json").write_text(json.dumps(endpoint), encoding="utf-8")
+    for cache in CACHED_COMMANDS:
+        assert run_cached(cache) == 0
+    assert len(sent) == 12
+    return sent
+
+
+def run_cached(cache: str) -> int:
+    """The exit code of the command reading `cache`. Its output, if any, and
+    every cache entry must parse as strict JSON."""
+    out = Path("out.jsonl")
+    code = main([*CACHED_COMMANDS[cache], "--out", str(out)])
+    for path in filter(Path.exists, [out, *Path(cache).iterdir()]):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            json.loads(line, parse_constant=not_json)
+    out.unlink(missing_ok=True)
+    return code
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_changed_cache_entry_is_read_or_replaced_once(caches, caplog, data):
+    """A changed cache entry never fails its command. One that fails its
+    checks is logged once and fetched again, and the rewritten entry is read
+    on the next run; one that passes them is read as it stands."""
+    cache = data.draw(st.sampled_from(sorted(CACHED_COMMANDS)), label="cache")
+    entry = data.draw(st.sampled_from(sorted(Path(cache).iterdir())), label="entry")
+    blob = entry.read_bytes()
+    if data.draw(st.booleans(), label="number"):
+        entry.write_bytes(change_number(data, blob.decode("utf-8")))
+    else:
+        entry.write_bytes(cut_or_flip(data, blob))
+    try:
+        runs = []
+        for _ in range(2):
+            caplog.clear()
+            before = len(caches)
+            with caplog.at_level("WARNING"):
+                assert run_cached(cache) == 0
+            logged = [r for r in caplog.records if entry.name in r.getMessage()]
+            runs.append((len(caches) - before, len(logged)))
+        assert runs[0] in ((0, 0), (1, 1)) and runs[1] == (0, 0), runs
+    finally:
+        entry.write_bytes(blob)

@@ -1,12 +1,14 @@
 """What `import popgate.<module>` loads: the HTTP stack and the thread pool
 only once a client sends a request or a pool is created, never at import;
 and what each CLI subcommand loads: only the popgate modules it runs.
-Also, every popgate attribute the benchmark tracer hooks still exists."""
+Also, every popgate attribute the benchmark tracer hooks still exists, and
+every popgate call in the benchmark's child process still binds its arguments."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -48,7 +50,8 @@ def test_package_and_cli_import_leave_http_and_pool_out():
 
 
 def test_config_import_loads_no_backend_or_tuning_module():
-    assert loaded_after("import popgate.config", ("popgate.adaptive", "popgate.lm")) == []
+    modules = ("popgate.adaptive", "popgate.lm", "popgate.popularity", "popgate.dataset")
+    assert loaded_after("import popgate.config", modules) == []
 
 
 def test_dataset_and_retriever_import_leave_http_and_pool_out():
@@ -187,3 +190,47 @@ def test_every_traced_hook_point_exists():
         for name in path:
             obj = getattr(obj, name)
         assert callable(getattr(obj, attr, None)), f"perfbench traces missing {owner}.{attr}"
+
+
+def child_calls() -> tuple[list[tuple[str, str]], list[tuple[str, str, int, list[str]]]]:
+    """What perfbench/child.py, read with ast, uses of the popgate modules it
+    imports by name: each `<module>.<name>` it reads, and each
+    `<module>.<name>(...)` it calls, with the call's positional argument
+    count and keywords."""
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "popgate"
+        for alias in node.names
+    }
+
+    def target(node) -> tuple[str, str] | None:
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            return node.value.id, node.attr
+        return None
+
+    names = [name for node in ast.walk(tree) if (name := target(node))]
+    calls = [
+        (*name, len(node.args), [kw.arg for kw in node.keywords])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (name := target(node.func))
+    ]
+    return names, calls
+
+
+def test_every_benchmark_library_call_exists():
+    names, calls = child_calls()
+    assert len(names) >= 15 and len(calls) >= 15
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"popgate.{module}"), name), (
+            f"perfbench/child.py uses missing popgate.{module}.{name}"
+        )
+    for module, name, positional, keywords in calls:
+        # A dataclass's signature lists its fields, inherited ones included.
+        signature = inspect.signature(getattr(importlib.import_module(f"popgate.{module}"), name))
+        try:
+            signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"perfbench/child.py calls {module}.{name}: {exc}") from None

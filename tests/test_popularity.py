@@ -104,10 +104,11 @@ class TestPageviewsClient:
         assert message in str(info.value)
         assert not (tmp_path / "cache").exists()
 
-    def test_malformed_month_rejected(self, tmp_path):
+    @pytest.mark.parametrize("month", ["2022-13", "2022-12\n"])
+    def test_malformed_month_rejected(self, tmp_path, month):
         client = self._client("http://127.0.0.1:1", tmp_path / "cache")
-        with pytest.raises(ValidationError, match="YYYY-MM"):
-            client.fetch("Black", "2022-13")
+        with pytest.raises(ValidationError, match="month must be YYYY-MM"):
+            client.fetch("Black", month)
 
     def test_fetch_many_parallel(self, tmp_path):
         titles = {f"T{i}": i * 100 for i in range(12)}
@@ -138,9 +139,13 @@ class TestPopularityRecord:
         with pytest.raises(ValidationError):
             PopularityRecord("X", "2022-01", -1, "2022-01-01T00:00:00+00:00")
 
-    def test_malformed_month_rejected(self):
-        with pytest.raises(ValidationError):
-            PopularityRecord("X", "202201", 1, "2022-01-01T00:00:00+00:00")
+    @pytest.mark.parametrize(
+        "month", ["202201", "2022-13", "2022-00", "2022-1", "2022-12\n", " 2022-12",
+                  "\u0662\u0660\u0662\u0662-12", "2022-\uff11\uff12"],
+    )
+    def test_malformed_month_rejected(self, month):
+        with pytest.raises(ValidationError, match=r"^month must be YYYY-MM, got "):
+            PopularityRecord("X", month, 1, "2022-01-01T00:00:00+00:00")
 
 
 def with_record(**changes):
