@@ -24,6 +24,7 @@ from itertools import accumulate, compress
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
 
+from .config import AUGMENTED_MODES
 from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
 from .evaluation import PredictionRecord, join_runs, overall_accuracy
@@ -56,6 +57,11 @@ class ThresholdPolicy:
     thresholds: Mapping[str, float]
     tuned_on: str = ""
     retrieval_mode: str = "retrieval"
+
+    def __post_init__(self):
+        if self.retrieval_mode not in AUGMENTED_MODES:
+            expected = " or ".join(f'"{mode}"' for mode in AUGMENTED_MODES)
+            raise PolicyError(f"'retrieval_mode' is {self.retrieval_mode!r}; expected {expected}")
 
     def threshold_for(self, relation: str) -> float:
         try:
@@ -105,17 +111,11 @@ class ThresholdPolicy:
         tuned_on = payload.get("tuned_on", "")
         if not isinstance(tuned_on, str):
             raise PolicyError(f"{path}: 'tuned_on' is {tuned_on!r}; expected a string")
-        retrieval_mode = payload.get("retrieval_mode", "retrieval")
-        if retrieval_mode not in ("retrieval", "genread"):
-            raise PolicyError(
-                f"{path}: 'retrieval_mode' is {retrieval_mode!r}; "
-                'expected "retrieval" or "genread"'
-            )
-        return cls(
-            thresholds={rel: decode(rel, t) for rel, t in thresholds.items()},
-            tuned_on=tuned_on,
-            retrieval_mode=retrieval_mode,
-        )
+        decoded = {rel: decode(rel, t) for rel, t in thresholds.items()}
+        try:
+            return cls(decoded, tuned_on, payload.get("retrieval_mode", "retrieval"))
+        except PolicyError as exc:
+            raise PolicyError(f"{path}: {exc}") from None
 
 
 def route(example: QAExample, policy: ThresholdPolicy) -> str:

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import retriever as retriever_mod
-from .config import MODES, RunConfig, load_file
+from .config import AUGMENTED_MODES, MODES, RunConfig, load_file
 from .errors import ConfigError, PopgateError, ValidationError
 from .util import atomic_write_text, dumps_stable, read_text, require_month, write_jsonl
 
@@ -115,14 +115,13 @@ def _cmd_run(args) -> int:
     from . import evaluation as eval_mod
     from . import lm as lm_mod
 
+    if bool(args.endpoint) == args.oracle:
+        raise ConfigError("--endpoint and --oracle are mutually exclusive" if args.oracle
+                          else "run needs --endpoint CFG or --oracle")
     examples = dataset_mod.read_dataset(args.dataset)
     index = (
         retriever_mod.load_index(args.index) if args.index and args.mode == "retrieval" else None
     )
-
-    if bool(args.endpoint) == args.oracle:
-        raise ConfigError("--endpoint and --oracle are mutually exclusive" if args.oracle
-                          else "run needs --endpoint CFG or --oracle")
     client = None
     if args.endpoint:
         client = lm_mod.CompletionClient(load_file(lm_mod.EndpointConfig, args.endpoint))
@@ -158,7 +157,7 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     quadrants = None
     if "vanilla" in by_mode and len(by_mode) > 1:
-        augmented_mode = next(m for m in ("retrieval", "genread") if m in by_mode)
+        augmented_mode = next(m for m in AUGMENTED_MODES if m in by_mode)
         if all(r.retrieval_recall1 is not None for r in by_mode[augmented_mode]):
             quadrants = eval_mod.quadrant_analysis(
                 by_mode["vanilla"], by_mode[augmented_mode], examples
@@ -224,6 +223,7 @@ def _cmd_route(args) -> int:
 
     examples = dataset_mod.read_dataset(args.dataset)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
+    fraction = adaptive_mod.retrieval_fraction(examples, policy)
     rows = [
         {
             "id": ex.id,
@@ -233,9 +233,6 @@ def _cmd_route(args) -> int:
         }
         for ex in examples
     ]
-    if not rows:
-        raise ValidationError("cannot compute retrieval fraction of an empty dataset")
-    fraction = sum(row["decision"] == adaptive_mod.RETRIEVE for row in rows) / len(rows)
     count = write_jsonl(args.out, rows)
     logger.info("routed %d questions (retrieval fraction %.3f) -> %s", count, fraction, args.out)
     return 0

@@ -21,6 +21,7 @@ from .util import read_json, require_finite, require_month
 T = TypeVar("T")
 
 MODES = ("vanilla", "retrieval", "genread")
+AUGMENTED_MODES = MODES[1:]  # the modes a policy routes to
 # Pinned so unconfigured runs are reproducible; override via config/CLI.
 DEFAULT_PAGEVIEWS_MONTH = "2022-12"
 

@@ -1,8 +1,7 @@
 """Scoring and analysis of prediction runs.
 
-A prediction counts as correct when some gold answer occurs as a contiguous
-substring of the prediction after light normalization (Unicode NFKC,
-lowercasing, whitespace collapsing).
+A prediction is correct when a gold answer is a substring of it once both are
+NFKC-normalized, lowercased and whitespace-collapsed (`retriever.is_correct`).
 """
 
 from __future__ import annotations
@@ -17,22 +16,12 @@ from typing import Iterable, Sequence
 from .config import MODES
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
-from .retriever import normalize_text
+from .retriever import is_correct  # noqa: F401 (re-exported)
 from .util import atomic_write_text, dumps_stable, is_count, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
 DEFAULT_MIN_BIN_N = 40
-
-
-def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:
-    """True iff some normalized gold answer is a substring of the normalized
-    prediction."""
-    golds = list(gold_answers)
-    if not golds:
-        raise ValidationError("is_correct needs a non-empty gold answer set")
-    pred = normalize_text(prediction)
-    return any(g in pred for g in (normalize_text(g) for g in golds) if g)
 
 
 @dataclass(slots=True)

@@ -22,8 +22,8 @@ from pathlib import Path
 from .config import MODES
 from .dataset import QAExample
 from .errors import ConfigError, ProtocolError, TransportError, ValidationError
-from .evaluation import PredictionRecord, is_correct
-from .retriever import Bm25Index, recall_at_k
+from .evaluation import PredictionRecord
+from .retriever import Bm25Index, is_correct, recall_at_k
 from .util import (
     HttpClient, HttpSettings, JsonCache, dumps_stable, is_count, map_in_order, require_finite,
     sha256_hex,

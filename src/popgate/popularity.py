@@ -90,23 +90,17 @@ class PageviewsClient:
             key, request, lambda: self._fetch_remote(entity_title, month), asdict
         )
 
-    def fetch_many(self, titles: Sequence[str], month: str) -> dict[str, PopularityRecord]:
-        """Fetch several titles with bounded parallelism; returns title -> record."""
-        unique = list(dict.fromkeys(titles))
-        records = map_in_order(lambda t: self.fetch(t, month), unique, self.config.max_parallelism)
-        return dict(zip(unique, records))
-
     def annotate(self, examples: Sequence[QAExample], month: str) -> list[QAExample]:
-        """Fill each example's popularity from its subject label's page views."""
-        records = self.fetch_many([ex.subject_label for ex in examples], month)
-        return [ex.with_popularity(records[ex.subject_label].views) for ex in examples]
+        """Fill each example's popularity from its label's page views, one fetch per label."""
+        titles = list(dict.fromkeys(ex.subject_label for ex in examples))
+        fetched = map_in_order(lambda t: self.fetch(t, month), titles, self.config.max_parallelism)
+        views = {title: record.views for title, record in zip(titles, fetched)}
+        return [ex.with_popularity(views[ex.subject_label]) for ex in examples]
 
     def _fetch_remote(self, title: str, month: str) -> PopularityRecord:
         start, end = _month_bounds(month)
-        url = (
-            f"{self.config.base_url}/per-article/{_PROJECT}/{_ACCESS}/{_AGENT}"
-            f"/{quote(title, safe='')}/monthly/{start}/{end}"
-        )
+        path = f"{_PROJECT}/{_ACCESS}/{_AGENT}/{quote(title, safe='')}/monthly/{start}/{end}"
+        url = f"{self.config.base_url.rstrip('/')}/per-article/{path}"
         resp = self._http.request("GET", url, f"pageviews fetch for {title!r}")
         if resp.status == 404:
             return self._record(title, month, views=0, missing=True)

@@ -74,6 +74,15 @@ def normalize_text(text: str) -> str:
     return " ".join(unicodedata.normalize("NFKC", text).lower().split())
 
 
+def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:
+    """True iff some normalized gold answer is a substring of the normalized prediction."""
+    golds = list(gold_answers)
+    if not golds:
+        raise ValidationError("is_correct needs a non-empty gold answer set")
+    pred = normalize_text(prediction)
+    return any(g in pred for g in (normalize_text(g) for g in golds) if g)
+
+
 @dataclass(slots=True)
 class Passage:
     """One corpus paragraph: a plain slotted record, checked when built.
@@ -268,17 +277,12 @@ def recall_at_k(
     gold_answers: Iterable[str],
     k: int = 1,
 ) -> bool:
-    """True iff a normalized gold answer occurs in the title+text of a top-k hit."""
+    """True iff `is_correct` holds for the title and text of some top-k hit."""
     if k < 1:
         raise ValidationError("k must be >= 1")
-    golds = [normalize_text(g) for g in gold_answers]
-    golds = [g for g in golds if g]
-    for hit in hits[:k]:
-        passage = passages[hit.doc_id]
-        haystack = normalize_text(f"{passage.title} {passage.text}")
-        if any(g in haystack for g in golds):
-            return True
-    return False
+    golds = list(gold_answers)
+    top = (passages[hit.doc_id] for hit in hits[:k])
+    return any(is_correct(f"{passage.title} {passage.text}", golds) for passage in top)
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:

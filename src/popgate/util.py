@@ -209,6 +209,20 @@ class HttpSettings:
             raise ValidationError(
                 f"requests_per_second must be null or finite and > 0, got {rate}"
             )
+        longest = threading.TIMEOUT_MAX  # the most socket timeouts and time.sleep take
+        if self.timeout_s > longest:
+            raise ValidationError(f"timeout_s must be at most {longest} s, got {self.timeout_s}")
+        try:  # the sleep before the last retry
+            last_sleep = math.ldexp(self.backoff_s, self.max_retries - 1) if self.max_retries else 0
+        except OverflowError:
+            last_sleep = math.inf
+        if last_sleep > longest:
+            raise ValidationError(f"backoff_s·2^(max_retries-1) must be at most {longest} s, "
+                                  f"got {self.backoff_s}·2^{self.max_retries - 1}")
+        # A request waits for at most one rate slot per worker.
+        if rate is not None and self.max_parallelism > longest * rate:
+            raise ValidationError(f"max_parallelism/requests_per_second must be at most "
+                                  f"{longest} s, got {self.max_parallelism}/{rate}")
 
 
 class RateLimiter:
@@ -339,7 +353,7 @@ class HttpClient:
         attempts = self._settings.max_retries + 1
         for attempt in range(attempts):
             if attempt:
-                delay = self._settings.backoff_s * (2 ** (attempt - 1))
+                delay = math.ldexp(self._settings.backoff_s, attempt - 1)
                 self._logger.info("%s: retry %d after %.2fs: %s", what, attempt, delay, last_error)
                 time.sleep(delay)
             self._limiter.acquire()

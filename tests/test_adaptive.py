@@ -295,6 +295,17 @@ class TestTuneThresholds:
         with pytest.raises(ValidationError):
             tune_thresholds(vanilla, retrieval, dataset, repeats=0)
 
+    def test_swapped_runs_build_no_policy(self):
+        """A vanilla run in the augmented place yields no policy that `load`
+        would refuse; a policy checks its own mode when built."""
+        dataset = synthetic_examples(4, seed=0)
+        vanilla, retrieval = run_pair(dataset, lambda ex: True, lambda ex: False)
+        message = """'retrieval_mode' is 'vanilla'; expected "retrieval" or "genread"$"""
+        with pytest.raises(PolicyError, match=message):
+            tune_thresholds(retrieval, vanilla, dataset, repeats=2)
+        with pytest.raises(PolicyError, match=message):
+            ThresholdPolicy({}, retrieval_mode="vanilla")
+
 
 @dataclass
 class LogPopExample(QAExample):

@@ -384,27 +384,18 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert "nope.jsonl" in err
 
-    def test_run_without_backend_is_runtime_error(self, tmp_path, capsys):
-        dataset = tmp_path / "dataset.jsonl"
-        write_jsonl(
-            dataset,
-            [
-                {
-                    "id": "S0:director",
-                    "question": "Who was the director of X?",
-                    "answers": ["Y"],
-                    "subj": "X",
-                    "subj_id": "S0",
-                    "relation": "director",
-                    "popularity": 100,
-                }
-            ],
-        )
-        code = run_cli(
-            ["run", "--dataset", dataset, "--mode", "vanilla", "--out", tmp_path / "o.jsonl"]
-        )
+    @pytest.mark.parametrize("mode", ["vanilla", "retrieval"])
+    def test_run_without_backend_is_runtime_error(self, tmp_path, capsys, mode):
+        """Checked before the inputs are read: the retrieval case's index is
+        truncated before its header length."""
+        index = tmp_path / "index.bin"
+        index.write_bytes(b"PGIDX\x02")
+        out = tmp_path / "o.jsonl"
+        code = run_cli(["run", "--dataset", one_question_dataset(tmp_path), "--mode", mode,
+                        "--index", index, "--out", out])
         assert code == 1
-        assert "oracle" in capsys.readouterr().err
+        assert_one_line_error(capsys, "run needs --endpoint CFG or --oracle")
+        assert not out.exists()
 
 
 def eight_question_runs(tmp_path):
@@ -702,6 +693,8 @@ class TestBadSettingsFiles:
              "max_parallelism must be >= 1, got 0"),
             ("endpoint", "{" + ENDPOINT + ', "cache_dir": ""}',
              "cache_dir must be a non-empty path or null"),
+            ("endpoint", "{" + ENDPOINT + ', "timeout_s": 1e10}',
+             "timeout_s must be at most"),
             # The endpoint and cost model come only from their own files, and
             # the oracle and the genread instruction are fixed.
             ("config", '{"endpoint": {' + ENDPOINT + "}}", "unknown config key 'endpoint'"),

@@ -6,6 +6,7 @@ from __future__ import annotations
 import subprocess
 import sys
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 import pytest
 
@@ -46,7 +47,15 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
      ({"requests_per_second": float("inf")},
       "requests_per_second must be null or finite and > 0, got inf"),
      ({"max_parallelism": 0}, "max_parallelism must be >= 1, got 0"),
-     ({"cache_dir": ""}, "cache_dir must be a non-empty path or null")],
+     ({"cache_dir": ""}, "cache_dir must be a non-empty path or null"),
+     # Durations past TIMEOUT_MAX overflow socket timeouts and time.sleep.
+     ({"timeout_s": 1e10}, f"timeout_s must be at most {TIMEOUT_MAX} s, got 10000000000.0"),
+     *[(changes, f"backoff_s·2^(max_retries-1) must be at most {TIMEOUT_MAX} s, got {got}")
+       for changes, got in [({"backoff_s": 1e10}, "10000000000.0·2^2"),
+                            ({"backoff_s": 1e9, "max_retries": 5}, "1000000000.0·2^4"),
+                            ({"backoff_s": 0.5, "max_retries": 10**6}, "0.5·2^999999")]],
+     *[({"requests_per_second": rate}, "max_parallelism/requests_per_second must be at most "
+        f"{TIMEOUT_MAX} s, got 4/{rate}") for rate in (1e-10, 4e-10)]],
 )
 @pytest.mark.parametrize(
     "config, required",
@@ -56,6 +65,32 @@ def test_both_clients_check_their_transport_settings_alike(config, required, cha
     with pytest.raises(ValidationError) as info:
         config(**required, **changes)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"timeout_s": TIMEOUT_MAX}, {"backoff_s": TIMEOUT_MAX / 4},
+     {"backoff_s": 1e10, "max_retries": 0}, {"backoff_s": 0.0, "max_retries": 10**6},
+     {"requests_per_second": 8 / TIMEOUT_MAX}],
+)
+@pytest.mark.parametrize(
+    "config, required",
+    [(PageviewsConfig, {}), (EndpointConfig, {"base_url": "http://x", "model": "m"})],
+)
+def test_transport_settings_up_to_the_clock_bound_accepted(config, required, changes):
+    """Retry sleeps that never happen, and durations of TIMEOUT_MAX itself, pass."""
+    config(**required, **changes)
+
+
+def test_both_clients_join_a_base_url_ending_in_a_slash_alike(tmp_path):
+    with pageviews_server({"A": 1}) as server:
+        assert pageviews_client(server.base_url + "/api/pageviews/", tmp_path).fetch(
+            "A", "2022-12").views == 1
+    with completions_server(lambda prompt: "ok") as completions:
+        completion_client(completions.base_url + "/v1/", tmp_path).complete("hi")
+    assert [r["path"] for r in server.requests] == [
+        "/api/pageviews/per-article/en.wikipedia/all-access/user/A/monthly/20221201/20221231"]
+    assert [r["path"] for r in completions.requests] == ["/v1/completions"]
 
 
 def test_page_view_and_completion_defaults():

@@ -1,8 +1,9 @@
 """What `import popgate.<module>` loads: the HTTP stack and the thread pool
 only once a client sends a request or a pool is created, never at import;
 and what each CLI subcommand loads: only the popgate modules it runs.
-Also, every popgate attribute the benchmark tracer hooks still exists, and
-every popgate call in the benchmark's child process still binds its arguments."""
+Also, every popgate attribute the benchmark tracer hooks still exists,
+every popgate call in the benchmark's child process still binds its
+arguments, and every public popgate name has a reader outside the tests."""
 
 from __future__ import annotations
 
@@ -234,3 +235,55 @@ def test_every_benchmark_library_call_exists():
             signature.bind(*[None] * positional, **dict.fromkeys(keywords))
         except TypeError as exc:
             raise AssertionError(f"perfbench/child.py calls {module}.{name}: {exc}") from None
+
+
+# The files whose use keeps a public popgate name alive: the library itself,
+# the benchmark, the acceptance suite and its oracles. Other tests do not count.
+READERS = [
+    *sorted((SRC / "popgate").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "oracles.py",
+]
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name a module reads: variables, attributes, imported names and
+    string constants (the benchmark tracer names the functions it wraps)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def public_definitions() -> list[tuple[str, str]]:
+    """(owner, name) of each public module-level function and class of
+    src/popgate, and of each public method of its classes; dunder methods
+    and dataclass fields are not definitions here."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for path in sorted((SRC / "popgate").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, defs):
+                continue
+            out.append((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                out.extend((f"{path.stem}.{node.name}", item.name)
+                           for item in node.body if isinstance(item, defs[:2]))
+    return [(owner, name) for owner, name in out if not name.startswith("_")]
+
+
+def test_every_public_name_has_a_reader():
+    """A public function, class or method that neither the library, the
+    benchmark nor the acceptance suite names is dead code."""
+    read = set().union(*(names_read(ast.parse(p.read_text(encoding="utf-8"))) for p in READERS))
+    definitions = public_definitions()
+    assert len(definitions) >= 100
+    assert [f"{owner}.{name}" for owner, name in definitions if name not in read] == []

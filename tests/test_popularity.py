@@ -110,13 +110,18 @@ class TestPageviewsClient:
         with pytest.raises(ValidationError, match="month must be YYYY-MM"):
             client.fetch("Black", month)
 
-    def test_fetch_many_parallel(self, tmp_path):
-        titles = {f"T{i}": i * 100 for i in range(12)}
-        with pageviews_server(titles) as server:
+    def test_annotate_parallel(self, tmp_path):
+        """12 distinct labels, each asked by two relations, at parallelism 4:
+        one request per label, and each example gets its label's views."""
+        examples = [make_example(i, relation) for relation in ("director", "genre")
+                    for i in range(12)]
+        views = {ex.subject_label: i * 100 for i, ex in enumerate(examples[:12])}
+        with pageviews_server(views) as server:
             client = self._client(server.base_url, tmp_path / "cache", max_parallelism=4)
-            records = client.fetch_many(list(titles), "2022-01")
-            assert {t: r.views for t, r in records.items()} == titles
-            assert len(server.requests) == len(titles)
+            annotated = client.annotate(examples, "2022-01")
+            assert len(server.requests) == len(views)
+        assert [ex.popularity for ex in annotated] == [views[ex.subject_label] for ex in examples]
+        assert [ex.id for ex in annotated] == [ex.id for ex in examples]
 
     def test_annotate_fills_popularity(self, tmp_path):
         examples = [make_example(i, popularity=None) for i in range(3)]

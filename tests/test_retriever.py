@@ -278,6 +278,27 @@ class TestRecallAtK:
         hits = [SearchHit("d1", 1.0, 1)]
         assert recall_at_k(hits, passages, {"Walter Wanger"}, k=1) is True
 
+    # Letters that NFKC, lowercasing or whitespace collapsing change.
+    TEXT = st.text(alphabet="aAb \t\u00a0\ufb01\uff21", max_size=8)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(TEXT, TEXT), min_size=0, max_size=4),
+        st.lists(TEXT, min_size=1, max_size=3),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_is_the_correctness_rule_over_the_top_k(self, docs, golds, k):
+        """recall@k is `is_correct` of some top-k hit's title and text; gold
+        answers given as an iterator are read once for all k hits."""
+        from popgate.retriever import SearchHit, is_correct
+
+        passages = {f"d{i}": Passage(f"d{i}", title, text or "x")
+                    for i, (title, text) in enumerate(docs)}
+        hits = [SearchHit(doc_id, 1.0, rank) for rank, doc_id in enumerate(passages, start=1)]
+        expected = any(is_correct(f"{p.title} {p.text}", golds)
+                       for p in (passages[hit.doc_id] for hit in hits[:k]))
+        assert recall_at_k(hits, passages, iter(golds), k=k) is expected
+
 
 def small_corpus() -> list[Passage]:
     return [
