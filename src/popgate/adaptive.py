@@ -396,14 +396,13 @@ class CostModel:
         )
 
 
-def _totals(rows: Sequence[tuple[float, int, int]]) -> tuple[float, int, int]:
-    """Column sums of (cost, latency, retrieved) rows, adding in row order."""
-    cost, ms, retrieved = 0.0, 0, 0
-    for row_cost, row_ms, row_retrieved in rows:
+def _totals(rows: Sequence[tuple[float, int]]) -> tuple[float, int]:
+    """Column sums of (cost, latency) rows, adding in row order."""
+    cost, ms = 0.0, 0
+    for row_cost, row_ms in rows:
         cost += row_cost
         ms += row_ms
-        retrieved += row_retrieved
-    return cost, ms, retrieved
+    return cost, ms
 
 
 def cost_report(
@@ -431,16 +430,16 @@ def cost_report(
         raise AccountingError(
             f"records lacking token counts or latency: {incomplete[:10]}"
         )
-    # Per question: (token cost, latency, retrieved?) when answered from each run.
+    # Per question: (token cost, latency) when answered from each run.
     lookup = cost_model.retrieval_latency_ms
     try:
-        vanilla = [(cost_model.record_cost(v), v.latency_ms, 0) for v in van]
-        always = [(cost_model.record_cost(r), r.latency_ms + lookup, 1) for r in ret]
+        vanilla = [(cost_model.record_cost(v), v.latency_ms) for v in van]
+        always = [(cost_model.record_cost(r), r.latency_ms + lookup) for r in ret]
     except OverflowError:  # a token count past the largest float
         raise AccountingError("a token count is too large to price as a float") from None
-    vanilla_cost, vanilla_ms, _ = _totals(vanilla)
-    always_cost, always_ms, _ = _totals(always)
-    adaptive_cost, adaptive_ms, routed = _totals(routed_records(vanilla, always, dataset, policy))
+    vanilla_cost, vanilla_ms = _totals(vanilla)
+    always_cost, always_ms = _totals(always)
+    adaptive_cost, adaptive_ms = _totals(routed_records(vanilla, always, dataset, policy))
     savings = 0.0 if always_cost == 0 else 1.0 - adaptive_cost / always_cost
     if not all(map(math.isfinite, (vanilla_cost, always_cost, adaptive_cost, savings))):
         raise AccountingError("token costs overflow a float: prices or token counts too large")
@@ -449,7 +448,7 @@ def cost_report(
         "always_retrieve_cost": always_cost,
         "vanilla_cost": vanilla_cost,
         "savings_fraction": savings,
-        "retrieval_fraction": routed / len(dataset) if dataset else 0.0,
+        "retrieval_fraction": retrieval_fraction(dataset, policy),
         "latency_estimates": {
             "adaptive_ms": adaptive_ms,
             "always_retrieve_ms": always_ms,

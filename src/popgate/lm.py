@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .config import MODES
 from .dataset import QAExample
-from .errors import ConfigError, ProtocolError, TransportError, ValidationError
+from .errors import ConfigError, ProtocolError, ValidationError
 from .evaluation import PredictionRecord
 from .retriever import Bm25Index, is_correct, recall_at_k
 from .util import (
@@ -149,9 +149,8 @@ class Completion:
 @dataclass(frozen=True, kw_only=True)
 class EndpointConfig(HttpSettings):
     """Completion-style HTTP endpoint, its cache and decoding parameters, with
-    HttpSettings' transport keys."""
+    HttpSettings' base URL and transport keys."""
 
-    base_url: str
     model: str
     api_key_env: str | None = None
     cache_dir: str | Path | None = "completions-cache"
@@ -225,8 +224,6 @@ class CompletionClient:
             "max_tokens": self.config.max_tokens,
         }
         resp = self._http.request("POST", url, "completion request", json_body=body)
-        if resp.status != 200:
-            raise TransportError(f"HTTP {resp.status} from {url}")
         return self._parse(resp.body, prompt, int(resp.elapsed_s * 1000))
 
     @staticmethod
@@ -253,29 +250,6 @@ class CompletionClient:
             if not is_count(count):
                 raise ProtocolError(f"endpoint returned usage.{name} {count!r}, not a count")
         return Completion(text=text, latency_ms=latency_ms, **counts)
-
-
-def genread_answer(
-    client: CompletionClient,
-    question: str,
-    fewshot_pairs: Sequence[tuple[str, str]] = (),
-) -> tuple[str, Completion]:
-    """Two-stage answering: generate a context document, then answer with it.
-
-    Returns (generated_context, completion) with both stages' token counts and
-    latencies summed. An empty stage-1 document falls back to a vanilla
-    second stage.
-    """
-    stage1 = client.complete(f"{DEFAULT_GENREAD_INSTRUCTION}\n\n{question}")
-    context = stage1.text.strip()
-    stage2 = client.complete(render_prompt(question, fewshot_pairs, context or None))
-    combined = Completion(
-        text=stage2.text,
-        prompt_tokens=stage1.prompt_tokens + stage2.prompt_tokens,
-        completion_tokens=stage1.completion_tokens + stage2.completion_tokens,
-        latency_ms=stage1.latency_ms + stage2.latency_ms,
-    )
-    return context, combined
 
 
 def _sigmoid(x: float) -> float:
@@ -348,9 +322,7 @@ def run_predictions(
     items = []
     for ex in dataset:
         fewshot = build_fewshot_pool(candidates, ex, shots, rng_seed=f"{rng_seed}\x00{ex.id}")
-        retrieved_doc_id = None
-        recall1 = None
-        context = None
+        retrieved_doc_id = recall1 = context = None
         if mode == "retrieval":
             hits = index.search(ex.question, k=1)
             recall1 = recall_at_k(hits, index.passages, ex.gold_answers, k=1)
@@ -360,37 +332,38 @@ def run_predictions(
                 context = f"{passage.title}\n{passage.text}"
         items.append((ex, fewshot, retrieved_doc_id, recall1, context))
 
-    def answer(item) -> tuple[Completion, bool | None]:
-        ex, fewshot, _doc_id, recall1, context = item
+    def answer(item) -> PredictionRecord:
+        ex, fewshot, retrieved_doc_id, recall1, context = item
         if mode == "genread":
-            generated, completion = genread_answer(client, ex.question, fewshot)
-            return completion, generated == ""
+            # Generate-then-read: a generated document is the context; an
+            # empty one leaves a vanilla prompt.
+            stage1 = client.complete(f"{DEFAULT_GENREAD_INSTRUCTION}\n\n{ex.question}")
+            context = stage1.text.strip() or None
         prompt = render_prompt(ex.question, fewshot, context)
         if oracle:
-            prediction = oracle_lm(ex, mode, bool(recall1), rng_seed)
-            return _oracle_completion(prompt, prediction), None
-        return client.complete(prompt), None
-
-    # Endpoint calls are dispatched with bounded parallelism; results come
-    # back in dataset order so records never depend on arrival order.
-    answers = map_in_order(answer, items, 1 if client is None else client.config.max_parallelism)
-
-    records = []
-    for (ex, _fewshot, retrieved_doc_id, recall1, _context), (completion, genread_empty) in zip(
-        items, answers
-    ):
-        records.append(
-            PredictionRecord(
-                question_id=ex.id,
-                mode=mode,
-                prediction=completion.text,
-                correct=is_correct(completion.text, ex.gold_answers),
-                prompt_tokens=completion.prompt_tokens,
-                completion_tokens=completion.completion_tokens,
-                latency_ms=completion.latency_ms,
-                retrieved_doc_id=retrieved_doc_id,
-                retrieval_recall1=recall1,
-                genread_empty_context=genread_empty,
-            )
+            completion = _oracle_completion(prompt, oracle_lm(ex, mode, bool(recall1), rng_seed))
+        else:
+            completion = client.complete(prompt)
+        prompt_tokens, completion_tokens, latency_ms = (
+            completion.prompt_tokens, completion.completion_tokens, completion.latency_ms
         )
-    return records
+        if mode == "genread":
+            prompt_tokens += stage1.prompt_tokens
+            completion_tokens += stage1.completion_tokens
+            latency_ms += stage1.latency_ms
+        return PredictionRecord(
+            question_id=ex.id,
+            mode=mode,
+            prediction=completion.text,
+            correct=is_correct(completion.text, ex.gold_answers),
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
+            latency_ms=latency_ms,
+            retrieved_doc_id=retrieved_doc_id,
+            retrieval_recall1=recall1,
+            genread_empty_context=context is None if mode == "genread" else None,
+        )
+
+    # Endpoint calls are dispatched with bounded parallelism; records come
+    # back in dataset order so they never depend on arrival order.
+    return map_in_order(answer, items, 1 if client is None else client.config.max_parallelism)

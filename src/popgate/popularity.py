@@ -16,7 +16,7 @@ from typing import Sequence
 from urllib.parse import quote
 
 from .dataset import QAExample
-from .errors import ProtocolError, TransportError, ValidationError
+from .errors import ProtocolError, ValidationError
 from .util import (
     HttpClient, HttpSettings, JsonCache, is_count, map_in_order, require_month, sha256_hex,
 )
@@ -101,11 +101,9 @@ class PageviewsClient:
         start, end = _month_bounds(month)
         path = f"{_PROJECT}/{_ACCESS}/{_AGENT}/{quote(title, safe='')}/monthly/{start}/{end}"
         url = f"{self.config.base_url.rstrip('/')}/per-article/{path}"
-        resp = self._http.request("GET", url, f"pageviews fetch for {title!r}")
+        resp = self._http.request("GET", url, f"pageviews fetch for {title!r}", accept=(200, 404))
         if resp.status == 404:
             return self._record(title, month, views=0, missing=True)
-        if resp.status != 200:
-            raise TransportError(f"HTTP {resp.status} from {url}")
         try:
             counts = [item["views"] for item in json.loads(resp.body)["items"]]
         except (ValueError, KeyError, TypeError, RecursionError) as exc:

@@ -186,9 +186,10 @@ def map_in_order(fn: Callable[[Any], T], items: Iterable, workers: int) -> list[
 
 @dataclass(frozen=True, kw_only=True)
 class HttpSettings:
-    """Transport settings of an API client, checked when built. A subclass's
-    `cache_dir` may be a path or null, never ""."""
+    """The base URL and transport settings of an API client, checked when
+    built. A subclass's `cache_dir` may be a path or null, never ""."""
 
+    base_url: str
     timeout_s: float = 60.0
     max_retries: int = 3
     backoff_s: float = 0.5
@@ -196,6 +197,14 @@ class HttpSettings:
     requests_per_second: float | None = None
 
     def __post_init__(self):
+        try:
+            parts = urlsplit(self.base_url)
+            parts.port  # raises on a port that is not a number in 0-65535
+        except ValueError as exc:
+            raise ValidationError(f"base_url {self.base_url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValidationError(f"base_url must be http(s)://host[:port][/path], "
+                                  f"got {self.base_url!r}")
         require_finite("timeout_s", self.timeout_s)
         require_finite("backoff_s", self.backoff_s)
         if not self.max_retries >= 0:
@@ -322,9 +331,10 @@ class HttpClient:
     response arrives; it is reopened and the request sent once more, which
     does not count as a retry. Transport errors, 429 and 5xx are retried up
     to `max_retries` times with exponential backoff; a 3xx is an error, not
-    followed; every other status is returned. TLS is verified with the
-    default context, `http_proxy`/`https_proxy`/`no_proxy` are honoured, and
-    requests carry a User-Agent (`POPGATE_USER_AGENT` or popgate/<version>).
+    followed; a status the caller accepts is returned, and any other is an
+    error. TLS is verified with the default context,
+    `http_proxy`/`https_proxy`/`no_proxy` are honoured, and requests carry a
+    User-Agent (`POPGATE_USER_AGENT` or popgate/<version>).
     """
 
     def __init__(
@@ -339,8 +349,12 @@ class HttpClient:
         self._tls: ssl.SSLContext | None = None  # loading CA certificates costs ~50 ms
         self._tls_lock = threading.Lock()
 
-    def request(self, method: str, url: str, what: str, json_body: Any = None) -> HttpResponse:
-        """Send with retries; `what` names the call in retry logs and errors."""
+    def request(
+        self, method: str, url: str, what: str, json_body: Any = None,
+        accept: tuple[int, ...] = (200,),
+    ) -> HttpResponse:
+        """Send with retries; `what` names the call in retry logs and errors,
+        and a final status outside `accept` is a TransportError."""
         import http.client
 
         headers = dict(self._headers)
@@ -370,6 +384,8 @@ class HttpClient:
                 raise TransportError(
                     f"HTTP {status} from {url}: redirect to {location} not followed"
                 )
+            if status not in accept:
+                raise TransportError(f"HTTP {status} from {url}")
             return HttpResponse(status, data, time.monotonic() - call_start)
         elapsed = time.monotonic() - began
         raise TransportError(
@@ -412,33 +428,31 @@ class HttpClient:
         conns = getattr(self._local, "conns", None)
         if conns is None:
             conns = self._local.conns = _Connections()
-        try:
-            key = (parts.scheme, parts.hostname, parts.port)
-        except ValueError as exc:
-            raise ConfigError(f"bad URL {parts.geturl()!r}: {exc}") from exc
+        key = (parts.scheme, parts.hostname, parts.port)
         entry = conns.get(key)
         if entry is None:
             entry = conns[key] = self._connect(*key)
         return entry
 
     def _connect(
-        self, scheme: str, host: str | None, port: int | None
+        self, scheme: str, host: str, port: int | None
     ) -> tuple[http.client.HTTPConnection, bool]:
         import http.client
         import urllib.request
 
-        if scheme not in ("http", "https") or not host:
-            raise ConfigError(f"unsupported URL {scheme}://{host}: need http(s)://host")
         port = port or (443 if scheme == "https" else 80)
         proxy = urllib.request.getproxies().get(scheme)
         if proxy and urllib.request.proxy_bypass(host):
             proxy = None
         conn_host, conn_port = host, port
         if proxy:
-            proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+            try:
+                proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                conn_host, conn_port = proxy_parts.hostname, proxy_parts.port or 80
+            except ValueError as exc:
+                raise ConfigError(f"bad {scheme}_proxy {proxy!r}: {exc}") from None
+            if proxy_parts.scheme != "http" or not conn_host:
                 raise ConfigError(f"unsupported {scheme}_proxy {proxy!r}: need http://host:port")
-            conn_host, conn_port = proxy_parts.hostname, proxy_parts.port or 80
         timeout = self._settings.timeout_s
         if scheme == "http":
             conn = http.client.HTTPConnection(conn_host, conn_port, timeout=timeout)

@@ -642,6 +642,11 @@ class TestCostReport:
         with pytest.raises(PolicyError, match=f"tuned on a {tuned} run.*holds {run} records"):
             cost_report(vanilla, augmented, dataset, policy, self.cost_model())
 
+    def test_empty_dataset_has_no_retrieval_fraction(self):
+        with pytest.raises(ValidationError) as info:
+            cost_report([], [], [], ThresholdPolicy({"director": 3.0}), self.cost_model())
+        assert str(info.value) == "cannot compute retrieval fraction of an empty dataset"
+
     def test_negative_cost_model_rejected(self):
         with pytest.raises(ValidationError):
             CostModel(-1.0, 0.0, 0)

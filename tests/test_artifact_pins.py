@@ -39,6 +39,13 @@ and writes a corpus and a dataset that mix ASCII and non-ASCII text, runs
 `popgate` console script, then checks the inputs and outputs:
 
     python tests/test_artifact_pins.py --mixed-index DIR
+
+and runs the 15-shot `run --mode genread` twice through the installed
+`popgate` console script, over a dataset it builds with `build-dataset`:
+first against a mock completion endpoint it starts, then from the cache
+alone; then checks the second run's output and the cache file names:
+
+    python tests/test_artifact_pins.py --genread DIR
 """
 
 from __future__ import annotations
@@ -207,12 +214,14 @@ def write_build_inputs(directory: Path) -> None:
     (directory / "freq.txt").write_text("".join(text), encoding="utf-8")
 
 
-def build_dataset(directory: Path) -> None:
-    """The pinned `build-dataset` step over `write_build_inputs(directory)`."""
+def build_dataset(directory: Path, popgate: Callable[[list[str]], None]) -> None:
+    """The pinned `build-dataset` step over `write_build_inputs(directory)`,
+    run by `popgate(argv)`."""
     write_build_inputs(directory)
-    run_steps([[*BUILD_ARGV, "--triples", directory / "triples.jsonl",
-                "--templates", directory / "templates.json",
-                "--freq-corpus", directory / "freq.txt", "--out", directory / "dataset.jsonl"]])
+    popgate([str(a) for a in [*BUILD_ARGV, "--triples", directory / "triples.jsonl",
+                              "--templates", directory / "templates.json",
+                              "--freq-corpus", directory / "freq.txt",
+                              "--out", directory / "dataset.jsonl"]])
 
 
 def names_digest(directory: Path) -> str:
@@ -275,28 +284,29 @@ def genread_reply(dataset: Path) -> Callable[[str], str]:
     return reply
 
 
-def genread_from_cache(directory: Path) -> dict[str, str]:
+def genread_from_cache(directory: Path, popgate: Callable[[list[str]], None]) -> dict[str, str]:
     """`run --mode genread --shots 15` over the pinned build dataset against
     a mock completion endpoint; then every cache entry's latency set to
     GENREAD_LATENCY_MS and the same run again with the server shut down, so
-    that every completion must come from the cache. Digests of the second
-    run's file and of the cache file names."""
-    build_dataset(directory)
+    that every completion must come from the cache. Each step is run by
+    `popgate(argv)`. Digests of the second run's file and of the cache file
+    names."""
+    build_dataset(directory, popgate)
     dataset, endpoint = directory / "dataset.jsonl", directory / "endpoint.json"
     cache, out = directory / "completions-cache", directory / "run_genread.jsonl"
-    run = ["run", "--dataset", dataset, "--mode", "genread", "--shots", 15, "--seed", 5,
-           "--endpoint", endpoint]
+    run = [str(a) for a in ["run", "--dataset", dataset, "--mode", "genread", "--shots", 15,
+                            "--seed", 5, "--endpoint", endpoint]]
     with completions_server(genread_reply(dataset)) as server:
         endpoint.write_text(json.dumps({
             "base_url": server.base_url, "endpoint_id": "pin-endpoint", "model": "pin-lm",
             "cache_dir": str(cache), "max_retries": 0,
         }))
-        run_steps([[*run, "--out", directory / "run_genread_cold.jsonl"]])
+        popgate([*run, "--out", str(directory / "run_genread_cold.jsonl")])
     for path in cache.iterdir():
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["completion"]["latency_ms"] = GENREAD_LATENCY_MS
         path.write_text(json.dumps(entry, ensure_ascii=False, sort_keys=True), encoding="utf-8")
-    run_steps([[*run, "--out", out]])
+    popgate([*run, "--out", str(out)])
     return {out.name: hashlib.sha256(out.read_bytes()).hexdigest(),
             "completions-cache names": names_digest(cache)}
 
@@ -371,7 +381,7 @@ def test_a_pin_that_is_not_one_digest_is_a_mismatch(tmp_path, monkeypatch):
 
 
 def test_build_dataset_matches_its_pins(tmp_path):
-    build_dataset(tmp_path)
+    build_dataset(tmp_path, lambda argv: run_steps([argv]))
     wrong = mismatches("build", digests(tmp_path))
     assert not wrong, "\n".join(wrong)
 
@@ -382,7 +392,7 @@ def test_fetch_popularity_matches_its_pins(tmp_path):
 
 
 def test_genread_run_from_cache_matches_its_pins(tmp_path):
-    wrong = mismatches("genread", genread_from_cache(tmp_path))
+    wrong = mismatches("genread", genread_from_cache(tmp_path, lambda argv: run_steps([argv])))
     assert not wrong, "\n".join(wrong)
 
 
@@ -410,6 +420,8 @@ if __name__ == "__main__":
         sys.exit(0)
     if sys.argv[1] == "--fetch-popularity":
         kind, actual = "fetch-popularity", fetch_popularity(Path(sys.argv[2]), installed_popgate)
+    elif sys.argv[1] == "--genread":
+        kind, actual = "genread", genread_from_cache(Path(sys.argv[2]), installed_popgate)
     elif sys.argv[1] == "--mixed-index":
         kind, actual = "mixed-index", mixed_index(Path(sys.argv[2]), installed_popgate)
     elif sys.argv[1] == "--chain":

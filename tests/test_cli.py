@@ -361,6 +361,37 @@ class TestRuntimeErrors:
         assert not out.exists() and not cache.exists()
 
     @pytest.mark.parametrize(
+        "url, fragment",
+        [("http://[::1", "base_url 'http://[::1': Invalid IPv6 URL"),
+         ("http://x:99999", "base_url 'http://x:99999': Port out of range 0-65535"),
+         ("http:///api", "base_url must be http(s)://host[:port][/path], got 'http:///api'")],
+    )
+    def test_fetch_popularity_rejects_bad_endpoint_url(self, tmp_path, capsys, url, fragment):
+        out, cache = tmp_path / "out.jsonl", tmp_path / "cache"
+        capsys.readouterr()
+        code = run_cli(["fetch-popularity", "--dataset", one_question_dataset(tmp_path),
+                        "--cache", cache, "--endpoint", url, "--out", out])
+        assert code == 1
+        assert_one_line_error(capsys, fragment)
+        assert not out.exists() and not cache.exists()
+
+    def test_run_through_a_bad_proxy_url_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", "http://proxy:99999")
+        out, cache = tmp_path / "run.jsonl", tmp_path / "cache"
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps(
+            {"base_url": "http://completions.invalid/v1", "model": "m", "cache_dir": str(cache)}
+        ))
+        capsys.readouterr()
+        code = run_cli(["run", "--dataset", one_question_dataset(tmp_path), "--endpoint",
+                        endpoint, "--shots", 0, "--out", out])
+        assert code == 1
+        assert_one_line_error(capsys, "bad http_proxy 'http://proxy:99999': Port out of range")
+        assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize(
         "text, fragment",
         [pytest.param('{"director": %s}' % ("9" * 5000), "Exceeds the limit (4300",
                       id="5000-digit-integer"),
@@ -661,6 +692,10 @@ class TestBadSettingsFiles:
             ("endpoint", "{" + ENDPOINT + ', "max_tokens": "x"}',
              "max_tokens must be an integer, got 'x'"),
             ("endpoint", '{"base_url": 5, "model": "m"}', "base_url must be a string, got 5"),
+            ("endpoint", '{"base_url": "http://[::1/v1", "model": "m"}',
+             "base_url 'http://[::1/v1': Invalid IPv6 URL"),
+            ("endpoint", '{"base_url": "http:///v1", "model": "m"}',
+             "base_url must be http(s)://host[:port][/path], got 'http:///v1'"),
             ("endpoint", "{" + ENDPOINT + ', "timeout_s": NaN}',
              "timeout_s must be finite and >= 0, got nan"),
             ("config", '{"run": {"shots": "x"}}', "run.shots must be an integer, got 'x'"),

@@ -52,7 +52,7 @@ COMMANDS = {
 }
 
 
-def completion_reply(self, method, url, what, json_body=None) -> HttpResponse:
+def completion_reply(self, method, url, what, json_body=None, accept=(200,)) -> HttpResponse:
     """A fixed 200 completion, in place of any HTTP request: a changed
     endpoint file may name any host."""
     body = {"choices": [{"text": "Fact00001"}], "usage": {"prompt_tokens": 3}}
@@ -197,10 +197,10 @@ def caches(tmp_path, monkeypatch):
     have filled; the returned list gains one URL per request sent."""
     sent = []
 
-    def reply(self, method, url, what, json_body=None) -> HttpResponse:
+    def reply(self, method, url, what, json_body=None, accept=(200,)) -> HttpResponse:
         sent.append(url)
         if "/per-article/" not in url:
-            return completion_reply(self, method, url, what, json_body)
+            return completion_reply(self, method, url, what, json_body, accept)
         return HttpResponse(200, b'{"items": [{"views": 1234}]}', 0.001)
 
     monkeypatch.setattr(util.HttpClient, "request", reply)

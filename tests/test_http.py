@@ -11,7 +11,7 @@ from threading import TIMEOUT_MAX
 import pytest
 
 from popgate import __version__
-from popgate.errors import TransportError, ValidationError
+from popgate.errors import ConfigError, TransportError, ValidationError
 from popgate.lm import CompletionClient, EndpointConfig
 from popgate.popularity import PageviewsClient, PageviewsConfig
 
@@ -55,7 +55,14 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
                             ({"backoff_s": 1e9, "max_retries": 5}, "1000000000.0·2^4"),
                             ({"backoff_s": 0.5, "max_retries": 10**6}, "0.5·2^999999")]],
      *[({"requests_per_second": rate}, "max_parallelism/requests_per_second must be at most "
-        f"{TIMEOUT_MAX} s, got 4/{rate}") for rate in (1e-10, 4e-10)]],
+        f"{TIMEOUT_MAX} s, got 4/{rate}") for rate in (1e-10, 4e-10)],
+     *[({"base_url": url}, f"base_url {url!r}: {cause}")
+       for url, cause in [("http://[::1/v1", "Invalid IPv6 URL"),
+                          ("http://[::1", "Invalid IPv6 URL"),
+                          ("http://x:99999/v1", "Port out of range 0-65535"),
+                          ("http://x:port", "Port could not be cast to integer value as 'port'")]],
+     *[({"base_url": url}, f"base_url must be http(s)://host[:port][/path], got {url!r}")
+       for url in ("http:///v1", "ftp://x/v1", "x/v1", "")]],
 )
 @pytest.mark.parametrize(
     "config, required",
@@ -63,7 +70,7 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
 )
 def test_both_clients_check_their_transport_settings_alike(config, required, changes, message):
     with pytest.raises(ValidationError) as info:
-        config(**required, **changes)
+        config(**{**required, **changes})
     assert str(info.value) == message
 
 
@@ -151,6 +158,38 @@ def test_http_proxy_receives_absolute_url(tmp_path, monkeypatch):
         assert client.complete("hi").text == "via proxy"
     assert proxy.requests[0]["path"] == "http://completions.invalid/v1/completions"
     assert proxy.requests[0]["headers"]["Host"] == "completions.invalid"
+
+
+@pytest.mark.parametrize(
+    "proxy, cause",
+    [("http://proxy:99999", "Port out of range 0-65535"), ("http://[::1", "Invalid IPv6 URL")],
+)
+def test_bad_proxy_url_is_config_error_before_any_connect(tmp_path, monkeypatch, proxy, cause):
+    for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", proxy)
+    client = completion_client("http://completions.invalid/v1", tmp_path, max_retries=3)
+    with pytest.raises(ConfigError) as info:
+        client.complete("hi")
+    assert str(info.value) == f"bad http_proxy {proxy!r}: {cause}"
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("kind", ["pageviews", "completions"])
+def test_both_clients_refuse_a_status_they_do_not_accept_alike(tmp_path, kind):
+    with MockServer(lambda m, p, b: (403, {"error": "forbidden"})) as server:
+        if kind == "pageviews":
+            url = (f"{server.base_url}/per-article/en.wikipedia/all-access/user/A/monthly/"
+                   "20221201/20221231")
+            call = lambda: pageviews_client(server.base_url, tmp_path).fetch("A", "2022-12")
+        else:
+            url = f"{server.base_url}/completions"
+            call = lambda: completion_client(server.base_url, tmp_path).complete("hi")
+        with pytest.raises(TransportError) as info:
+            call()
+        assert len(server.requests) == 1
+    assert str(info.value) == f"HTTP 403 from {url}"
+    assert not (tmp_path / "cache").exists()
 
 
 def test_sequential_calls_reuse_one_connection(tmp_path):

@@ -19,13 +19,13 @@ from popgate.lm import (
     ORACLE_MISS_RATE,
     build_fewshot_pool,
     completion_cache_key,
-    genread_answer,
     oracle_lm,
     render_prompt,
     run_predictions,
 )
 
 from popgate.dataset import RELATIONS, QAExample
+from popgate.retriever import Passage, build_index
 
 from conftest import make_example, synthetic_examples
 from mockserver import MockServer, completions_server
@@ -306,8 +306,12 @@ class TestCompletionClient:
 
 
 class TestGenread:
+    """Generate-then-read through `run_predictions`: stage 1 writes a
+    document, and stage 2 answers with it as the context."""
+
     def test_generated_document_reappears_in_stage2(self, tmp_path):
         document = "Unknown is a pulp fantasy fiction magazine."
+        example = make_example(0, relation="genre", answers=("fantasy",))
 
         def reply(prompt):
             if prompt.startswith("Generate"):
@@ -316,42 +320,48 @@ class TestGenread:
 
         with completions_server(reply) as server:
             client = CompletionClient(make_endpoint(server.base_url, tmp_path / "cache"))
-            context, completion = genread_answer(client, "What genre is Unknown?")
-        assert context == document
-        assert completion.text == "fantasy"
+            [record] = run_predictions([example], "genread", client=client)
+        assert (record.prediction, record.correct) == ("fantasy", True)
+        assert record.genread_empty_context is False
+        assert (record.retrieved_doc_id, record.retrieval_recall1) == (None, None)
         stage1 = server.requests[0]["body"]["prompt"]
-        assert stage1 == f"{DEFAULT_GENREAD_INSTRUCTION}\n\nWhat genre is Unknown?"
+        assert stage1 == f"{DEFAULT_GENREAD_INSTRUCTION}\n\n{example.question}"
         stage2 = server.requests[1]["body"]["prompt"]
-        assert document in stage2
-        assert stage2.endswith("Q: What genre is Unknown? A:")
+        assert stage2 == f"{document}\n\nQ: {example.question} A:"
 
-    def test_token_counts_summed_across_stages(self, tmp_path):
+    def test_token_counts_and_latency_summed_across_stages(self, tmp_path):
         with completions_server(lambda p: "four token reply here") as server:
-            client = CompletionClient(make_endpoint(server.base_url, tmp_path / "cache"))
-            _, completion = genread_answer(client, "Q?")
-        s1 = server.requests[0]["body"]["prompt"]
-        s2 = server.requests[1]["body"]["prompt"]
-        assert completion.prompt_tokens == len(s1.split()) + len(s2.split())
-        assert completion.completion_tokens == 8
+            config = make_endpoint(server.base_url, tmp_path / "cache")
+            [record] = run_predictions([make_example(0)], "genread", client=CompletionClient(config))
+        prompts = [r["body"]["prompt"] for r in server.requests]
+        assert record.prompt_tokens == sum(len(p.split()) for p in prompts)
+        assert record.completion_tokens == 8
+        stored = [json.loads((tmp_path / "cache" / f"{completion_cache_key(config, p)}.json")
+                             .read_text(encoding="utf-8"))["completion"] for p in prompts]
+        assert record.latency_ms == sum(entry["latency_ms"] for entry in stored)
 
     def test_empty_stage1_falls_back_to_vanilla(self, tmp_path):
+        example = make_example(0, answers=("answer",))
+
         def reply(prompt):
-            return "" if prompt.startswith("Generate") else "answer"
+            return " \n " if prompt.startswith("Generate") else "answer"
 
         with completions_server(reply) as server:
             client = CompletionClient(make_endpoint(server.base_url, tmp_path / "cache"))
-            context, completion = genread_answer(client, "Who is X?")
-        assert context == ""
-        assert server.requests[1]["body"]["prompt"] == "Q: Who is X? A:"
-        assert completion.text == "answer"
+            [record] = run_predictions([example], "genread", client=client)
+        assert record.genread_empty_context is True
+        assert server.requests[1]["body"]["prompt"] == f"Q: {example.question} A:"
+        assert (record.prediction, record.correct) == ("answer", True)
 
     def test_cached_stages_mean_zero_network_on_rerun(self, tmp_path):
+        dataset = synthetic_examples(6, seed=1)
         with completions_server(lambda p: "doc or answer") as server:
             client = CompletionClient(make_endpoint(server.base_url, tmp_path / "cache"))
-            genread_answer(client, "Who is X?")
-            count = len(server.requests)
-            genread_answer(client, "Who is X?")
-            assert len(server.requests) == count
+            first = run_predictions(dataset, "genread", client=client)
+            assert len(server.requests) == 2 * len(dataset)
+            again = run_predictions(dataset, "genread", client=client)
+            assert len(server.requests) == 2 * len(dataset)
+        assert again == first
 
 
 class TestOracleLm:
@@ -440,6 +450,43 @@ class TestRunPredictions:
             with pytest.raises(ValidationError, match=f"duplicate question id '{dataset[4].id}'"):
                 run_predictions([*dataset, dataset[4]], "vanilla", client=client, rng_seed=0)
         assert server.requests == []
+
+    def test_bad_shot_count_rejected_before_any_request(self, tmp_path, sixteen_relation_dataset):
+        with completions_server(lambda p: "x") as server:
+            client = CompletionClient(make_endpoint(server.base_url, tmp_path / "cache"))
+            with pytest.raises(ValidationError, match="shots=7: a dataset with 16 relations"):
+                run_predictions(sixteen_relation_dataset, "vanilla", client=client, shots=7)
+        assert server.requests == []
+
+    def test_endpoint_retrieval_run_reads_the_top_passage(self, tmp_path):
+        # Every third subject has no passage, so its question matches none. An
+        # odd subject's passage names its answer; an even one's names another.
+        dataset = synthetic_examples(15, relations=("director", "genre"), seed=3)
+        passages = [
+            Passage(f"d{i:02d}", f"Subject{i:05d}",
+                    f"Subject{i:05d} is known for Fact{i if i % 2 else i + 1:05d}.")
+            for i in range(15) if i % 3
+        ]
+        index = build_index(passages)
+        by_id = {p.doc_id: p for p in passages}
+        with completions_server(lambda p: "no idea") as server:
+            client = CompletionClient(
+                make_endpoint(server.base_url, tmp_path / "cache", max_parallelism=4)
+            )
+            records = run_predictions(dataset, "retrieval", client=client, index=index)
+        oracle = run_predictions(dataset, "retrieval", oracle=True, index=index)
+        assert [(r.question_id, r.retrieved_doc_id, r.retrieval_recall1) for r in records] == [
+            (r.question_id, r.retrieved_doc_id, r.retrieval_recall1) for r in oracle
+        ]
+        assert {r.retrieved_doc_id is None for r in records} == {True, False}
+        assert {r.retrieval_recall1 for r in records} == {True, False}
+        prompts = [r["body"]["prompt"] for r in server.requests]
+        expected = []
+        for ex, record in zip(dataset, records):
+            passage = by_id.get(record.retrieved_doc_id)
+            context = "" if passage is None else f"{passage.title}\n{passage.text}\n\n"
+            expected.append(f"{context}Q: {ex.question} A:")
+        assert sorted(prompts) == sorted(expected)
 
     def test_parallel_dispatch_preserves_dataset_order(self, tmp_path):
         dataset = synthetic_examples(24, relations=("director", "genre"), seed=6)
