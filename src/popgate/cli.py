@@ -19,41 +19,11 @@ import sys
 from pathlib import Path
 
 from . import retriever as retriever_mod
-from .config import AUGMENTED_MODES, MODES, RunConfig, load_file
+from .config import AUGMENTED_MODES, DEFAULT_PAGEVIEWS_MONTH, MODES, load_file
 from .errors import ConfigError, PopgateError, ValidationError
 from .util import atomic_write_text, dumps_stable, read_text, require_month, write_jsonl
 
 logger = logging.getLogger("popgate")
-
-
-# Every setting that both a flag and the config file can give: argparse dest
-# -> (config section, key). `_apply_config` fills each flag left unset from the
-# config file, or from the section's default; the flag wins.
-CONFIG_FLAGS = {
-    "triples": ("paths", "triples"),
-    "dataset": ("paths", "dataset"),
-    "corpus": ("paths", "corpus"),
-    "index": ("paths", "index"),
-    "cache": ("paths", "cache_dir"),
-    "mode": ("run", "mode"),
-    "shots": ("run", "shots"),
-    "seed": ("run", "seed"),
-    "k1": ("bm25", "k1"),
-    "b": ("bm25", "b"),
-    "month": ("pageviews", "month"),
-}
-
-
-def _apply_config(args) -> None:
-    """Load `args.config` into a RunConfig and fill each unset flag of
-    CONFIG_FLAGS from it; only `--index` may stay unset."""
-    config = args.config = load_file(RunConfig, args.config) if args.config else RunConfig()
-    for dest, (section, key) in CONFIG_FLAGS.items():
-        if dest in vars(args) and getattr(args, dest) in (None, ""):
-            value = getattr(getattr(config, section), key)
-            if value in (None, "") and dest != "index":
-                raise ConfigError(f"missing --{dest} (no flag, no {section}.{key} in config)")
-            setattr(args, dest, value)
 
 
 def _given(**kwargs) -> dict:
@@ -285,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and popularity-gated adaptive retrieval.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    config, dataset = _flags("--config", help="config JSON file"), _flags("--dataset")
-    out, seed = _flags("--out", required=True), _flags("--seed", type=int)
+    dataset = _flags("--dataset", required=True)
+    out, seed = _flags("--out", required=True), _flags("--seed", type=int, default=0)
     runs = _flags("--vanilla", "--retrieval", required=True)
 
     def command(name, func, help, *parents):
@@ -295,48 +265,46 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("build-dataset", _cmd_build_dataset, "sample triples and verbalize questions",
-                config, seed, out)
-    p.add_argument("--triples")
+                seed, out)
+    p.add_argument("--triples", required=True)
     p.add_argument("--templates", help="JSON {relation: pattern}; defaults to built-ins")
     p.add_argument("--freq-corpus", help="text corpus for alias term frequencies")
     p.add_argument("--cap", type=int)
 
     p = command("fetch-popularity", _cmd_fetch_popularity, "annotate a dataset with page views",
-                config, dataset, out)
-    p.add_argument("--month", help="YYYY-MM; defaults to the configured month")
-    p.add_argument("--cache")
+                dataset, out)
+    p.add_argument("--month", default=DEFAULT_PAGEVIEWS_MONTH, help="YYYY-MM")
+    p.add_argument("--cache", required=True)
     p.add_argument("--endpoint", help="pageviews API base URL override")
     p.add_argument("--parallelism", type=int)
 
-    p = command("index", _cmd_index, "build a BM25 index over a passage corpus", config, out)
-    p.add_argument("--corpus")
-    p.add_argument("--k1", type=float)
-    p.add_argument("--b", type=float)
+    p = command("index", _cmd_index, "build a BM25 index over a passage corpus", out)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--k1", type=float, default=retriever_mod.DEFAULT_K1)
+    p.add_argument("--b", type=float, default=retriever_mod.DEFAULT_B)
 
-    p = command("run", _cmd_run, "run one answering mode over a dataset",
-                config, dataset, seed, out)
-    p.add_argument("--mode", choices=MODES)
+    p = command("run", _cmd_run, "run one answering mode over a dataset", dataset, seed, out)
+    p.add_argument("--mode", choices=MODES, default="vanilla")
     p.add_argument("--index")
     p.add_argument("--endpoint", help="endpoint config JSON file")
     p.add_argument("--oracle", action="store_true", help="use the synthetic oracle LM")
-    p.add_argument("--shots", type=int)
+    p.add_argument("--shots", type=int, default=15)
 
-    p = command("report", _cmd_report, "score runs and write evaluation tables",
-                config, dataset, out)
+    p = command("report", _cmd_report, "score runs and write evaluation tables", dataset, out)
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--min-bin-n", type=int)
 
     p = command("tune", _cmd_tune, "tune per-relation popularity thresholds",
-                config, dataset, runs, seed, out)
+                dataset, runs, seed, out)
     p.add_argument("--split", type=float)
     p.add_argument("--repeats", type=int)
 
     p = command("route", _cmd_route, "emit per-question retrieve/parametric decisions",
-                config, dataset, out)
+                dataset, out)
     p.add_argument("--policy", required=True)
 
     p = command("savings", _cmd_savings, "cost and latency of a policy vs. baselines",
-                config, dataset, runs)
+                dataset, runs)
     p.add_argument("--policy", required=True)
     p.add_argument("--cost-model", help="cost model JSON file")
     p.add_argument("--out")
@@ -359,8 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        if "config" in vars(args):  # every subcommand but demo
-            _apply_config(args)
         return args.func(args)
     except (PopgateError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -363,7 +363,7 @@ def _header_passages(path, header: dict) -> list[Passage]:
 
 # Each number of an index header: the JSON types it may have (never a
 # boolean), its upper bound and its range in words. k1 and b follow
-# config.Bm25Section.
+# build_index's rule.
 _HEADER_NUMBERS = {
     "k1": ((int, float), sys.float_info.max, "a finite number >= 0"),
     "b": ((int, float), 1.0, "a number in [0, 1]"),

@@ -202,7 +202,8 @@ class HttpSettings:
             parts.port  # raises on a port that is not a number in 0-65535
         except ValueError as exc:
             raise ValidationError(f"base_url {self.base_url!r}: {exc}") from None
-        if parts.scheme not in ("http", "https") or not parts.hostname:
+        if (parts.scheme not in ("http", "https") or not parts.hostname
+                or parts.query or parts.fragment):
             raise ValidationError(f"base_url must be http(s)://host[:port][/path], "
                                   f"got {self.base_url!r}")
         require_finite("timeout_s", self.timeout_s)

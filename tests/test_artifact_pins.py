@@ -46,6 +46,12 @@ first against a mock completion endpoint it starts, then from the cache
 alone; then checks the second run's output and the cache file names:
 
     python tests/test_artifact_pins.py --genread DIR
+
+and checks the `# sha256 DIGEST NAME` lines that the benchmark's smoke run
+prints, in order, against the `perfbench-smoke` pins:
+
+    python3 perfbench/run.py --smoke | tee FILE
+    python tests/test_artifact_pins.py --smoke-output FILE
 """
 
 from __future__ import annotations
@@ -141,6 +147,20 @@ def mismatches(kind: str, actual: dict[str, str]) -> list[str]:
             out.append(f"{kind}/{name}: missing")
         elif actual[name] != pin:
             out.append(f"{kind}/{name}: sha256 {actual[name]}, pinned {pin}")
+    return out
+
+
+def smoke_mismatches(text: str) -> list[str]:
+    """One line per `# sha256 DIGEST NAME` line of a benchmark smoke output
+    that differs from its place in the ordered `perfbench-smoke` pins, and
+    one more when the output holds more or fewer such lines."""
+    pins = [tuple(pin) for pin in json.loads(PINS.read_text(encoding="utf-8"))["perfbench-smoke"]]
+    actual = [tuple(line.split(" ", 3)[2:]) for line in text.splitlines()
+              if line.startswith("# sha256 ")]
+    out = [f"perfbench-smoke line {i}: sha256 {got[0]} {got[1]}, pinned {pin[0]} {pin[1]}"
+           for i, (got, pin) in enumerate(zip(actual, pins), start=1) if got != pin]
+    if len(actual) != len(pins):
+        out.append(f"perfbench-smoke: {len(actual)} sha256 lines, pinned {len(pins)}")
     return out
 
 
@@ -380,6 +400,28 @@ def test_a_pin_that_is_not_one_digest_is_a_mismatch(tmp_path, monkeypatch):
     ]
 
 
+def test_smoke_pins_are_digest_name_pairs():
+    pins = json.loads(PINS.read_text(encoding="utf-8"))["perfbench-smoke"]
+    assert pins and all(
+        len(pin) == 2 and re.fullmatch("[0-9a-f]{64}", pin[0]) and pin[1] for pin in pins
+    )
+
+
+def test_smoke_output_differing_from_its_pins_is_a_mismatch():
+    pins = json.loads(PINS.read_text(encoding="utf-8"))["perfbench-smoke"]
+    lines = [f"# sha256 {digest} {name}" for digest, name in pins]
+    text = "\n".join(["# workload popqa-7k", *lines, "smoke: ok"])
+    assert smoke_mismatches(text) == []
+    digest, name = pins[3]
+    changed = text.replace(f"{digest} {name}", f"{digest[:-1]}x {name}", 1)
+    assert smoke_mismatches(changed) == [
+        f"perfbench-smoke line 4: sha256 {digest[:-1]}x {name}, pinned {digest} {name}"
+    ]
+    assert smoke_mismatches("\n".join(lines[:-1])) == [
+        f"perfbench-smoke: {len(pins) - 1} sha256 lines, pinned {len(pins)}"
+    ]
+
+
 def test_build_dataset_matches_its_pins(tmp_path):
     build_dataset(tmp_path, lambda argv: run_steps([argv]))
     wrong = mismatches("build", digests(tmp_path))
@@ -418,6 +460,10 @@ if __name__ == "__main__":
     if sys.argv[1] == "--build-inputs":
         write_build_inputs(Path(sys.argv[2]))
         sys.exit(0)
+    if sys.argv[1] == "--smoke-output":
+        wrong = smoke_mismatches(Path(sys.argv[2]).read_text(encoding="utf-8"))
+        print("\n".join(wrong) or f"all perfbench-smoke artifacts match {PINS.name}")
+        sys.exit(1 if wrong else 0)
     if sys.argv[1] == "--fetch-popularity":
         kind, actual = "fetch-popularity", fetch_popularity(Path(sys.argv[2]), installed_popgate)
     elif sys.argv[1] == "--genread":

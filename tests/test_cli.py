@@ -12,7 +12,7 @@ from popgate import adaptive as adaptive_mod
 from popgate import dataset as dataset_mod
 from popgate import lm as lm_mod
 from popgate import retriever as retriever_mod
-from popgate.cli import CONFIG_FLAGS, main
+from popgate.cli import main
 from popgate.dataset import read_dataset, write_dataset
 from popgate.evaluation import PredictionRecord, write_records
 from popgate.popularity import PageviewsClient
@@ -54,6 +54,12 @@ class TestUsageErrors:
 
     def test_missing_required_flag_exit_2(self):
         assert run_cli(["index"]) == 2
+
+    def test_unknown_mode_exit_2(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        argv = ["run", "--dataset", "d.jsonl", "--oracle", "--mode", "telepathy", "--out", out]
+        assert run_cli(argv) == 2
+        assert not out.exists()
 
 
 def one_question_dataset(tmp_path):
@@ -167,12 +173,15 @@ class TestRuntimeErrors:
         assert_one_line_error(capsys, "run_vanilla.jsonl:1", "'correct'", "'yes'")
         assert not out.exists()
 
-    def test_index_rejects_non_finite_k1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value", [("--k1", "nan"), ("--k1", "inf"), ("--b", "1.5"), ("--b", "nan")]
+    )
+    def test_index_rejects_bm25_parameter_out_of_range(self, tmp_path, capsys, flag, value):
         corpus = tmp_path / "corpus.jsonl"
         write_jsonl(corpus, [{"doc_id": "d1", "title": "t", "text": "cat"}])
         out = tmp_path / "index.pgidx"
-        assert run_cli(["index", "--corpus", corpus, "--k1", "nan", "--out", out]) == 1
-        assert_one_line_error(capsys, "k1=nan")
+        assert run_cli(["index", "--corpus", corpus, flag, value, "--out", out]) == 1
+        assert_one_line_error(capsys, f"{flag[2:]}={value}")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -248,9 +257,12 @@ class TestRuntimeErrors:
         assert_one_line_error(capsys, "triples.jsonl:1:", fragment)
         assert not out.exists()
 
-    @pytest.mark.parametrize("shots", [3, 16])
+    @pytest.mark.parametrize(
+        "shots, fragment",
+        [(3, "shots=3"), (16, "shots=16"), (-1, "shots must be non-negative")],
+    )
     def test_run_rejects_shots_other_than_0_or_15_on_16_relations(
-        self, tmp_path, capsys, sixteen_relation_dataset, shots
+        self, tmp_path, capsys, sixteen_relation_dataset, shots, fragment
     ):
         dataset = tmp_path / "dataset.jsonl"
         write_dataset(sixteen_relation_dataset, dataset)
@@ -260,7 +272,7 @@ class TestRuntimeErrors:
              "--out", out]
         )
         assert code == 1
-        assert_one_line_error(capsys, f"shots={shots}")
+        assert_one_line_error(capsys, fragment)
         assert not out.exists()
 
     @pytest.mark.parametrize("shots", [0, 15])
@@ -311,7 +323,7 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize(
         "flags, fragment",
         [(["--parallelism", 0], "max_parallelism must be >= 1, got 0"),
-         (["--cache", ""], "missing --cache")],
+         (["--cache", ""], "cache_dir must be a non-empty path or null")],
     )
     def test_fetch_popularity_rejects_bad_setting(self, tmp_path, capsys, flags, fragment):
         out = tmp_path / "out.jsonl"
@@ -504,7 +516,6 @@ def reader_case(tmp_path, name):
         "run": run,
         "corpus": corpus,
         "triples": triples,
-        "config": tmp_path / "config.json",
         "templates": tmp_path / "templates.json",
         "freq-corpus": tmp_path / "freq.txt",
         "endpoint": tmp_path / "endpoint.json",
@@ -519,8 +530,6 @@ def reader_case(tmp_path, name):
         "run": ["report", "--dataset", dataset, "--runs", run, "--out", out],
         "corpus": ["index", "--corpus", corpus, "--out", out],
         "triples": ["build-dataset", "--triples", triples, "--out", out],
-        "config": ["route", "--config", bad, "--dataset", dataset, "--policy", policy,
-                   "--out", out],
         "templates": ["build-dataset", "--triples", triples, "--templates", bad,
                       "--out", out],
         "freq-corpus": ["build-dataset", "--triples", triples, "--freq-corpus", bad,
@@ -544,8 +553,8 @@ class TestNonUtf8Input:
 
     @pytest.mark.parametrize(
         "name",
-        ["dataset", "run", "corpus", "triples", "config", "templates", "freq-corpus",
-         "endpoint", "cost-model", "policy"],
+        ["dataset", "run", "corpus", "triples", "templates", "freq-corpus", "endpoint",
+         "cost-model", "policy"],
     )
     def test_one_line_error_naming_path_and_line(self, tmp_path, capsys, name):
         bad, argv, out = reader_case(tmp_path, name)
@@ -563,8 +572,8 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize(
         "name",
-        ["dataset", "run", "corpus", "triples", "config", "templates", "endpoint",
-         "cost-model", "policy", "index"],
+        ["dataset", "run", "corpus", "triples", "templates", "endpoint", "cost-model",
+         "policy", "index"],
     )
     def test_one_line_error_naming_the_file(self, tmp_path, capsys, name):
         bad, argv, out = reader_case(tmp_path, name)
@@ -669,9 +678,9 @@ ENDPOINT = '"base_url": "http://127.0.0.1:9", "model": "m"'
 
 
 class TestBadSettingsFiles:
-    """Config, endpoint and cost-model files are decoded against their
-    dataclasses: a bad one is one `error:` line naming the file and the
-    dotted key, and nothing is written."""
+    """Endpoint and cost-model files are decoded against their dataclasses:
+    a bad one is one `error:` line naming the file and the key, and nothing
+    is written."""
 
     @pytest.mark.parametrize(
         "kind, text, fragment",
@@ -698,25 +707,15 @@ class TestBadSettingsFiles:
              "base_url must be http(s)://host[:port][/path], got 'http:///v1'"),
             ("endpoint", "{" + ENDPOINT + ', "timeout_s": NaN}',
              "timeout_s must be finite and >= 0, got nan"),
-            ("config", '{"run": {"shots": "x"}}', "run.shots must be an integer, got 'x'"),
-            ("config", '{"run": {"seed": "abc"}}', "run.seed must be an integer, got 'abc'"),
-            ("config", '{"bm25": {"k1": null}}', "bm25.k1 must be a number, got None"),
-            ("config", '{"run": {"shots": 1.7}}', "run.shots must be an integer, got 1.7"),
-            ("config", '{"run": {"seed": true}}', "run.seed must be an integer, got True"),
-            ("config", '{"paths": {"dataset": 5}}', "paths.dataset must be a string or null"),
-            ("config", '{"pageviews": {"month": 7}}', "pageviews.month must be a string"),
-            ("config", '{"pageviews": {"month": "2022-13"}}',
-             "pageviews.month must be YYYY-MM, got '2022-13'"),
-            ("config", '{"run": [1]}', "run must be a JSON object, got [1]"),
-            ("config", '{"bm25": {"b": 1.5}}', "bm25.b must lie in [0, 1]"),
-            ("config", '{"bm25": {"k1": Infinity}}', "bm25.k1 must be finite and >= 0, got inf"),
-            ("config", '{"bm25": {"k1": NaN}}', "bm25.k1 must be finite and >= 0, got nan"),
-            pytest.param("config", '{"bm25": {"k1": %s}}' % ("9" * 400),
-                         "bm25.k1 must be a number a float can hold, got an integer of 400 digits",
-                         id="config-k1-400-digits"),
-            pytest.param("config", '{"bm25": {"k1": %s}}' % ("9" * 5000),
+            ("cost-model", '{"price_per_1k_prompt_tokens": null}',
+             "price_per_1k_prompt_tokens must be a number, got None"),
+            pytest.param("cost-model", '{"price_per_1k_prompt_tokens": %s}' % ("9" * 400),
+                         "price_per_1k_prompt_tokens must be a number a float can hold, "
+                         "got an integer of 400 digits",
+                         id="cost-model-price-400-digits"),
+            pytest.param("cost-model", '{"price_per_1k_prompt_tokens": %s}' % ("9" * 5000),
                          "Exceeds the limit (4300",
-                         id="config-k1-5000-digits"),
+                         id="cost-model-price-5000-digits"),
             ("endpoint", "{" + ENDPOINT + ', "max_retries": -1}', "max_retries must be >= 0, got -1"),
             ("endpoint", "{" + ENDPOINT + ', "requests_per_second": 0}',
              "requests_per_second must be null or finite and > 0, got 0"),
@@ -730,15 +729,6 @@ class TestBadSettingsFiles:
              "cache_dir must be a non-empty path or null"),
             ("endpoint", "{" + ENDPOINT + ', "timeout_s": 1e10}',
              "timeout_s must be at most"),
-            # The endpoint and cost model come only from their own files, and
-            # the oracle and the genread instruction are fixed.
-            ("config", '{"endpoint": {' + ENDPOINT + "}}", "unknown config key 'endpoint'"),
-            ("config", '{"cost_model": {"retrieval_latency_ms": 50}}',
-             "unknown config key 'cost_model'"),
-            ("config", '{"oracle": {"a": 2.0, "b": 3.5, "readout": 0.9}}',
-             "unknown config key 'oracle'"),
-            ("config", '{"genread_instruction": "Generate a background document."}',
-             "unknown config key 'genread_instruction'"),
         ],
     )
     def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):
@@ -750,7 +740,6 @@ class TestBadSettingsFiles:
             "cost-model": savings_argv(demo_out, out, None, None, "--cost-model", bad),
             "endpoint": ["run", "--dataset", dataset, "--endpoint", bad, "--shots", 0,
                          "--out", out],
-            "config": ["run", "--config", bad, "--dataset", dataset, "--oracle", "--out", out],
         }[kind]
         capsys.readouterr()
         assert run_cli(argv) == 1
@@ -802,72 +791,66 @@ def reach(*args, **kwargs):
     raise Reached(args, kwargs)
 
 
-def fallback_case(dest, argv, target, read, flag, configured, default):
-    return pytest.param(dest, argv, target, read, flag, configured, default,
+# The default of a path flag that a command cannot run without.
+REQUIRED = "required"
+
+
+def default_case(dest, argv, target, read, flag, default):
+    return pytest.param(dest, argv, target, read, flag, default,
                         id=f"{dest}-{argv(Path(), Path())[0]}")
 
 
-FALLBACK_CASES = [
-    fallback_case("triples", lambda d, tmp: ["build-dataset", "--out", tmp / "out"],
-                  (dataset_mod, "read_triples"), lambda a, k: a[0], "f.jsonl", "c.jsonl", None),
-    fallback_case("dataset", lambda d, tmp: ["route", "--policy", "p.json", "--out", tmp / "out"],
-                  (dataset_mod, "read_dataset"), lambda a, k: a[0], "f.jsonl", "c.jsonl", None),
-    fallback_case("corpus", lambda d, tmp: ["index", "--out", tmp / "out"],
-                  (retriever_mod, "read_corpus"), lambda a, k: a[0], "f.jsonl", "c.jsonl", None),
-    fallback_case("index", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--mode",
-                                           "retrieval", "--oracle", "--out", tmp / "out"],
-                  (retriever_mod, "load_index"), lambda a, k: a[0], "f.pgidx", "c.pgidx", None),
-    fallback_case("cache", lambda d, tmp: ["fetch-popularity", "--dataset", d / "dataset.jsonl",
-                                           "--out", tmp / "out"],
-                  (PageviewsClient, "annotate"), lambda a, k: str(a[0].config.cache_dir),
-                  "f-cache", "c-cache", None),
-    fallback_case("month", lambda d, tmp: ["fetch-popularity", "--dataset", d / "dataset.jsonl",
-                                           "--cache", "pv", "--out", tmp / "out"],
-                  (PageviewsClient, "annotate"), lambda a, k: a[2], "2021-01", "2020-05",
-                  "2022-12"),
-    fallback_case("mode", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+DEFAULT_CASES = [
+    default_case("triples", lambda d, tmp: ["build-dataset", "--out", tmp / "out"],
+                 (dataset_mod, "read_triples"), lambda a, k: a[0], "f.jsonl", REQUIRED),
+    default_case("dataset", lambda d, tmp: ["route", "--policy", "p.json", "--out", tmp / "out"],
+                 (dataset_mod, "read_dataset"), lambda a, k: a[0], "f.jsonl", REQUIRED),
+    default_case("corpus", lambda d, tmp: ["index", "--out", tmp / "out"],
+                 (retriever_mod, "read_corpus"), lambda a, k: a[0], "f.jsonl", REQUIRED),
+    default_case("index", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--mode",
+                                          "retrieval", "--oracle", "--out", tmp / "out"],
+                 (retriever_mod, "load_index"), lambda a, k: a[0], "f.pgidx", None),
+    default_case("cache", lambda d, tmp: ["fetch-popularity", "--dataset", d / "dataset.jsonl",
                                           "--out", tmp / "out"],
-                  (lm_mod, "run_predictions"), lambda a, k: a[1], "vanilla", "retrieval",
-                  "vanilla"),
-    fallback_case("shots", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
-                                           "--out", tmp / "out"],
-                  (lm_mod, "run_predictions"), lambda a, k: k["shots"], 0, 2, 15),
-    fallback_case("seed", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+                 (PageviewsClient, "annotate"), lambda a, k: str(a[0].config.cache_dir),
+                 "f-cache", REQUIRED),
+    default_case("month", lambda d, tmp: ["fetch-popularity", "--dataset", d / "dataset.jsonl",
+                                          "--cache", "pv", "--out", tmp / "out"],
+                 (PageviewsClient, "annotate"), lambda a, k: a[2], "2021-01", "2022-12"),
+    default_case("mode", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+                                         "--out", tmp / "out"],
+                 (lm_mod, "run_predictions"), lambda a, k: a[1], "retrieval", "vanilla"),
+    default_case("shots", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
                                           "--out", tmp / "out"],
-                  (lm_mod, "run_predictions"), lambda a, k: k["rng_seed"], 3, 7, 0),
-    fallback_case("seed", lambda d, tmp: ["build-dataset", "--triples", tmp / "triples.jsonl",
-                                          "--out", tmp / "out"],
-                  (dataset_mod, "sample_triples"), lambda a, k: k["rng_seed"], 3, 7, 0),
-    fallback_case("seed", lambda d, tmp: tune_argv(d, tmp / "out"),
-                  (adaptive_mod, "tune_thresholds"), lambda a, k: k["rng_seed"], 3, 7, 0),
-    fallback_case("k1", lambda d, tmp: ["index", "--corpus", d / "corpus.jsonl",
-                                        "--out", tmp / "out"],
-                  (retriever_mod, "build_index"), lambda a, k: k["k1"], 0.5, 2.0, 1.2),
-    fallback_case("b", lambda d, tmp: ["index", "--corpus", d / "corpus.jsonl",
+                 (lm_mod, "run_predictions"), lambda a, k: k["shots"], 0, 15),
+    default_case("seed", lambda d, tmp: ["run", "--dataset", d / "dataset.jsonl", "--oracle",
+                                         "--out", tmp / "out"],
+                 (lm_mod, "run_predictions"), lambda a, k: k["rng_seed"], 3, 0),
+    default_case("seed", lambda d, tmp: ["build-dataset", "--triples", tmp / "triples.jsonl",
+                                         "--out", tmp / "out"],
+                 (dataset_mod, "sample_triples"), lambda a, k: k["rng_seed"], 3, 0),
+    default_case("seed", lambda d, tmp: tune_argv(d, tmp / "out"),
+                 (adaptive_mod, "tune_thresholds"), lambda a, k: k["rng_seed"], 3, 0),
+    default_case("k1", lambda d, tmp: ["index", "--corpus", d / "corpus.jsonl",
                                        "--out", tmp / "out"],
-                  (retriever_mod, "build_index"), lambda a, k: k["b"], 0.25, 0.5, 0.75),
+                 (retriever_mod, "build_index"), lambda a, k: k["k1"], 0.5, 1.2),
+    default_case("b", lambda d, tmp: ["index", "--corpus", d / "corpus.jsonl",
+                                      "--out", tmp / "out"],
+                 (retriever_mod, "build_index"), lambda a, k: k["b"], 0.25, 0.75),
 ]
 
 
-class TestConfigFallback:
-    """Each setting of CONFIG_FLAGS comes from its flag, else from the config
-    file, else from the config section's default (none for a path)."""
+class TestFlagDefaults:
+    """Each setting comes from its flag, else from the flag's default. A
+    path that a command cannot run without has no default: leaving it out
+    is a usage error, and only `run --index` may be left out."""
 
-    def test_cases_cover_the_table(self):
-        assert {case.values[0] for case in FALLBACK_CASES} == set(CONFIG_FLAGS)
-
-    @pytest.mark.parametrize(
-        "dest, argv, target, read, flag, configured, default", FALLBACK_CASES
-    )
-    def test_flag_then_config_then_default(
-        self, demo_out, tmp_path, monkeypatch, capsys, dest, argv, target, read, flag,
-        configured, default,
+    @pytest.mark.parametrize("dest, argv, target, read, flag, default", DEFAULT_CASES)
+    def test_flag_else_default(
+        self, demo_out, tmp_path, monkeypatch, dest, argv, target, read, flag, default
     ):
         write_jsonl(tmp_path / "triples.jsonl", triples_rows(2))
         monkeypatch.setattr(*target, reach)
-        section, key = CONFIG_FLAGS[dest]
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({section: {key: configured}}))
 
         def resolved(*flags):
             try:
@@ -876,11 +859,11 @@ class TestConfigFallback:
                 return read(*call.args)
             return None
 
-        assert resolved("--config", config, f"--{dest}", flag) == flag
-        assert resolved("--config", config) == configured
-        assert resolved() == default
-        if default is None and dest != "index":  # only retrieval runs need an index
-            assert f"error: missing --{dest} " in capsys.readouterr().err
+        assert resolved(f"--{dest}", flag) == flag
+        if default is REQUIRED:
+            assert run_cli(argv(demo_out, tmp_path)) == 2
+        else:
+            assert resolved() == default
 
 
 class TestRunChecks:
@@ -1202,48 +1185,6 @@ class TestPipeline:
         assert all(r.mode == "genread" for r in records)
         assert all(r.correct for r in records)
         assert all(r.genread_empty_context is False for r in records)
-
-    def test_config_paths_fallback_and_flag_override(self, tmp_path):
-        def dataset_rows(n, prefix):
-            return [
-                {
-                    "id": f"{prefix}{i}:director",
-                    "question": f"Who was the director of {prefix}{i}?",
-                    "answers": [f"Maker{i}"],
-                    "subj": f"{prefix}{i}",
-                    "subj_id": f"{prefix}{i}",
-                    "relation": "director",
-                    "popularity": 1000,
-                }
-                for i in range(n)
-            ]
-
-        small = tmp_path / "small.jsonl"
-        big = tmp_path / "big.jsonl"
-        write_jsonl(small, dataset_rows(2, "A"))
-        write_jsonl(big, dataset_rows(5, "B"))
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "paths": {"dataset": str(small)},
-                    "run": {"mode": "vanilla", "shots": 0, "seed": 1},
-                }
-            )
-        )
-
-        out_a = tmp_path / "a.jsonl"
-        assert run_cli(["run", "--config", config, "--oracle", "--out", out_a]) == 0
-        assert len(out_a.read_text().strip().splitlines()) == 2
-
-        out_b = tmp_path / "b.jsonl"
-        assert (
-            run_cli(
-                ["run", "--config", config, "--dataset", big, "--oracle", "--out", out_b]
-            )
-            == 0
-        )
-        assert len(out_b.read_text().strip().splitlines()) == 5  # flag wins
 
     def test_index_idempotent(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"

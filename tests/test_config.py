@@ -1,44 +1,37 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from popgate.adaptive import CostModel
-from popgate.cli import CONFIG_FLAGS
-from popgate.config import RunConfig, load_file
+from popgate.adaptive import DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION, CostModel
+from popgate.cli import build_parser
+from popgate.config import load_file
+from popgate.dataset import DEFAULT_PER_RELATION_CAP
+from popgate.demo import DEMO_SIZE
 from popgate.errors import ConfigError
+from popgate.evaluation import DEFAULT_MIN_BIN_N
 from popgate.lm import (
     ORACLE_A, ORACLE_B, ORACLE_MISS_RATE, ORACLE_READOUT, EndpointConfig, completion_cache_key,
 )
+from popgate.popularity import PageviewsConfig
+
+ENDPOINT = {"base_url": "http://x", "model": "m"}
 
 
 def write_config(tmp_path, payload: dict):
-    path = tmp_path / "config.json"
+    path = tmp_path / "settings.json"
     path.write_text(json.dumps(payload))
     return path
 
 
 class TestLoadConfig:
-    def test_minimal_config_fills_defaults(self, tmp_path):
-        config = load_file(RunConfig, write_config(tmp_path, {}))
-        assert config.bm25.k1 == 1.2
-        assert config.bm25.b == 0.75
-        assert config.run.shots == 15
-        assert config.run.seed == 0
-        assert config.run.mode == "vanilla"
-        assert config == RunConfig()
-
-    def test_unknown_top_level_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="retreival"):
-            load_file(RunConfig, write_config(tmp_path, {"retreival": {}}))
-
-    def test_unknown_nested_key_has_dotted_path(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"bm25\.k2"):
-            load_file(RunConfig, write_config(tmp_path, {"bm25": {"k2": 1.0}}))
+    def test_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="retrieval_latency'"):
+            load_file(CostModel, write_config(tmp_path, {"retrieval_latency": 50}))
 
     def test_negative_price_rejected(self, tmp_path):
         path = write_config(tmp_path, {"price_per_1k_prompt_tokens": -0.5})
@@ -47,13 +40,9 @@ class TestLoadConfig:
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text('{\n  "paths": {,}\n}')
+        path.write_text('{\n  "retrieval_latency_ms": {,}\n}')
         with pytest.raises(ConfigError, match="line 2"):
-            load_file(RunConfig, path)
-
-    def test_unused_output_dir_path_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match=r"paths\.output_dir"):
-            load_file(RunConfig, write_config(tmp_path, {"paths": {"output_dir": "out"}}))
+            load_file(CostModel, path)
 
     def test_endpoint_keys_are_the_endpoint_config_fields(self, tmp_path):
         endpoint = {
@@ -66,50 +55,52 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="'retries'"):
             load_file(EndpointConfig, write_config(tmp_path, {**endpoint, "retries": 1}))
 
-    def test_bad_mode_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="mode"):
-            load_file(RunConfig, write_config(tmp_path, {"run": {"mode": "telepathy"}}))
-
     def test_endpoint_requires_base_url_and_model(self, tmp_path):
         with pytest.raises(ConfigError, match="model is required"):
             load_file(EndpointConfig, write_config(tmp_path, {"base_url": "http://x"}))
-
-    def test_defaults_have_explicit_seed(self):
-        assert RunConfig().run.seed == 0
 
 
 class TestDecoder:
     """Every settings file is decoded against its dataclass's fields."""
 
     def test_int_passes_for_float_and_is_converted(self, tmp_path):
-        config = load_file(RunConfig, write_config(tmp_path, {"bm25": {"k1": 2}}))
-        assert type(config.bm25.k1) is float and config.bm25.k1 == 2.0
+        payload = {"price_per_1k_prompt_tokens": 2}
+        config = load_file(CostModel, write_config(tmp_path, payload))
+        assert type(config.price_per_1k_prompt_tokens) is float
+        assert config.price_per_1k_prompt_tokens == 2.0
 
     @pytest.mark.parametrize(
-        "payload, message",
+        "cls, payload, message",
         [
-            ({"bm25": {"k1": True}}, "bm25.k1 must be a number, got True"),
-            ({"run": {"shots": 2.0}}, "run.shots must be an integer, got 2.0"),
-            ({"run": {"mode": None}}, "run.mode must be a string, got None"),
-            ({"pageviews": {"month": 202212}}, "pageviews.month must be a string, got 202212"),
-            ({"pageviews": {"month": "2022-13"}}, "pageviews.month must be YYYY-MM, got '2022-13'"),
-            ({"pageviews": {"month": "2022-12\n"}},
-             "pageviews.month must be YYYY-MM, got '2022-12\\n'"),
-            ({"paths": []}, "paths must be a JSON object, got []"),
-            ({"bm25": {"b": float("nan")}}, "bm25.b must lie in [0, 1], got nan"),
-            ({"bm25": {"b": float("inf")}}, "bm25.b must lie in [0, 1], got inf"),
-            ({"run": {"seed": 8.0}}, "run.seed must be an integer, got 8.0"),
+            (CostModel, {"price_per_1k_prompt_tokens": True},
+             "price_per_1k_prompt_tokens must be a number, got True"),
+            (CostModel, {"retrieval_latency_ms": 2.0},
+             "retrieval_latency_ms must be an integer, got 2.0"),
+            (CostModel, {"retrieval_latency_ms": True},
+             "retrieval_latency_ms must be an integer, got True"),
+            (CostModel, {"retrieval_latency_ms": None},
+             "retrieval_latency_ms must be an integer, got None"),
+            (EndpointConfig, {**ENDPOINT, "model": None}, "model must be a string, got None"),
+            (EndpointConfig, {**ENDPOINT, "model": 5}, "model must be a string, got 5"),
+            (EndpointConfig, {**ENDPOINT, "max_tokens": 8.0},
+             "max_tokens must be an integer, got 8.0"),
+            (EndpointConfig, {**ENDPOINT, "temperature": False},
+             "temperature must be a number, got False"),
+            (EndpointConfig, {**ENDPOINT, "cache_dir": 5},
+             "cache_dir must be a string or null, got 5"),
         ],
     )
-    def test_rejected_value_names_file_and_dotted_key(self, tmp_path, payload, message):
+    def test_rejected_value_names_file_and_key(self, tmp_path, cls, payload, message):
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError) as info:
-            load_file(RunConfig, path)
+            load_file(cls, path)
         assert str(info.value) == f"{path}: {message}"
 
     def test_null_only_where_the_default_is_none(self, tmp_path):
-        payload = {"paths": {"dataset": None}}
-        assert load_file(RunConfig, write_config(tmp_path, payload)) == RunConfig()
+        payload = {**ENDPOINT, "api_key_env": None, "requests_per_second": None}
+        assert load_file(EndpointConfig, write_config(tmp_path, payload)) == EndpointConfig(
+            **ENDPOINT
+        )
 
     def test_cost_model_file(self, tmp_path):
         path = tmp_path / "costs.json"
@@ -137,21 +128,29 @@ def readme_json_examples() -> list[str]:
     return re.findall(r"```json\n(.*?)```", readme(), flags=re.DOTALL)
 
 
-def readme_config_table_keys() -> set[str]:
-    """The backquoted keys in the first column of the README's config-file
-    table, leaving out the values named in parentheses."""
-    section = readme().split("\n## Config file\n", 1)[1].split("\n## ", 1)[0]
-    keys = set()
+def readme_flag_defaults() -> dict[str, str]:
+    """Each flag of the README's flag table, by the default it states. A row
+    may name several flags, whose defaults it lists in the same order."""
+    section = readme().split("\n## Pipeline commands\n", 1)[1].split("\n## ", 1)[0]
+    stated = {}
     for line in section.splitlines():
-        if line.startswith("| `"):
-            keys.update(re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", line.split("|")[1])))
-    return keys
+        if line.startswith("| `--"):
+            flags, default = line.split("|")[1:3]
+            flags = re.findall(r"`(--[a-z0-9-]+)`", re.sub(r"\(.*?\)", "", flags))
+            stated.update(zip(flags, default.strip().split(", "), strict=True))
+    return stated
 
 
-def config_file_keys() -> set[tuple[str, str]]:
-    """(section, key) of every key a config file may hold."""
-    config = RunConfig()
-    return {(s.name, k.name) for s in fields(config) for k in fields(getattr(config, s.name))}
+def parser_defaults() -> dict[str, object]:
+    """Each flag of every subcommand that takes a value and has a parser
+    default, by that default."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        action.option_strings[-1]: action.default
+        for command in commands.choices.values()
+        for action in command._actions
+        if action.option_strings and action.nargs != 0 and action.default is not None
+    }
 
 
 class TestReadmeExamples:
@@ -162,16 +161,18 @@ class TestReadmeExamples:
         endpoint = load_file(EndpointConfig, path)
         assert endpoint.model == "my-model" and endpoint.requests_per_second == 5.0
 
-    def test_config_example_loads_with_the_defaults(self, tmp_path):
-        (example,) = [text for text in readme_json_examples() if '"paths"' in text]
-        path = tmp_path / "config.json"
-        path.write_text(example)
-        config = load_file(RunConfig, path)
-        assert config.paths.cache_dir == "pv-cache"
-        assert replace(config, paths=RunConfig().paths) == RunConfig()
-
-    def test_config_table_lists_every_config_key(self):
-        assert readme_config_table_keys() == {f"{s}.{k}" for s, k in config_file_keys()}
+    def test_flag_table_states_every_default(self):
+        # A flag whose parser default is None leaves its callee's default in place.
+        callee_defaults = {
+            "--cap": DEFAULT_PER_RELATION_CAP,
+            "--parallelism": PageviewsConfig.max_parallelism,
+            "--min-bin-n": DEFAULT_MIN_BIN_N,
+            "--split": DEFAULT_SPLIT_FRACTION,
+            "--repeats": DEFAULT_REPEATS,
+            "--size": DEMO_SIZE,
+        }
+        defaults = {**parser_defaults(), **callee_defaults}
+        assert readme_flag_defaults() == {flag: str(value) for flag, value in defaults.items()}
 
     def test_oracle_paragraph_states_the_oracle_constants(self):
         paragraph = readme().split("\n`run --oracle` answers", 1)[1].split("\n\n", 1)[0]
@@ -180,7 +181,3 @@ class TestReadmeExamples:
                        f"else {ORACLE_MISS_RATE}"):
             assert stated in text
 
-
-def test_config_file_holds_only_what_a_flag_sets():
-    assert [f.name for f in fields(RunConfig)] == ["paths", "run", "bm25", "pageviews"]
-    assert set(CONFIG_FLAGS.values()) == config_file_keys()

@@ -40,7 +40,6 @@ COMMANDS = {
     "run_retrieval.jsonl": ["tune", "--dataset", "dataset.jsonl", "--vanilla",
                             "run_vanilla.jsonl", "--retrieval", "{}", "--repeats", "3"],
     "policy.json": ["route", "--dataset", "dataset.jsonl", "--policy", "{}"],
-    "config.json": ["index", "--config", "{}"],
     "triples.jsonl": ["build-dataset", "--triples", "{}", "--seed", "0"],
     "templates.json": ["build-dataset", "--triples", "triples.jsonl", "--templates", "{}",
                        "--seed", "0"],
@@ -72,7 +71,6 @@ def inputs(tmp_path, monkeypatch):
         INDEX_MAGIC + bytes([1]) + json.dumps(v1).encode("utf-8")
     )
     files = {
-        "config.json": {"paths": {"corpus": "corpus.jsonl"}, "bm25": {"k1": 1.2, "b": 0.75}},
         "templates.json": {rel: DEFAULT_TEMPLATE_PATTERNS[rel] for rel in ("genre", "author")},
         "costs.json": {"price_per_1k_prompt_tokens": 0.5, "retrieval_latency_ms": 20},
         # No cache and no rate limit: a changed byte cannot name a directory

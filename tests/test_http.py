@@ -62,7 +62,9 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
                           ("http://x:99999/v1", "Port out of range 0-65535"),
                           ("http://x:port", "Port could not be cast to integer value as 'port'")]],
      *[({"base_url": url}, f"base_url must be http(s)://host[:port][/path], got {url!r}")
-       for url in ("http:///v1", "ftp://x/v1", "x/v1", "")]],
+       for url in ("http:///v1", "ftp://x/v1", "x/v1", "",
+                   # A query or fragment would hold the request path appended to it.
+                   "http://x/v1?key=1", "http://x/v1#frag", "http://x/v1?key=1#frag")]],
 )
 @pytest.mark.parametrize(
     "config, required",
