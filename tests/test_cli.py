@@ -61,6 +61,20 @@ class TestUsageErrors:
         assert run_cli(argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["build-dataset", "--triples", "t.jsonl", "--seed", "abc"],
+         ["run", "--dataset", "d.jsonl", "--oracle", "--seed", "true"],
+         ["run", "--dataset", "d.jsonl", "--oracle", "--shots", "1.7"],
+         ["index", "--corpus", "c.jsonl", "--k1", "abc"],
+         ["index", "--corpus", "c.jsonl", "--b", "x"]],
+        ids=["seed-abc", "seed-true", "shots-1.7", "k1-abc", "b-x"],
+    )
+    def test_flag_of_the_wrong_type_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--out", out]) == 2
+        assert not out.exists()
+
 
 def one_question_dataset(tmp_path):
     path = tmp_path / "dataset.jsonl"
@@ -174,7 +188,9 @@ class TestRuntimeErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, value", [("--k1", "nan"), ("--k1", "inf"), ("--b", "1.5"), ("--b", "nan")]
+        "flag, value",
+        [("--k1", "nan"), ("--k1", "inf"), ("--k1", "-1.0"), ("--b", "1.5"), ("--b", "nan"),
+         ("--b", "-0.1")],
     )
     def test_index_rejects_bm25_parameter_out_of_range(self, tmp_path, capsys, flag, value):
         corpus = tmp_path / "corpus.jsonl"
@@ -323,7 +339,10 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize(
         "flags, fragment",
         [(["--parallelism", 0], "max_parallelism must be >= 1, got 0"),
-         (["--cache", ""], "cache_dir must be a non-empty path or null")],
+         (["--cache", ""], "cache_dir must be a non-empty path or null"),
+         (["--month", "2022-13"], "month must be YYYY-MM, got '2022-13'"),
+         (["--month", "2022-12\n"], "month must be YYYY-MM, got '2022-12\\n'"),
+         (["--month", "7"], "month must be YYYY-MM, got '7'")],
     )
     def test_fetch_popularity_rejects_bad_setting(self, tmp_path, capsys, flags, fragment):
         out = tmp_path / "out.jsonl"
@@ -729,6 +748,18 @@ class TestBadSettingsFiles:
              "cache_dir must be a non-empty path or null"),
             ("endpoint", "{" + ENDPOINT + ', "timeout_s": 1e10}',
              "timeout_s must be at most"),
+            ("endpoint", "{" + ENDPOINT + ', "max_tokens": true}',
+             "max_tokens must be an integer, got True"),
+            ("endpoint", '{"base_url": "http://127.0.0.1:9", "model": 7}',
+             "model must be a string, got 7"),
+            ("endpoint", '{"base_url": "http://127.0.0.1:9", "model": null}',
+             "model must be a string, got None"),
+            ("endpoint", '{"base_url": "http://127.0.0.1:9"}', "model is required"),
+            ("endpoint", "{" + ENDPOINT + ', "cache_dir": 5}',
+             "cache_dir must be a string or null, got 5"),
+            ("endpoint", "{" + ENDPOINT + ', "retrieval_latency_ms": 50}',
+             "unknown config key 'retrieval_latency_ms'"),
+            ("cost-model", '{"model": "m"}', "unknown config key 'model'"),
         ],
     )
     def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):
