@@ -24,7 +24,7 @@ from itertools import accumulate, compress
 from pathlib import Path
 from typing import Mapping, Sequence, TypeVar
 
-from .config import AUGMENTED_MODES
+from .config import AUGMENTED_MODES, DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION
 from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
 from .evaluation import PredictionRecord, join_runs, overall_accuracy
@@ -39,8 +39,11 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 _SENTINEL_NAMES = {NEG_INF: "-inf", POS_INF: "+inf"}
 
-DEFAULT_SPLIT_FRACTION = 0.75
-DEFAULT_REPEATS = 100
+
+class _JsonInfinity(float):
+    """JSON's Infinity or -Infinity in a policy file. It is no threshold: a
+    file names the sentinels "-inf" and "+inf"."""
+
 
 T = TypeVar("T")
 
@@ -52,13 +55,22 @@ def dataset_fingerprint(dataset: Sequence[QAExample]) -> str:
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Per-relation thresholds on log10 popularity; -inf/+inf are valid."""
+    """Per-relation thresholds on log10 popularity, checked when built: each
+    a number a float holds (not a bool or NaN) or -inf/+inf, kept as a float."""
 
     thresholds: Mapping[str, float]
     tuned_on: str = ""
     retrieval_mode: str = "retrieval"
 
     def __post_init__(self):
+        for relation, t in self.thresholds.items():
+            # NaN and an integer past the largest float fail the bound.
+            if type(t) not in (int, float) or not (
+                abs(t) <= sys.float_info.max or t in _SENTINEL_NAMES
+            ):
+                raise PolicyError(f"threshold for relation {relation!r} is {t!r}; "
+                                  'expected a finite number, "-inf" or "+inf"')
+        object.__setattr__(self, "thresholds", {r: float(t) for r, t in self.thresholds.items()})
         if self.retrieval_mode not in AUGMENTED_MODES:
             expected = " or ".join(f'"{mode}"' for mode in AUGMENTED_MODES)
             raise PolicyError(f"'retrieval_mode' is {self.retrieval_mode!r}; expected {expected}")
@@ -88,22 +100,15 @@ class ThresholdPolicy:
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
         """Raises PolicyError naming `path` when the file is not UTF-8 JSON,
-        has no thresholds mapping, a threshold is neither a JSON number a
-        float holds (not a boolean) nor the "-inf" or "+inf" sentinel,
-        `tuned_on` is not a string or `retrieval_mode` is not "retrieval" or
-        "genread"."""
+        has no thresholds mapping, `tuned_on` is not a string or the policy
+        fails the checks of a built one."""
         payload = read_json(path, PolicyError)
 
-        def decode(relation: str, value) -> float:
-            # An integer past the largest float fails the bound, as NaN does.
-            if value in ("-inf", "+inf") or (
-                type(value) in (int, float) and abs(value) <= sys.float_info.max
-            ):
-                return float(value)
-            raise PolicyError(
-                f"{path}: threshold for relation {relation!r} is {value!r}; "
-                'expected a finite number, "-inf" or "+inf"'
-            )
+        def decode(value):
+            """The file's "-inf" and "+inf" as the sentinels; JSON's Infinity not."""
+            if type(value) is float and value in _SENTINEL_NAMES:
+                return _JsonInfinity(value)
+            return float(value) if value in ("-inf", "+inf") else value
 
         thresholds = payload.get("thresholds") if isinstance(payload, dict) else None
         if not isinstance(thresholds, dict):
@@ -111,7 +116,7 @@ class ThresholdPolicy:
         tuned_on = payload.get("tuned_on", "")
         if not isinstance(tuned_on, str):
             raise PolicyError(f"{path}: 'tuned_on' is {tuned_on!r}; expected a string")
-        decoded = {rel: decode(rel, t) for rel, t in thresholds.items()}
+        decoded = {rel: decode(t) for rel, t in thresholds.items()}
         try:
             return cls(decoded, tuned_on, payload.get("retrieval_mode", "retrieval"))
         except PolicyError as exc:

@@ -5,9 +5,7 @@ with a single-line cause on stderr. Structured logs go to stderr; artifacts
 are always written atomically.
 
 Each subcommand imports the modules it runs, so that, for example, `index`
-loads no LM, tuning or page-view code. A flag whose default belongs to one of
-those modules defaults to None here and, when not given, leaves the callee's
-own default in place (`_given`).
+loads no LM, tuning or page-view code.
 """
 
 from __future__ import annotations
@@ -18,18 +16,11 @@ import math
 import sys
 from pathlib import Path
 
-from . import retriever as retriever_mod
-from .config import AUGMENTED_MODES, DEFAULT_PAGEVIEWS_MONTH, MODES, load_file
+from . import config, retriever as retriever_mod, util
 from .errors import ConfigError, PopgateError, ValidationError
 from .util import atomic_write_text, dumps_stable, read_text, require_month, write_jsonl
 
 logger = logging.getLogger("popgate")
-
-
-def _given(**kwargs) -> dict:
-    """The keyword arguments whose flag was given (not None), so that the
-    others keep the callee's own defaults."""
-    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def _cmd_build_dataset(args) -> int:
@@ -47,7 +38,7 @@ def _cmd_build_dataset(args) -> int:
         # Without a frequency corpus every triple passes the sampler.
         term_frequency = lambda triple: math.e**2
     sampled = dataset_mod.sample_triples(
-        triples, term_frequency, rng_seed=args.seed, **_given(per_relation_cap=args.cap)
+        triples, term_frequency, per_relation_cap=args.cap, rng_seed=args.seed
     )
     examples = dataset_mod.verbalize_all(sampled, templates)
     count = dataset_mod.write_dataset(examples, args.out)
@@ -62,7 +53,7 @@ def _cmd_fetch_popularity(args) -> int:
     require_month(args.month)  # also when no question needs a fetch
     examples = dataset_mod.read_dataset(args.dataset)
     client = PageviewsClient(PageviewsConfig(
-        cache_dir=args.cache, **_given(base_url=args.endpoint, max_parallelism=args.parallelism)
+        base_url=args.endpoint, cache_dir=args.cache, max_parallelism=args.parallelism
     ))
     annotated = client.annotate(examples, args.month)
     count = dataset_mod.write_dataset(annotated, args.out)
@@ -94,7 +85,7 @@ def _cmd_run(args) -> int:
     )
     client = None
     if args.endpoint:
-        client = lm_mod.CompletionClient(load_file(lm_mod.EndpointConfig, args.endpoint))
+        client = lm_mod.CompletionClient(config.load_file(lm_mod.EndpointConfig, args.endpoint))
     records = lm_mod.run_predictions(
         examples,
         args.mode,
@@ -127,7 +118,7 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.out)
     quadrants = None
     if "vanilla" in by_mode and len(by_mode) > 1:
-        augmented_mode = next(m for m in AUGMENTED_MODES if m in by_mode)
+        augmented_mode = next(m for m in config.AUGMENTED_MODES if m in by_mode)
         if all(r.retrieval_recall1 is not None for r in by_mode[augmented_mode]):
             quadrants = eval_mod.quadrant_analysis(
                 by_mode["vanilla"], by_mode[augmented_mode], examples
@@ -135,7 +126,7 @@ def _cmd_report(args) -> int:
     # Every report is computed before any is written, so a run that fails
     # to join leaves no report files behind.
     reports = {
-        mode: eval_mod.evaluate_run(records, examples, **_given(min_bin_n=args.min_bin_n))
+        mode: eval_mod.evaluate_run(records, examples, min_bin_n=args.min_bin_n)
         for mode, records in by_mode.items()
     }
     for mode, report in reports.items():
@@ -168,11 +159,7 @@ def _cmd_tune(args) -> int:
     examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     result = adaptive_mod.tune_thresholds(
-        vanilla,
-        retrieval,
-        examples,
-        rng_seed=args.seed,
-        **_given(split_fraction=args.split, repeats=args.repeats),
+        vanilla, retrieval, examples, args.split, args.repeats, rng_seed=args.seed
     )
     result.policy.save(args.out, metadata=result.metadata)
     summary = result.summary
@@ -214,7 +201,7 @@ def _cmd_savings(args) -> int:
 
     cost_model = adaptive_mod.CostModel()
     if args.cost_model:
-        cost_model = load_file(adaptive_mod.CostModel, args.cost_model)
+        cost_model = config.load_file(adaptive_mod.CostModel, args.cost_model)
     examples = dataset_mod.read_dataset(args.dataset)
     vanilla, retrieval = _read_vanilla_and_retrieval(args)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
@@ -232,9 +219,7 @@ def _cmd_demo(args) -> int:
     from . import demo as demo_mod
 
     report = demo_mod.run_demo(
-        seed=args.seed,
-        out_dir=args.out,
-        **_given(size=args.size, repeats=args.repeats, split_fraction=args.split),
+        args.seed, args.out, size=args.size, repeats=args.repeats, split_fraction=args.split
     )
     print(report.to_json())
     return 0
@@ -269,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", required=True)
     p.add_argument("--templates", help="JSON {relation: pattern}; defaults to built-ins")
     p.add_argument("--freq-corpus", help="text corpus for alias term frequencies")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=config.DEFAULT_PER_RELATION_CAP)
 
     p = command("fetch-popularity", _cmd_fetch_popularity, "annotate a dataset with page views",
                 dataset, out)
-    p.add_argument("--month", default=DEFAULT_PAGEVIEWS_MONTH, help="YYYY-MM")
+    p.add_argument("--month", default=config.DEFAULT_PAGEVIEWS_MONTH, help="YYYY-MM")
     p.add_argument("--cache", required=True)
-    p.add_argument("--endpoint", help="pageviews API base URL override")
-    p.add_argument("--parallelism", type=int)
+    p.add_argument("--endpoint", default=config.DEFAULT_PAGEVIEWS_BASE_URL, help="API base URL")
+    p.add_argument("--parallelism", type=int, default=util.HttpSettings.max_parallelism)
 
     p = command("index", _cmd_index, "build a BM25 index over a passage corpus", out)
     p.add_argument("--corpus", required=True)
@@ -284,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=retriever_mod.DEFAULT_B)
 
     p = command("run", _cmd_run, "run one answering mode over a dataset", dataset, seed, out)
-    p.add_argument("--mode", choices=MODES, default="vanilla")
+    p.add_argument("--mode", choices=config.MODES, default="vanilla")
     p.add_argument("--index")
     p.add_argument("--endpoint", help="endpoint config JSON file")
     p.add_argument("--oracle", action="store_true", help="use the synthetic oracle LM")
@@ -292,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("report", _cmd_report, "score runs and write evaluation tables", dataset, out)
     p.add_argument("--runs", nargs="+", required=True)
-    p.add_argument("--min-bin-n", type=int)
+    p.add_argument("--min-bin-n", type=int, default=config.DEFAULT_MIN_BIN_N)
 
     p = command("tune", _cmd_tune, "tune per-relation popularity thresholds",
                 dataset, runs, seed, out)
-    p.add_argument("--split", type=float)
-    p.add_argument("--repeats", type=int)
+    p.add_argument("--split", type=float, default=config.DEFAULT_SPLIT_FRACTION)
+    p.add_argument("--repeats", type=int, default=config.DEFAULT_REPEATS)
 
     p = command("route", _cmd_route, "emit per-question retrieve/parametric decisions",
                 dataset, out)
@@ -311,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("demo", _cmd_demo, "synthetic end-to-end pipeline")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--split", type=float)
+    p.add_argument("--size", type=int, default=config.DEMO_SIZE)
+    p.add_argument("--repeats", type=int, default=config.DEFAULT_REPEATS)
+    p.add_argument("--split", type=float, default=config.DEFAULT_SPLIT_FRACTION)
     p.add_argument("--out", default="demo-out")
 
     return parser
@@ -333,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         name = getattr(exc, "filename", None)
-        detail = f"{exc.strerror}: {name}" if name else str(exc)
+        detail = str(exc) if name is None else f"{exc.strerror}: {name or repr(name)}"
         print(f"error: {detail}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,12 @@ MODES = ("vanilla", "retrieval", "genread")
 AUGMENTED_MODES = MODES[1:]  # the modes a policy routes to
 # Pinned so that a run without `--month` is reproducible.
 DEFAULT_PAGEVIEWS_MONTH = "2022-12"
+DEFAULT_PAGEVIEWS_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews"
+DEFAULT_PER_RELATION_CAP = 2000
+DEFAULT_MIN_BIN_N = 40
+DEFAULT_SPLIT_FRACTION = 0.75
+DEFAULT_REPEATS = 100
+DEMO_SIZE = 2000
 
 
 _TYPE_NAMES = {str: "a string", Path: "a string", int: "an integer", float: "a number",

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .config import DEFAULT_PER_RELATION_CAP
 from .errors import ConfigError, ValidationError
-from .util import read_json, read_jsonl, write_jsonl
+from .util import parse_rows, read_json, read_jsonl, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
@@ -37,8 +38,6 @@ DEFAULT_TEMPLATE_PATTERNS: dict[str, str] = {
     "capital": "What is the capital of [subj]?",
 }
 RELATIONS: tuple[str, ...] = tuple(DEFAULT_TEMPLATE_PATTERNS)
-
-DEFAULT_PER_RELATION_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -228,8 +227,11 @@ def example_from_row(row: dict) -> QAExample:
 
 
 def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
-    """Write examples as JSON Lines; returns the number of lines written."""
-    return write_jsonl(path, (example_to_row(e) for e in examples))
+    """Write examples as JSON Lines; returns the line count. A row that
+    `read_dataset` would refuse is a ValidationError naming its `path:line`."""
+    rows = [example_to_row(e) for e in examples]
+    parse_rows(path, enumerate(rows, start=1), example_from_row)
+    return write_jsonl(path, rows)
 
 
 def read_dataset(path: str | Path) -> list[QAExample]:

@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .adaptive import (
-    DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION, CostModel, cost_report, routed_records, tune_thresholds,
-)
+from .adaptive import CostModel, cost_report, routed_records, tune_thresholds
+from .config import DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION, DEMO_SIZE
 from .dataset import (
     KnowledgeTriple,
     QAExample,
@@ -38,7 +37,6 @@ from .evaluation import (
 from .lm import ORACLE_B, run_predictions
 from .retriever import Passage, build_index, save_index, write_corpus
 
-DEMO_SIZE = 2000
 LOW_POP_HIT_RATE = 0.85
 HIGH_POP_HIT_RATE = 0.35
 _MIN_LOG10_POP = 1.0

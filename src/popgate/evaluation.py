@@ -13,7 +13,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import MODES
+from .config import DEFAULT_MIN_BIN_N, MODES
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
 from .retriever import is_correct  # noqa: F401 (re-exported)
@@ -21,7 +21,6 @@ from .util import atomic_write_text, dumps_stable, is_count, read_jsonl, write_j
 
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
-DEFAULT_MIN_BIN_N = 40
 
 
 @dataclass(slots=True)

@@ -216,14 +216,13 @@ class CompletionClient:
         )
 
     def _request(self, prompt: str) -> Completion:
-        url = f"{self.config.base_url.rstrip('/')}/completions"
         body = {
             "model": self.config.model,
             "prompt": prompt,
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }
-        resp = self._http.request("POST", url, "completion request", json_body=body)
+        resp = self._http.request("POST", "completions", "completion request", json_body=body)
         return self._parse(resp.body, prompt, int(resp.elapsed_s * 1000))
 
     @staticmethod

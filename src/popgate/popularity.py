@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Sequence
 from urllib.parse import quote
 
+from .config import DEFAULT_PAGEVIEWS_BASE_URL
 from .dataset import QAExample
 from .errors import ProtocolError, ValidationError
 from .util import (
@@ -23,7 +24,6 @@ from .util import (
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_PAGEVIEWS_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews"
 # Views of English Wikipedia articles from every access method, by users.
 _PROJECT = "en.wikipedia"
 _ACCESS = "all-access"
@@ -100,17 +100,18 @@ class PageviewsClient:
     def _fetch_remote(self, title: str, month: str) -> PopularityRecord:
         start, end = _month_bounds(month)
         path = f"{_PROJECT}/{_ACCESS}/{_AGENT}/{quote(title, safe='')}/monthly/{start}/{end}"
-        url = f"{self.config.base_url.rstrip('/')}/per-article/{path}"
-        resp = self._http.request("GET", url, f"pageviews fetch for {title!r}", accept=(200, 404))
+        resp = self._http.request(
+            "GET", f"per-article/{path}", f"pageviews fetch for {title!r}", accept=(200, 404)
+        )
         if resp.status == 404:
             return self._record(title, month, views=0, missing=True)
         try:
             counts = [item["views"] for item in json.loads(resp.body)["items"]]
+            for count in counts:
+                if not is_count(count):
+                    raise ValueError(f"views {count!r}")
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise ProtocolError(f"unexpected pageviews payload from {url}: {exc}") from exc
-        for count in counts:
-            if not is_count(count):
-                raise ProtocolError(f"unexpected pageviews payload from {url}: views {count!r}")
+            raise ProtocolError(f"unexpected pageviews payload from {resp.url}: {exc}") from exc
         return self._record(title, month, views=sum(counts), missing=False)
 
     @staticmethod

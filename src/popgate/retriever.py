@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexFormatError, ValidationError
-from .util import atomic_writer, dumps_stable, read_jsonl, write_jsonl
+from .util import atomic_writer, dumps_stable, read_jsonl, require_finite, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Every byte that is not an ASCII letter or digit, mapped to a space.
@@ -234,8 +234,9 @@ def build_index(
 ) -> Bm25Index:
     if not passages:
         raise ValidationError("cannot index an empty passage list")
-    if not (math.isfinite(k1) and k1 >= 0) or not 0 <= b <= 1:
-        raise ValidationError(f"bad BM25 parameters k1={k1}, b={b}")
+    require_finite("k1", k1)
+    if not 0 <= b <= 1:
+        raise ValidationError(f"b must be in [0, 1], got {b}")
     by_id: dict[str, Passage] = {}
     lengths: list[int] = []
     # term -> [pos, tf, pos, tf, ...] in ascending document position

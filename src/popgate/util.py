@@ -14,7 +14,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
-from urllib.parse import SplitResult, urlsplit
+from urllib.parse import urlsplit
 
 from . import __version__
 from .errors import ConfigError, PopgateError, TransportError, ValidationError
@@ -116,8 +116,14 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, Any]]:
 def read_jsonl(path: str | Path, from_row: Callable[[Any], T]) -> list[T]:
     """`from_row` of each row of a JSONL file; a ValidationError it raises
     gains the row's `path:line`."""
+    return parse_rows(path, iter_jsonl(path), from_row)
+
+
+def parse_rows(path: str | Path, numbered_rows: Iterable, from_row: Callable[[Any], T]) -> list[T]:
+    """`from_row` of each (line number, row) of the JSONL file `path`; a
+    ValidationError it raises gains the row's `path:line`."""
     out = []
-    for lineno, row in iter_jsonl(path):
+    for lineno, row in numbered_rows:
         try:
             out.append(from_row(row))
         except ValidationError as exc:
@@ -313,21 +319,26 @@ class HttpResponse:
     status: int
     body: bytes
     elapsed_s: float  # the attempt that produced this response, not the retries
+    url: str  # the URL requested, for the caller's errors
 
 
-class _Connections(dict):
-    """One thread's connections by (scheme, host, port); closed when the
-    thread ends and its thread-local storage is dropped."""
+class _Connection:
+    """One thread's connection to the base URL's host or its proxy; closed
+    when the thread ends and its thread-local storage is dropped."""
+
+    def __init__(self, conn: http.client.HTTPConnection, absolute: bool):
+        # Plain HTTP through a proxy names the absolute URL in each request.
+        self.conn, self.absolute = conn, absolute
 
     def __del__(self):
-        for conn, _absolute in self.values():
-            conn.close()
+        self.conn.close()
 
 
 class HttpClient:
     """HTTP/1.1 with keep-alive, bounded retries and rate limiting.
 
-    Each thread keeps one connection per (scheme, host, port) and reuses it.
+    A client sends every request to its base URL's host, and each thread
+    keeps one connection there (or to the proxy) and reuses it.
     A reused connection that the server closed while idle fails before any
     response arrives; it is reopened and the request sent once more, which
     does not count as a retry. Transport errors, 429 and 5xx are retried up
@@ -342,6 +353,8 @@ class HttpClient:
         self, settings: HttpSettings, logger: logging.Logger, headers: dict[str, str] | None = None
     ):
         self._settings = settings
+        self._base_url = settings.base_url.rstrip("/")
+        self._base = urlsplit(self._base_url)
         self._limiter = RateLimiter(settings.requests_per_second)
         self._logger = logger
         user_agent = os.environ.get(USER_AGENT_ENV) or DEFAULT_USER_AGENT
@@ -351,13 +364,15 @@ class HttpClient:
         self._tls_lock = threading.Lock()
 
     def request(
-        self, method: str, url: str, what: str, json_body: Any = None,
+        self, method: str, path: str, what: str, json_body: Any = None,
         accept: tuple[int, ...] = (200,),
     ) -> HttpResponse:
-        """Send with retries; `what` names the call in retry logs and errors,
-        and a final status outside `accept` is a TransportError."""
+        """Send to the base URL and `path` joined by one `/`, with retries;
+        `what` names the call in retry logs and errors, and a final status
+        outside `accept` is a TransportError."""
         import http.client
 
+        url = f"{self._base_url}/{path}"
         headers = dict(self._headers)
         body = None
         if json_body is not None:
@@ -374,7 +389,7 @@ class HttpClient:
             self._limiter.acquire()
             call_start = time.monotonic()
             try:
-                status, location, data = self._send(method, url, body, headers)
+                status, location, data = self._send(method, path, body, headers)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
@@ -387,18 +402,19 @@ class HttpClient:
                 )
             if status not in accept:
                 raise TransportError(f"HTTP {status} from {url}")
-            return HttpResponse(status, data, time.monotonic() - call_start)
+            return HttpResponse(status, data, time.monotonic() - call_start, url)
         elapsed = time.monotonic() - began
         raise TransportError(
             f"{what} failed after {attempts} attempts ({elapsed:.1f}s elapsed): {last_error}"
         )
 
     def _send(
-        self, method: str, url: str, body: bytes | None, headers: dict[str, str]
+        self, method: str, path: str, body: bytes | None, headers: dict[str, str]
     ) -> tuple[int, str | None, bytes]:
-        parts = urlsplit(url)
-        conn, absolute = self._connection(parts)
-        target = url if absolute else parts._replace(scheme="", netloc="").geturl() or "/"
+        if (held := getattr(self._local, "connection", None)) is None:
+            held = self._local.connection = self._connect()
+        conn = held.conn
+        target = f"{self._base_url if held.absolute else self._base.path}/{path}"
         while True:
             reused = conn.sock is not None
             try:
@@ -423,25 +439,12 @@ class HttpClient:
             raise
         return resp.status, resp.getheader("Location"), data
 
-    def _connection(self, parts: SplitResult) -> tuple[http.client.HTTPConnection, bool]:
-        """This thread's connection for the URL's origin, and whether requests
-        on it name the absolute URL (plain HTTP through a proxy)."""
-        conns = getattr(self._local, "conns", None)
-        if conns is None:
-            conns = self._local.conns = _Connections()
-        key = (parts.scheme, parts.hostname, parts.port)
-        entry = conns.get(key)
-        if entry is None:
-            entry = conns[key] = self._connect(*key)
-        return entry
-
-    def _connect(
-        self, scheme: str, host: str, port: int | None
-    ) -> tuple[http.client.HTTPConnection, bool]:
+    def _connect(self) -> _Connection:
         import http.client
         import urllib.request
 
-        port = port or (443 if scheme == "https" else 80)
+        scheme, host = self._base.scheme, self._base.hostname
+        port = self._base.port or (443 if scheme == "https" else 80)
         proxy = urllib.request.getproxies().get(scheme)
         if proxy and urllib.request.proxy_bypass(host):
             proxy = None
@@ -457,13 +460,13 @@ class HttpClient:
         timeout = self._settings.timeout_s
         if scheme == "http":
             conn = http.client.HTTPConnection(conn_host, conn_port, timeout=timeout)
-            return conn, bool(proxy)
+            return _Connection(conn, bool(proxy))
         conn = http.client.HTTPSConnection(
             conn_host, conn_port, timeout=timeout, context=self._tls_context()
         )
         if proxy:
             conn.set_tunnel(host, port)
-        return conn, False
+        return _Connection(conn, False)
 
     def _tls_context(self) -> ssl.SSLContext:
         import ssl

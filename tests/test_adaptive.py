@@ -677,6 +677,20 @@ class TestPolicyIO:
         with pytest.raises(PolicyError, match="policy.json: threshold for relation 'director'"):
             ThresholdPolicy.load(path)
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), True, "x", pytest.param(10**400, id="401-digits")]
+    )
+    def test_bad_threshold_rejected_when_built(self, value):
+        """A policy built in code follows the rule that `load` applies."""
+        with pytest.raises(PolicyError) as info:
+            ThresholdPolicy({"director": value})
+        assert str(info.value) == (f"threshold for relation 'director' is {value!r}; "
+                                   'expected a finite number, "-inf" or "+inf"')
+
+    def test_thresholds_are_stored_as_floats(self):
+        policy = ThresholdPolicy({"director": 3, "genre": NEG_INF})
+        assert [type(t) for t in policy.thresholds.values()] == [float, float]
+
     def test_json_nan_threshold_rejected_with_path(self, tmp_path):
         path = tmp_path / "policy.json"
         path.write_text('{"thresholds": {"director": NaN}}')

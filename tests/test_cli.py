@@ -197,7 +197,8 @@ class TestRuntimeErrors:
         write_jsonl(corpus, [{"doc_id": "d1", "title": "t", "text": "cat"}])
         out = tmp_path / "index.pgidx"
         assert run_cli(["index", "--corpus", corpus, flag, value, "--out", out]) == 1
-        assert_one_line_error(capsys, f"{flag[2:]}={value}")
+        rule = {"--k1": "k1 must be finite and >= 0", "--b": "b must be in [0, 1]"}[flag]
+        assert_one_line_error(capsys, f"error: {rule}, got {value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -325,6 +326,9 @@ class TestRuntimeErrors:
              "cannot compute retrieval fraction of an empty dataset"),
             ("fetch-popularity", ["--month", "2022-13", "--cache", "pv"],
              "month must be YYYY-MM, got '2022-13'"),
+            # An empty path names no file; the error shows it as ''.
+            ("route", ["--policy", "policy.json", "--dataset", ""],
+             f"error: {os.strerror(errno.ENOENT)}: ''\n"),
         ],
     )
     def test_empty_dataset_leaves_no_output(self, tmp_path, capsys, monkeypatch, command, argv,

@@ -3,17 +3,18 @@ from __future__ import annotations
 import argparse
 import json
 import re
+from inspect import signature
 from pathlib import Path
 
 import pytest
 
-from popgate.adaptive import DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION, CostModel
+from popgate.adaptive import CostModel, tune_thresholds
 from popgate.cli import build_parser
 from popgate.config import load_file
-from popgate.dataset import DEFAULT_PER_RELATION_CAP
-from popgate.demo import DEMO_SIZE
+from popgate.dataset import sample_triples
+from popgate.demo import run_demo
 from popgate.errors import ConfigError
-from popgate.evaluation import DEFAULT_MIN_BIN_N
+from popgate.evaluation import evaluate_run
 from popgate.lm import (
     ORACLE_A, ORACLE_B, ORACLE_MISS_RATE, ORACLE_READOUT, EndpointConfig, completion_cache_key,
 )
@@ -162,17 +163,27 @@ class TestReadmeExamples:
         assert endpoint.model == "my-model" and endpoint.requests_per_second == 5.0
 
     def test_flag_table_states_every_default(self):
-        # A flag whose parser default is None leaves its callee's default in place.
-        callee_defaults = {
-            "--cap": DEFAULT_PER_RELATION_CAP,
-            "--parallelism": PageviewsConfig.max_parallelism,
-            "--min-bin-n": DEFAULT_MIN_BIN_N,
-            "--split": DEFAULT_SPLIT_FRACTION,
-            "--repeats": DEFAULT_REPEATS,
-            "--size": DEMO_SIZE,
-        }
-        defaults = {**parser_defaults(), **callee_defaults}
+        defaults = parser_defaults()
         assert readme_flag_defaults() == {flag: str(value) for flag, value in defaults.items()}
+
+    def test_flag_defaults_are_the_callee_defaults(self):
+        """A flag left out gives the callee what calling it without the
+        argument would."""
+        defaults = parser_defaults()
+        assert (defaults["--cap"], defaults["--min-bin-n"], defaults["--size"]) == (
+            signature(sample_triples).parameters["per_relation_cap"].default,
+            signature(evaluate_run).parameters["min_bin_n"].default,
+            signature(run_demo).parameters["size"].default,
+        )
+        for callee in (tune_thresholds, run_demo):
+            parameters = signature(callee).parameters
+            assert (defaults["--split"], defaults["--repeats"]) == (
+                parameters["split_fraction"].default, parameters["repeats"].default
+            )
+        pageviews = PageviewsConfig()
+        assert (defaults["--endpoint"], defaults["--parallelism"]) == (
+            pageviews.base_url, pageviews.max_parallelism
+        )
 
     def test_oracle_paragraph_states_the_oracle_constants(self):
         paragraph = readme().split("\n`run --oracle` answers", 1)[1].split("\n\n", 1)[0]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,25 @@ class TestDatasetIO:
         write_dataset([example], path)
         assert len(path.read_text().strip().splitlines()) == 1
         assert read_dataset(path) == [example]
+
+    @pytest.mark.parametrize(
+        "change, fragment",
+        [({"popularity": True}, "'popularity' is not null or an integer: True"),
+         ({"popularity": 2.5}, "'popularity' is not null or an integer: 2.5"),
+         ({"id": 5}, "'id' is not a string"),
+         ({"question": None}, "'question' is not a string"),
+         ({"relation_type": 7}, "'relation' is not a string")],
+        ids=["popularity-true", "popularity-2.5", "id-5", "question-none", "relation-7"],
+    )
+    def test_example_the_reader_would_refuse_is_not_written(self, tmp_path, change, fragment):
+        """A dataset that write_dataset writes is one read_dataset reads."""
+        good = verbalize(make_triple(0), default_templates())
+        bad = replace(good, **change)
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValidationError) as info:
+            write_dataset([good, bad], path)
+        assert str(info.value) == f"{path}:2: dataset row field {fragment}"
+        assert not path.exists()
 
     def test_same_seed_byte_identical_dataset(self, tmp_path):
         triples = [make_triple(i) for i in range(300)]

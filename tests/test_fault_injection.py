@@ -51,11 +51,11 @@ COMMANDS = {
 }
 
 
-def completion_reply(self, method, url, what, json_body=None, accept=(200,)) -> HttpResponse:
+def completion_reply(self, method, path, what, json_body=None, accept=(200,)) -> HttpResponse:
     """A fixed 200 completion, in place of any HTTP request: a changed
     endpoint file may name any host."""
     body = {"choices": [{"text": "Fact00001"}], "usage": {"prompt_tokens": 3}}
-    return HttpResponse(200, json.dumps(body).encode("utf-8"), 0.001)
+    return HttpResponse(200, json.dumps(body).encode("utf-8"), 0.001, path)
 
 
 @pytest.fixture
@@ -192,14 +192,14 @@ CACHED_COMMANDS = {
 @pytest.fixture
 def caches(tmp_path, monkeypatch):
     """A working directory whose page-view and completion caches CACHED_COMMANDS
-    have filled; the returned list gains one URL per request sent."""
+    have filled; the returned list gains one request path per request sent."""
     sent = []
 
-    def reply(self, method, url, what, json_body=None, accept=(200,)) -> HttpResponse:
-        sent.append(url)
-        if "/per-article/" not in url:
-            return completion_reply(self, method, url, what, json_body, accept)
-        return HttpResponse(200, b'{"items": [{"views": 1234}]}', 0.001)
+    def reply(self, method, path, what, json_body=None, accept=(200,)) -> HttpResponse:
+        sent.append(path)
+        if not path.startswith("per-article/"):
+            return completion_reply(self, method, path, what, json_body, accept)
+        return HttpResponse(200, b'{"items": [{"views": 1234}]}', 0.001, path)
 
     monkeypatch.setattr(util.HttpClient, "request", reply)
     monkeypatch.chdir(tmp_path)

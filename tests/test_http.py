@@ -3,6 +3,7 @@ keep-alive, seen from a localhost server."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -114,7 +115,7 @@ def test_import_does_not_load_requests():
     code = "import sys, popgate, popgate.cli; print('requests' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
@@ -194,11 +195,19 @@ def test_both_clients_refuse_a_status_they_do_not_accept_alike(tmp_path, kind):
     assert not (tmp_path / "cache").exists()
 
 
-def test_sequential_calls_reuse_one_connection(tmp_path):
-    with pageviews_server({"A": 1, "B": 2, "C": 3}, keep_alive=True) as server:
-        client = pageviews_client(server.base_url, tmp_path)
-        for title in ("A", "B", "C"):
-            client.fetch(title, "2022-12")
+@pytest.mark.parametrize("kind", ["pageviews", "completions"])
+def test_sequential_calls_reuse_one_connection(tmp_path, kind):
+    if kind == "pageviews":
+        with pageviews_server({"A": 1, "B": 2, "C": 3}, keep_alive=True) as server:
+            client = pageviews_client(server.base_url, tmp_path)
+            for title in ("A", "B", "C"):
+                client.fetch(title, "2022-12")
+    else:
+        with completions_server(lambda p: "ok", keep_alive=True) as server:
+            client = completion_client(server.base_url, tmp_path)
+            for prompt in ("a", "b", "c"):
+                client.complete(prompt)
+    assert len(server.requests) == 3
     assert len({r["client"] for r in server.requests}) == 1
 
 

@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ def loaded_after(code: str, names: tuple[str, ...] = DEFERRED) -> list[str]:
     report = f"import json, sys\nprint(json.dumps([m for m in {names!r} if m in sys.modules]))"
     out = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
-        env={"PYTHONPATH": str(SRC)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
