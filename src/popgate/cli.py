@@ -110,7 +110,7 @@ def _cmd_report(args) -> int:
     examples = dataset_mod.read_dataset(args.dataset)
     by_mode = {}
     for path in args.runs:
-        records = eval_mod.read_run(path)
+        records = eval_mod.read_run(path, examples)
         mode = records[0].mode
         if mode in by_mode:
             raise ValidationError(f"--runs names two {mode} runs; {path} would overwrite the first")
@@ -138,14 +138,14 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _read_vanilla_and_retrieval(args) -> list[list]:
-    """The --vanilla and --retrieval runs. Swapped files are an error:
-    --vanilla must hold vanilla records, --retrieval retrieval or genread ones."""
+def _read_vanilla_and_retrieval(args, examples) -> list[list]:
+    """The --vanilla and --retrieval runs of `examples`. Swapped files are an
+    error: --vanilla must hold vanilla records, --retrieval retrieval or genread ones."""
     from . import evaluation as eval_mod
 
     runs = []
     for flag, path in (("--vanilla", args.vanilla), ("--retrieval", args.retrieval)):
-        records = eval_mod.read_run(path)
+        records = eval_mod.read_run(path, examples)
         if (records[0].mode == "vanilla") != (flag == "--vanilla"):
             raise ValidationError(f"{flag} {path} holds {records[0].mode} records")
         runs.append(records)
@@ -157,7 +157,7 @@ def _cmd_tune(args) -> int:
     from . import dataset as dataset_mod
 
     examples = dataset_mod.read_dataset(args.dataset)
-    vanilla, retrieval = _read_vanilla_and_retrieval(args)
+    vanilla, retrieval = _read_vanilla_and_retrieval(args, examples)
     result = adaptive_mod.tune_thresholds(
         vanilla, retrieval, examples, args.split, args.repeats, rng_seed=args.seed
     )
@@ -203,7 +203,7 @@ def _cmd_savings(args) -> int:
     if args.cost_model:
         cost_model = config.load_file(adaptive_mod.CostModel, args.cost_model)
     examples = dataset_mod.read_dataset(args.dataset)
-    vanilla, retrieval = _read_vanilla_and_retrieval(args)
+    vanilla, retrieval = _read_vanilla_and_retrieval(args, examples)
     policy = adaptive_mod.ThresholdPolicy.load(args.policy)
     report = adaptive_mod.cost_report(vanilla, retrieval, examples, policy, cost_model)
     if adaptive_mod.dataset_fingerprint(examples) == policy.tuned_on:

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .config import DEFAULT_PER_RELATION_CAP
 from .errors import ConfigError, ValidationError
@@ -226,17 +226,9 @@ def example_from_row(row: dict) -> QAExample:
     )
 
 
-def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
-    """Write examples as JSON Lines; returns the line count. A row that
-    `read_dataset` would refuse is a ValidationError naming its `path:line`."""
-    rows = [example_to_row(e) for e in examples]
-    parse_rows(path, enumerate(rows, start=1), example_from_row)
-    return write_jsonl(path, rows)
-
-
-def read_dataset(path: str | Path) -> list[QAExample]:
-    """The examples of a dataset file; a question id that repeats is a
-    ValidationError naming the `path:line` of its second occurrence."""
+def _unique_examples() -> Callable[[Any], QAExample]:
+    """`example_from_row` for the rows of one dataset, in order; a question id
+    seen before is a ValidationError."""
     seen: set[str] = set()
 
     def from_row(row) -> QAExample:
@@ -246,7 +238,21 @@ def read_dataset(path: str | Path) -> list[QAExample]:
         seen.add(example.id)
         return example
 
-    return read_jsonl(path, from_row)
+    return from_row
+
+
+def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
+    """Write examples as JSON Lines; returns the line count. A row that
+    `read_dataset` would refuse is a ValidationError naming its `path:line`."""
+    rows = [example_to_row(e) for e in examples]
+    parse_rows(path, enumerate(rows, start=1), _unique_examples())
+    return write_jsonl(path, rows)
+
+
+def read_dataset(path: str | Path) -> list[QAExample]:
+    """The examples of a dataset file; a question id that repeats is a
+    ValidationError naming the `path:line` of its second occurrence."""
+    return read_jsonl(path, _unique_examples())
 
 
 _TRIPLE_STRING_KEYS = ("subj_id", "subj", "relation")

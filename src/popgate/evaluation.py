@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_MIN_BIN_N, MODES
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
-from .retriever import is_correct  # noqa: F401 (re-exported)
+from .retriever import is_correct
 from .util import atomic_write_text, dumps_stable, is_count, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
@@ -105,14 +105,23 @@ def read_records(path: str | Path) -> list[PredictionRecord]:
     return read_jsonl(path, record_from_row)
 
 
-def read_run(path: str | Path) -> list[PredictionRecord]:
-    """Records of one run file, which must be non-empty and hold a single mode."""
+def read_run(path: str | Path, dataset: Sequence[QAExample]) -> list[PredictionRecord]:
+    """Records of one run file, which must be non-empty, hold a single mode
+    and join to `dataset` (`join_runs`); each record's `correct` flag must be
+    what `is_correct` gives its prediction against the question's gold answers."""
     records = read_records(path)
     if not records:
         raise ValidationError(f"run file {path} holds no records")
     modes = sorted({r.mode for r in records})
     if len(modes) > 1:
         raise ValidationError(f"run file {path} mixes modes {' and '.join(modes)}")
+    (rows,) = join_runs(dataset, records)
+    for ex, rec in zip(dataset, rows):
+        if rec.correct != is_correct(rec.prediction, ex.gold_answers):
+            raise ValidationError(
+                f"{path}: record {rec.question_id!r} has correct {rec.correct}, but its "
+                f"prediction scores {not rec.correct} against the dataset's gold answers"
+            )
     return records
 
 

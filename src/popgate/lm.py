@@ -85,20 +85,6 @@ class FewshotCandidates:
         return sorted(by_relation.items()) if len(by_relation) == 16 else None
 
 
-class _AllBut(Sequence):
-    """`items` without the one at `skip`, with no copy. `random.sample` draws
-    the same items from it as from a list copied without that item."""
-
-    def __init__(self, items: Sequence, skip: int):
-        self._items, self._skip = items, skip
-
-    def __len__(self) -> int:
-        return len(self._items) - 1
-
-    def __getitem__(self, i: int):
-        return self._items[i + (i >= self._skip)]
-
-
 def build_fewshot_pool(
     candidates: FewshotCandidates,
     target: QAExample,
@@ -126,10 +112,11 @@ def build_fewshot_pool(
                 f"(one per relation other than the question's)"
             )
         return [rng.choice(pairs) for relation, pairs in strata if relation != target.relation_type]
-    others = _AllBut(candidates.pairs, candidates.positions[target.id])
-    if len(others) < shots:
-        raise ValidationError(f"cannot sample {shots} few-shot pairs from {len(others)} candidates")
-    return rng.sample(others, shots)
+    # The draw of rng.sample(every pair but the target's, shots), by position.
+    pairs, skip, n = candidates.pairs, candidates.positions[target.id], len(candidates.pairs) - 1
+    if n < shots:
+        raise ValidationError(f"cannot sample {shots} few-shot pairs from {n} candidates")
+    return [pairs[i + (i >= skip)] for i in rng.sample(range(n), shots)]
 
 
 @dataclass(frozen=True)

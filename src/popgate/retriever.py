@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexFormatError, ValidationError
-from .util import atomic_writer, dumps_stable, read_jsonl, require_finite, write_jsonl
+from .util import atomic_writer, dumps_stable, is_count, read_jsonl, require_finite, write_jsonl
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Every byte that is not an ASCII letter or digit, mapped to a space.
@@ -229,14 +229,20 @@ class Bm25Index:
         ]
 
 
+def _require_parameters(k1: float, b: float, avg_doc_length: float = 0.0) -> None:
+    """The rule of a built and a loaded index's parameters: a ValidationError
+    unless k1 and avg_doc_length are finite numbers >= 0 and b one in [0, 1]."""
+    require_finite("k1", k1)
+    require_finite("b", b, 1.0, "in [0, 1]")
+    require_finite("avg_doc_length", avg_doc_length)
+
+
 def build_index(
     passages: Sequence[Passage], k1: float = DEFAULT_K1, b: float = DEFAULT_B
 ) -> Bm25Index:
+    _require_parameters(k1, b)
     if not passages:
         raise ValidationError("cannot index an empty passage list")
-    require_finite("k1", k1)
-    if not 0 <= b <= 1:
-        raise ValidationError(f"b must be in [0, 1], got {b}")
     by_id: dict[str, Passage] = {}
     lengths: list[int] = []
     # term -> [pos, tf, pos, tf, ...] in ascending document position
@@ -356,44 +362,25 @@ def _header_passages(path, header: dict) -> list[Passage]:
         passages = [Passage(**row) for row in header["passages"]]
     except (KeyError, TypeError, ValidationError) as exc:
         raise IndexFormatError(f"{path}: bad passages in header: {exc}") from exc
-    (doc_count,) = _header_numbers(path, header, "doc_count")
-    if len(passages) != doc_count:
-        raise IndexFormatError(f"{path}: doc count mismatch")
+    (doc_count,) = _header_values(path, header, "doc_count")
+    if not (is_count(doc_count) and doc_count == len(passages)):
+        raise IndexFormatError(f"{path}: doc count mismatch: header doc_count {doc_count!r} "
+                               f"for {len(passages)} passages")
     return passages
 
 
-# Each number of an index header: the JSON types it may have (never a
-# boolean), its upper bound and its range in words. k1 and b follow
-# build_index's rule.
-_HEADER_NUMBERS = {
-    "k1": ((int, float), sys.float_info.max, "a finite number >= 0"),
-    "b": ((int, float), 1.0, "a number in [0, 1]"),
-    "avg_doc_length": ((int, float), sys.float_info.max, "a finite number >= 0"),
-    "doc_count": ((int,), math.inf, "an integer >= 0"),
-}
-
-
-def _header_numbers(path, header: dict, *keys: str) -> list[float]:
-    """The header's values of `keys`, each checked against _HEADER_NUMBERS.
-    NaN fails every comparison, and an integer too large for a float exceeds
-    the bound of a float key."""
+def _header_values(path, header: dict, *keys: str) -> list:
     try:
-        values = [header[key] for key in keys]
+        return [header[key] for key in keys]
     except KeyError as exc:
         raise IndexFormatError(f"{path}: header lacks {exc}") from exc
-    for key, value in zip(keys, values):
-        types, high, wording = _HEADER_NUMBERS[key]
-        if not (type(value) in types and 0 <= value <= high):
-            raise IndexFormatError(f"{path}: header {key} is {value!r}; expected {wording}")
-    return values
 
 
 def _load_v1(path, body) -> Bm25Index:
     header = _parse_header(path, body)
     passages = _header_passages(path, header)
-    k1, b = _header_numbers(path, header, "k1", "b")
     try:
-        return build_index(passages, k1=k1, b=b)
+        return build_index(passages, *_header_values(path, header, "k1", "b"))
     except ValidationError as exc:
         raise IndexFormatError(f"{path}: bad index payload: {exc}") from exc
 
@@ -410,11 +397,13 @@ def _load_v2(path, body) -> Bm25Index:
     by_id = {p.doc_id: p for p in passages}
     if len(by_id) != len(passages):
         raise IndexFormatError(f"{path}: duplicate doc_id in header")
-    k1, b, avgdl = _header_numbers(path, header, "k1", "b", "avg_doc_length")
+    k1, b, avgdl, terms, lengths = _header_values(
+        path, header, "k1", "b", "avg_doc_length", "terms", "lengths"
+    )
     try:
-        terms, lengths = header["terms"], header["lengths"]
-    except KeyError as exc:
-        raise IndexFormatError(f"{path}: header lacks {exc}") from exc
+        _require_parameters(k1, b, avgdl)
+    except ValidationError as exc:
+        raise IndexFormatError(f"{path}: header {exc}") from None
     if not (
         isinstance(terms, list)
         and isinstance(lengths, list)

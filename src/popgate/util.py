@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import sys
 import threading
 import time
 from contextlib import contextmanager, suppress
@@ -167,10 +168,13 @@ def is_count(value: Any) -> bool:
     return type(value) is int and value >= 0
 
 
-def require_finite(name: str, value: float) -> None:
-    """Raise ValidationError naming `name` unless `value` is finite and >= 0."""
-    if not 0 <= value < math.inf:
-        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+def require_finite(
+    name: str, value: Any, high: float = sys.float_info.max, rule: str = "finite and >= 0"
+) -> None:
+    """Raise ValidationError naming `name`, worded by `rule`, unless `value` is an
+    int or float, not a bool, in [0, high]; NaN fails every comparison."""
+    if not (type(value) in (int, float) and 0 <= value <= high):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 def require_month(month: str) -> None:
@@ -209,7 +213,7 @@ class HttpSettings:
         except ValueError as exc:
             raise ValidationError(f"base_url {self.base_url!r}: {exc}") from None
         if (parts.scheme not in ("http", "https") or not parts.hostname
-                or parts.query or parts.fragment):
+                or "?" in self.base_url or "#" in self.base_url):
             raise ValidationError(f"base_url must be http(s)://host[:port][/path], "
                                   f"got {self.base_url!r}")
         require_finite("timeout_s", self.timeout_s)

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from popgate import lm as lm_mod
 from popgate import retriever as retriever_mod
 from popgate.cli import main
 from popgate.dataset import read_dataset, write_dataset
-from popgate.evaluation import PredictionRecord, write_records
+from popgate.evaluation import PredictionRecord, read_records, write_records
 from popgate.popularity import PageviewsClient
 from popgate.retriever import INDEX_MAGIC, INDEX_VERSION
 from popgate.util import write_jsonl
@@ -466,13 +467,19 @@ class TestRuntimeErrors:
 
 def eight_question_runs(tmp_path):
     """An 8-question dataset and vanilla/retrieval records for it (retrieval
-    records carry no recall@1, so report computes no quadrant table)."""
+    records carry no recall@1, so report computes no quadrant table). Two
+    vanilla predictions and every retrieval one name the gold answer."""
     examples = synthetic_examples(8)
     dataset = tmp_path / "dataset.jsonl"
     write_dataset(examples, dataset)
-    vanilla = [PredictionRecord(ex.id, "vanilla", "x", i < 2) for i, ex in enumerate(examples)]
+    golds = [min(ex.gold_answers) for ex in examples]
+    vanilla = [
+        PredictionRecord(ex.id, "vanilla", gold if i < 2 else "x", i < 2)
+        for i, (ex, gold) in enumerate(zip(examples, golds))
+    ]
     retrieval = [
-        PredictionRecord(ex.id, "retrieval", "x", True, retrieved_doc_id="d") for ex in examples
+        PredictionRecord(ex.id, "retrieval", gold, True, retrieved_doc_id="d")
+        for ex, gold in zip(examples, golds)
     ]
     return dataset, vanilla, retrieval
 
@@ -517,6 +524,15 @@ class TestReportJoin:
         report = json.loads((out / "report_vanilla.json").read_text())
         assert report["overall_accuracy"] == 0.25
         assert json.loads((out / "report_retrieval.json").read_text())["overall_accuracy"] == 1.0
+
+    def test_join_error_comes_before_a_flipped_flag(self, tmp_path, capsys):
+        dataset, vanilla, _ = eight_question_runs(tmp_path)
+        run = tmp_path / "run_vanilla.jsonl"
+        write_records([replace(vanilla[0], correct=False), *vanilla[1:3]], run)
+        out = tmp_path / "report"
+        assert run_cli(["report", "--dataset", dataset, "--runs", run, "--out", out]) == 1
+        assert_one_line_error(capsys, "vanilla run does not cover the dataset")
+        assert not out.exists()
 
 
 def reader_case(tmp_path, name):
@@ -695,6 +711,52 @@ def tune_argv(demo_out, out, vanilla=None, retrieval=None):
         "--retrieval", retrieval or demo_out / "run_retrieval.jsonl",
         "--repeats", 5, "--out", out,
     ]
+
+
+def with_flags_flipped(source, target, count: int) -> list[str]:
+    """`source`'s run written to `target` with the `correct` flag of its first
+    `count` records that hold true set to false; returns their question ids."""
+    records = read_records(source)
+    flipped = [r.question_id for r in records if r.correct][:count]
+    write_records(
+        [replace(r, correct=False) if r.question_id in flipped else r for r in records], target
+    )
+    return flipped
+
+
+class TestRescoredRuns:
+    """`report`, `tune` and `savings` check each run's `correct` flags against
+    the dataset they read it with."""
+
+    def test_forty_flipped_flags_in_a_demo_run(self, tmp_path, capsys):
+        demo = tmp_path / "demo"
+        assert run_cli(["demo", "--seed", 5, "--size", 400, "--repeats", 5, "--out", demo]) == 0
+        run = tmp_path / "run_vanilla.jsonl"
+        assert len(with_flags_flipped(demo / "run_vanilla.jsonl", run, 40)) == 40
+        out = tmp_path / "report"
+        capsys.readouterr()
+        assert run_cli(["report", "--dataset", demo / "dataset.jsonl", "--runs", run,
+                        "--out", out]) == 1
+        assert_one_line_error(capsys, f"error: {run}: record ",
+                              "has correct False, but its prediction scores True")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "tune", "savings"])
+    def test_one_flipped_flag(self, demo_out, tmp_path, capsys, command):
+        run = tmp_path / "run_retrieval.jsonl"
+        (question_id,) = with_flags_flipped(demo_out / "run_retrieval.jsonl", run, 1)
+        out = tmp_path / "out"
+        argv = {
+            "report": ["report", "--dataset", demo_out / "dataset.jsonl",
+                       "--runs", demo_out / "run_vanilla.jsonl", run, "--out", out],
+            "tune": tune_argv(demo_out, out, retrieval=run),
+            "savings": savings_argv(demo_out, out, None, run),
+        }[command]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, f"error: {run}: record {question_id!r} has correct False, "
+                                      "but its prediction scores True against the dataset")
+        assert not out.exists()
 
 
 ENDPOINT = '"base_url": "http://127.0.0.1:9", "model": "m"'

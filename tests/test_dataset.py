@@ -183,6 +183,14 @@ class TestDatasetIO:
         assert str(info.value) == f"{path}:2: dataset row field {fragment}"
         assert not path.exists()
 
+    def test_repeated_question_id_is_not_written(self, tmp_path):
+        example = verbalize(make_triple(0), default_templates())
+        path = tmp_path / "data.jsonl"
+        with pytest.raises(ValidationError) as info:
+            write_dataset([example, example], path)
+        assert str(info.value) == f"{path}:2: duplicate question id {example.id!r}"
+        assert not path.exists()
+
     def test_same_seed_byte_identical_dataset(self, tmp_path):
         triples = [make_triple(i) for i in range(300)]
         paths = []

@@ -1,7 +1,8 @@
 """The error contract under fault injection: each input file a subcommand
 reads, cut short at a random offset, with one byte changed, or with one JSON
 number replaced, either still runs (exit 0) or fails with exit 1, exactly one
-`error:` line on stderr and no output file. Any exception that escapes
+`error:` line on stderr and no output file. A run file with one `correct`
+flag flipped always fails so. Any exception that escapes
 `cli.main` fails the test, and so does a JSON or JSONL output that holds
 `NaN`, `Infinity` or `-Infinity`, which are not JSON.
 
@@ -117,16 +118,16 @@ def run_cli(name: str, path) -> tuple[int, bool]:
     return code, exists
 
 
-def assert_contract(inputs, capsys, name: str, changed: bytes) -> None:
-    """Run the command reading `changed` as `name`: exit 0, or exit 1 with
-    one `error:` line and no output."""
+def assert_contract(inputs, capsys, name: str, changed: bytes, must_fail: bool = False) -> None:
+    """Run the command reading `changed` as `name`: exit 0 unless `must_fail`,
+    or exit 1 with one `error:` line and no output."""
     mutated = inputs / "mutated" / name
     mutated.parent.mkdir(exist_ok=True)
     mutated.write_bytes(changed)
     capsys.readouterr()
     code, wrote = run_cli(name, mutated)
     err = capsys.readouterr().err
-    if code != 0:
+    if code != 0 or must_fail:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not wrote
@@ -178,6 +179,15 @@ def test_changed_number_exits_0_or_1_with_one_error_line(inputs, capsys, data):
     name = data.draw(st.sampled_from([name for name, text in texts.items() if number_spans(text)]),
                      label="file")
     assert_contract(inputs, capsys, name, change_number(data, texts[name]))
+
+
+@pytest.mark.parametrize("line", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("name", ["run_vanilla.jsonl", "run_retrieval.jsonl"])
+def test_flipped_correct_flag_exits_1(inputs, capsys, name, line):
+    lines = (inputs / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[line])
+    lines[line] = json.dumps({**row, "correct": not row["correct"]}) + "\n"
+    assert_contract(inputs, capsys, name, "".join(lines).encode("utf-8"), must_fail=True)
 
 
 # Each cache directory, and the subcommand that fills and reads it.

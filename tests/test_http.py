@@ -64,8 +64,10 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
                           ("http://x:port", "Port could not be cast to integer value as 'port'")]],
      *[({"base_url": url}, f"base_url must be http(s)://host[:port][/path], got {url!r}")
        for url in ("http:///v1", "ftp://x/v1", "x/v1", "",
-                   # A query or fragment would hold the request path appended to it.
-                   "http://x/v1?key=1", "http://x/v1#frag", "http://x/v1?key=1#frag")]],
+                   # A query or fragment, even an empty one, would hold the
+                   # request path appended to it.
+                   "http://x/v1?key=1", "http://x/v1#frag", "http://x/v1?key=1#frag",
+                   "http://x/v1?", "http://x/v1#")]],
 )
 @pytest.mark.parametrize(
     "config, required",

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from popgate.dataset import read_dataset, write_dataset
 from popgate.errors import ProtocolError, TransportError, ValidationError
 from popgate.popularity import PageviewsClient, PageviewsConfig, PopularityRecord
 from popgate.util import sha256_hex
 
-from conftest import make_example
+from conftest import make_example, synthetic_examples
 from mockserver import MockServer, pageviews_server
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Page-view bodies in a wrong shape, each with part of its ProtocolError's text.
 MALFORMED_PAGEVIEWS_BODIES = [
@@ -213,3 +220,41 @@ class TestCorruptPageviewsCache:
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1 and str(path) in warnings[0]
         assert "entity_title differs" in warnings[0]
+
+
+def test_two_processes_share_one_cache_directory(tmp_path):
+    """Two `fetch-popularity` processes filling one cache directory at once
+    both succeed with the same dataset and leave one readable entry per
+    title, and a third run reads every title from the cache."""
+    examples = synthetic_examples(8)
+    views = {ex.subject_label: 1000 + i for i, ex in enumerate(examples)}
+    write_dataset(examples, tmp_path / "dataset.jsonl")
+    cache = tmp_path / "cache"
+
+    def start(out: str, base_url: str) -> subprocess.Popen:
+        argv = ["fetch-popularity", "--dataset", tmp_path / "dataset.jsonl", "--month",
+                "2022-12", "--cache", cache, "--endpoint", base_url, "--out", tmp_path / out]
+        return subprocess.Popen(
+            [sys.executable, "-m", "popgate.cli", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+
+    def finish(process: subprocess.Popen) -> None:
+        _, err = process.communicate(timeout=60)
+        assert process.returncode == 0, err
+
+    with pageviews_server(views) as server:
+        for process in [start("a.jsonl", server.base_url), start("b.jsonl", server.base_url)]:
+            finish(process)
+        sent = len(server.requests)
+        finish(start("c.jsonl", server.base_url))
+        assert len(server.requests) == sent
+    written = [read_dataset(tmp_path / name) for name in ("a.jsonl", "b.jsonl", "c.jsonl")]
+    assert written[0] == written[1] == written[2]
+    assert [ex.popularity for ex in written[0]] == list(views.values())
+    assert sorted(cache.iterdir()) == sorted(entry_path(cache, title) for title in views)
+    for title in views:
+        entry = json.loads(entry_path(cache, title).read_text(encoding="utf-8"))
+        record = PopularityRecord(**entry)
+        assert (record.entity_title, record.month, record.views) == (title, "2022-12", views[title])

@@ -518,6 +518,20 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match=f"numbers.pgidx: .*{key}"):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [pytest.param(key, value, id=param.id[3:])
+         for param in BAD_HEADER_NUMBERS
+         for version, key, value in [param.values]
+         if version == 2 and key in ("k1", "b")],
+    )
+    def test_build_refuses_what_a_header_may_not_hold(self, key, value):
+        """Built and loaded indexes follow one k1 and b rule."""
+        rule = {"k1": "k1 must be finite and >= 0", "b": "b must be in [0, 1]"}[key]
+        with pytest.raises(ValidationError) as info:
+            build_index(small_corpus(), **{key: value})
+        assert str(info.value) == f"{rule}, got {value!r}"
+
     @pytest.mark.parametrize("version", [1, 2])
     @pytest.mark.parametrize("key", ["k1", "b"])
     def test_header_bounds_load(self, tmp_path, version, key):
