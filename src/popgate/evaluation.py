@@ -1,13 +1,15 @@
 """Scoring and analysis of prediction runs.
 
 A prediction is correct when a gold answer is a substring of it once both are
-NFKC-normalized, lowercased and whitespace-collapsed (`retriever.is_correct`).
+NFKC-normalized, lowercased and whitespace-collapsed (`is_correct`). The same
+rule, applied to the retrieved passage's title and text, is its recall@1.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import unicodedata
 from dataclasses import MISSING, dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -16,11 +18,24 @@ from typing import Iterable, Sequence
 from .config import DEFAULT_MIN_BIN_N, MODES
 from .dataset import QAExample
 from .errors import JoinError, ValidationError
-from .retriever import is_correct
 from .util import atomic_write_text, dumps_stable, is_count, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
+
+
+def normalize_text(text: str) -> str:
+    """NFKC, lowercase, and collapse runs of whitespace to single spaces."""
+    return " ".join(unicodedata.normalize("NFKC", text).lower().split())
+
+
+def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:
+    """True iff some normalized gold answer is a substring of the normalized prediction."""
+    golds = list(gold_answers)
+    if not golds:
+        raise ValidationError("is_correct needs a non-empty gold answer set")
+    pred = normalize_text(prediction)
+    return any(g in pred for g in (normalize_text(g) for g in golds) if g)
 
 
 @dataclass(slots=True)
@@ -130,27 +145,33 @@ def join_runs(
 ) -> list[list[PredictionRecord]]:
     """Each run's record for every question, in dataset order: one list per run.
 
-    Raises JoinError when a run holds two records for one question, a record
-    for a question outside the dataset, or no record for some question.
+    Raises ValidationError when the dataset repeats a question id, and
+    JoinError when a run holds two records for one question, a record for a
+    question outside the dataset, or no record for some question.
     """
     joined = []
     for run in runs:
         by_id = {rec.question_id: rec for rec in run}
-        rows = [by_id.get(ex.id) for ex in dataset]
-        if not (len(by_id) == len(run) == len(dataset) and all(rows)):
+        # A repeated question finds its record taken and falls to the check.
+        rows = [by_id.pop(ex.id, None) for ex in dataset]
+        if by_id or len(run) != len(dataset) or not all(rows):
             _require_cover(dataset, run)
         joined.append(rows)
     return joined
 
 
 def _require_cover(dataset: Sequence[QAExample], run: Sequence[PredictionRecord]) -> None:
+    dataset_ids: set[str] = set()
+    for ex in dataset:
+        if ex.id in dataset_ids:
+            raise ValidationError(f"duplicate question id {ex.id!r}")
+        dataset_ids.add(ex.id)
     label = run[0].mode if run else "empty"
     seen: set[str] = set()
     for rec in run:
         if rec.question_id in seen:
             raise JoinError(f"{label} run has duplicate records for {rec.question_id!r}")
         seen.add(rec.question_id)
-    dataset_ids = {ex.id for ex in dataset}
     missing = sorted(dataset_ids - seen)
     extra = sorted(seen - dataset_ids)
     if missing or extra:
@@ -220,11 +241,11 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return sxy / root if root else None  # root is 0 where tiny squares underflow
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at z = WILSON_Z."""
     if n <= 0 or not 0 <= successes <= n:
         raise ValidationError(f"bad Wilson inputs: {successes}/{n}")
-    p = successes / n
+    p, z = successes / n, WILSON_Z
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -289,6 +310,8 @@ def quadrant_analysis(
     Each cell reports its fraction of all questions and the mean recall@1 of
     the retrieval run restricted to that cell.
     """
+    if not dataset:
+        raise ValidationError("cannot analyse quadrants of an empty dataset")
     van, ret = join_runs(dataset, vanilla_records, retrieval_records)
     lacking = sorted(rec.question_id for rec in ret if rec.retrieval_recall1 is None)
     if lacking:

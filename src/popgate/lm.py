@@ -22,8 +22,8 @@ from pathlib import Path
 from .config import MODES
 from .dataset import QAExample
 from .errors import ConfigError, ProtocolError, ValidationError
-from .evaluation import PredictionRecord
-from .retriever import Bm25Index, is_correct, recall_at_k
+from .evaluation import PredictionRecord, is_correct
+from .retriever import Bm25Index
 from .util import (
     HttpClient, HttpSettings, JsonCache, dumps_stable, is_count, map_in_order, require_finite,
     sha256_hex,
@@ -311,11 +311,12 @@ def run_predictions(
         retrieved_doc_id = recall1 = context = None
         if mode == "retrieval":
             hits = index.search(ex.question, k=1)
-            recall1 = recall_at_k(hits, index.passages, ex.gold_answers, k=1)
+            recall1 = False
             if hits:
                 retrieved_doc_id = hits[0].doc_id
                 passage = index.passages[retrieved_doc_id]
                 context = f"{passage.title}\n{passage.text}"
+                recall1 = is_correct(context, ex.gold_answers)
         items.append((ex, fewshot, retrieved_doc_id, recall1, context))
 
     def answer(item) -> PredictionRecord:

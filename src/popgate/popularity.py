@@ -91,15 +91,22 @@ class PageviewsClient:
         )
 
     def annotate(self, examples: Sequence[QAExample], month: str) -> list[QAExample]:
-        """Fill each example's popularity from its label's page views, one fetch per label."""
+        """Fill each example's popularity from its label's page views, one fetch per label.
+        Logs how many titles have no page-view article; none having one is an error."""
         titles = list(dict.fromkeys(ex.subject_label for ex in examples))
         fetched = map_in_order(lambda t: self.fetch(t, month), titles, self.config.max_parallelism)
+        missing = sum(record.missing for record in fetched)
+        if missing:
+            if missing == len(titles):
+                raise ValidationError(f"{missing} of {missing} titles have no page-view article")
+            logger.warning("%d of %d titles have no page-view article", missing, len(titles))
         views = {title: record.views for title, record in zip(titles, fetched)}
         return [ex.with_popularity(views[ex.subject_label]) for ex in examples]
 
     def _fetch_remote(self, title: str, month: str) -> PopularityRecord:
         start, end = _month_bounds(month)
-        path = f"{_PROJECT}/{_ACCESS}/{_AGENT}/{quote(title, safe='')}/monthly/{start}/{end}"
+        wire = quote(title.replace(" ", "_"), safe="")  # the API's titles have "_" for " "
+        path = f"{_PROJECT}/{_ACCESS}/{_AGENT}/{wire}/monthly/{start}/{end}"
         resp = self._http.request(
             "GET", f"per-article/{path}", f"pageviews fetch for {title!r}", accept=(200, 404)
         )

@@ -23,7 +23,6 @@ import math
 import re
 import struct
 import sys
-import unicodedata
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import lt
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import IndexFormatError, ValidationError
 from .util import atomic_writer, dumps_stable, is_count, read_jsonl, require_finite, write_jsonl
@@ -69,20 +68,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def normalize_text(text: str) -> str:
-    """NFKC, lowercase, and collapse runs of whitespace to single spaces."""
-    return " ".join(unicodedata.normalize("NFKC", text).lower().split())
-
-
-def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:
-    """True iff some normalized gold answer is a substring of the normalized prediction."""
-    golds = list(gold_answers)
-    if not golds:
-        raise ValidationError("is_correct needs a non-empty gold answer set")
-    pred = normalize_text(prediction)
-    return any(g in pred for g in (normalize_text(g) for g in golds) if g)
-
-
 @dataclass(slots=True)
 class Passage:
     """One corpus paragraph: a plain slotted record, checked when built.
@@ -106,7 +91,6 @@ class Passage:
 class SearchHit:
     doc_id: str
     score: float
-    rank: int
 
 
 class Bm25Index:
@@ -223,10 +207,7 @@ class Bm25Index:
                     score += impacts[j]
             scored.append((-score, self._doc_ids[d]))
         scored.sort()
-        return [
-            SearchHit(doc_id=doc_id, score=-neg, rank=rank)
-            for rank, (neg, doc_id) in enumerate(scored[:k], start=1)
-        ]
+        return [SearchHit(doc_id=doc_id, score=-neg) for neg, doc_id in scored[:k]]
 
 
 def _require_parameters(k1: float, b: float, avg_doc_length: float = 0.0) -> None:
@@ -276,20 +257,6 @@ def build_index(
             [idf * tf * k1_plus_1 / (tf + norms[d]) for d, tf in zip(term_docs, entry[1::2])]
         )
     return Bm25Index(by_id, k1, b, avgdl, docs, impacts, postings)
-
-
-def recall_at_k(
-    hits: Sequence[SearchHit],
-    passages: Mapping[str, Passage],
-    gold_answers: Iterable[str],
-    k: int = 1,
-) -> bool:
-    """True iff `is_correct` holds for the title and text of some top-k hit."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    golds = list(gold_answers)
-    top = (passages[hit.doc_id] for hit in hits[:k])
-    return any(is_correct(f"{passage.title} {passage.text}", golds) for passage in top)
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:

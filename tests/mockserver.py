@@ -110,9 +110,14 @@ def completions_server(reply_fn, **server_kwargs):
 def pageviews_server(views_by_title, **server_kwargs):
     """MockServer emulating the per-article monthly pageviews API.
 
-    Unknown titles get a 404, mirroring the real endpoint.
+    The API names an article with "_" for each space, so the table is keyed by
+    that wire form, and a title that holds a space gets a 404, as does an
+    unknown one, mirroring the real endpoint.
     """
     from urllib.parse import unquote
+
+    views_by_wire_title = {title.replace(" ", "_"): views
+                           for title, views in views_by_title.items()}
 
     def respond(method, path, body):
         parts = path.split("/")
@@ -121,8 +126,8 @@ def pageviews_server(views_by_title, **server_kwargs):
             title = unquote(parts[-4])
         except IndexError:
             return 400, {"error": "bad path"}
-        if title not in views_by_title:
+        if title not in views_by_wire_title:
             return 404, {"type": "not_found"}
-        return 200, {"items": [{"article": title, "views": views_by_title[title]}]}
+        return 200, {"items": [{"article": title, "views": views_by_wire_title[title]}]}
 
     return MockServer(respond, **server_kwargs)

@@ -28,7 +28,9 @@ from popgate.adaptive import (
 )
 from popgate.dataset import QAExample
 from popgate.errors import AccountingError, JoinError, PolicyError, ValidationError
-from popgate.evaluation import PredictionRecord, overall_accuracy
+from popgate.evaluation import (
+    PredictionRecord, evaluate_run, overall_accuracy, popularity_correlation, quadrant_analysis,
+)
 
 from conftest import make_example, synthetic_examples
 from oracles import adaptive_correct_count
@@ -55,6 +57,30 @@ def run_pair(dataset, vanilla_rule, retrieval_rule, van_tokens=10, ret_tokens=10
         for ex in dataset
     ]
     return vanilla, retrieval
+
+
+# Each analysis that joins runs to a dataset, called on (vanilla, retrieval, dataset).
+JOINING_ANALYSES = {
+    "evaluate_run": lambda van, ret, data: evaluate_run(van, data),
+    "popularity_correlation": lambda van, ret, data: popularity_correlation(van, data),
+    "quadrant_analysis": quadrant_analysis,
+    "adaptive_accuracy": lambda van, ret, data: adaptive_accuracy(
+        van, ret, data, ThresholdPolicy({"director": 3.0})),
+    "tune_thresholds": lambda van, ret, data: tune_thresholds(van, ret, data, repeats=2),
+    "cost_report": lambda van, ret, data: cost_report(
+        van, ret, data, ThresholdPolicy({"director": 3.0}), CostModel()),
+}
+
+
+@pytest.mark.parametrize("analysis", JOINING_ANALYSES.values(), ids=JOINING_ANALYSES)
+def test_dataset_that_repeats_a_question_is_refused(analysis):
+    """A dataset [a, a] with runs [a correct, b wrong] is refused, not read
+    as `a` twice with `b` dropped (a vanilla accuracy of 1.0)."""
+    a, b = make_example(0), make_example(1)
+    vanilla = [record(a.id, True), record(b.id, False)]
+    retrieval = [record(a.id, True, mode="retrieval"), record(b.id, False, mode="retrieval")]
+    with pytest.raises(ValidationError, match=f"^duplicate question id '{a.id}'$"):
+        analysis(vanilla, retrieval, [a, a])
 
 
 class TestRoute:

@@ -396,6 +396,16 @@ class TestRuntimeErrors:
         assert_one_line_error(capsys, "unexpected pageviews payload", fragment)
         assert not out.exists() and not cache.exists()
 
+    def test_fetch_popularity_without_any_article_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        with pageviews_server({}) as server:
+            code = run_cli(["fetch-popularity", "--dataset", one_question_dataset(tmp_path),
+                            "--cache", tmp_path / "cache", "--endpoint", server.base_url,
+                            "--out", out])
+        assert code == 1
+        assert_one_line_error(capsys, "1 of 1 titles have no page-view article")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "url, fragment",
         [("http://[::1", "base_url 'http://[::1': Invalid IPv6 URL"),

@@ -129,6 +129,13 @@ class TestJoinRuns:
         with pytest.raises(JoinError, match=message):
             join_runs(dataset, run)
 
+    def test_dataset_that_repeats_a_question_is_refused(self):
+        dataset = [make_example(0), make_example(0)]
+        for run in ([record(dataset[0].id, True), record("b", False)],
+                    [record(dataset[0].id, True)] * 2):
+            with pytest.raises(ValidationError, match=f"^duplicate question id '{dataset[0].id}'$"):
+                join_runs(dataset, run)
+
     def test_second_run_checked_too(self):
         dataset = [make_example(i) for i in range(2)]
         vanilla = [record(ex.id, True) for ex in dataset]
@@ -408,6 +415,10 @@ class TestQuadrants:
         assert "0.88 (17%)" in rendered
         assert "0.83 (24%)" in rendered
         assert "0.11 (49%)" in rendered
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValidationError, match="cannot analyse quadrants of an empty dataset"):
+            quadrant_analysis([], [], [])
 
     def test_coverage_mismatch_lists_missing_ids(self):
         dataset = [make_example(i) for i in range(3)]

@@ -5,7 +5,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popgate.errors import ConfigError, ProtocolError, TransportError, ValidationError
 from popgate.lm import (
@@ -25,6 +25,7 @@ from popgate.lm import (
 )
 
 from popgate.dataset import RELATIONS, QAExample
+from popgate.evaluation import is_correct
 from popgate.retriever import Passage, build_index
 
 from conftest import make_example, synthetic_examples
@@ -506,6 +507,74 @@ class TestRunPredictions:
         assert all(r.correct for r in records)
         assert len(server.requests) == len(dataset)
 
+
+
+def recall_question(i: int, question: str, golds) -> QAExample:
+    return QAExample(f"q{i}", question, frozenset(golds), f"S{i}", f"Subject {i}", "director", 10)
+
+
+class TestRetrievalRecall1:
+    """A retrieval record's `retrieval_recall1` is `is_correct` of its top
+    passage's title and text against the question's gold answers."""
+
+    def test_gold_inside_top_passage(self):
+        passage = Passage("d1", "The Cocoanuts",
+                          "Produced for Paramount Pictures by Walter Wanger, who is not credited.")
+        question = recall_question(0, "Who was the producer of The Cocoanuts?", {"Walter Wanger"})
+        (record,) = run_predictions([question], "retrieval", oracle=True,
+                                    index=build_index([passage]))
+        assert (record.retrieved_doc_id, record.retrieval_recall1) == ("d1", True)
+
+    def test_gold_only_in_the_second_passage(self):
+        index = build_index([Passage("d1", "", "cat cat cat answer-less text"),
+                             Passage("d2", "", "cat with Walter Wanger inside")])
+        (record,) = run_predictions([recall_question(0, "cat?", {"Walter Wanger"})],
+                                    "retrieval", oracle=True, index=index)
+        assert (record.retrieved_doc_id, record.retrieval_recall1) == ("d1", False)
+
+    def test_match_uses_normalization(self):
+        index = build_index([Passage("d1", "", "by  WALTER   WANGER, uncredited")])
+        (record,) = run_predictions([recall_question(0, "uncredited?", {"Walter Wanger"})],
+                                    "retrieval", oracle=True, index=index)
+        assert record.retrieval_recall1 is True
+
+    def test_question_without_a_hit_is_false(self):
+        index = build_index([Passage("d1", "Walter Wanger", "Walter Wanger")])
+        (record,) = run_predictions([recall_question(0, "nothing here?", {"Walter Wanger"})],
+                                    "retrieval", oracle=True, index=index)
+        assert (record.retrieved_doc_id, record.retrieval_recall1) == (None, False)
+
+    # Characters that NFKC, lowercasing or whitespace collapsing change: a
+    # tab, NBSP, the "fi" ligature, fullwidth letters and a combining accent.
+    TEXT = st.text(alphabet="aAbe \t\u00a0\ufb01\uff21\uff41\u0301", max_size=8)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=4),
+        st.lists(st.lists(TEXT.filter(str.strip), min_size=1, max_size=3),
+                 min_size=1, max_size=5),
+    )
+    @example(docs=[("Walter", "Wanger")], golds_per_question=[["walter wanger"]])
+    def test_is_the_correctness_rule_over_the_top_passage(self, docs, golds_per_question):
+        """Passage i alone holds the word keyi, so question i asks for it and
+        finds passage i; a question past the last passage finds none. The
+        word ends the text, so a gold answer can span the title's end and
+        the text's start."""
+        passages = [Passage(f"d{i}", title, f"{text} key{i}")
+                    for i, (title, text) in enumerate(docs)]
+        index = build_index(passages)
+        dataset = [recall_question(i, f"key{i}?", golds)
+                   for i, golds in enumerate(golds_per_question)]
+        records = run_predictions(dataset, "retrieval", oracle=True, index=index)
+        for ex, record in zip(dataset, records):
+            hits = index.search(ex.question, k=1)
+            if not hits:
+                assert (record.retrieved_doc_id, record.retrieval_recall1) == (None, False)
+                continue
+            top = index.passages[hits[0].doc_id]
+            assert record.retrieved_doc_id == top.doc_id
+            assert record.retrieval_recall1 is is_correct(f"{top.title} {top.text}",
+                                                          ex.gold_answers)
 
 def with_completion(**changes):
     """A cache-entry corruption that sets fields of its stored completion."""

@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import urllib.error
+import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,47 @@ class TestPageviewsClient:
             client = self._client(server.base_url, tmp_path / "cache")
             annotated = client.annotate(examples, "2022-12")
         assert [ex.popularity for ex in annotated] == [50, 100, 150]
+
+    def test_title_with_spaces_is_sent_with_underscores(self, tmp_path):
+        """The API names an article with "_" for each space; the record and
+        its cache entry keep the title as given."""
+        with pageviews_server({"Some Title": 7, "50% Off": 3}) as server:
+            client = self._client(server.base_url, tmp_path / "cache")
+            record = client.fetch("Some Title", "2022-12")
+            assert client.fetch("50% Off", "2022-12").views == 3
+            paths = [request["path"] for request in server.requests]
+            with pytest.raises(urllib.error.HTTPError, match="404"):
+                urllib.request.urlopen(server.base_url + paths[0].replace("_", "%20"))
+        assert (record.entity_title, record.views, record.missing) == ("Some Title", 7, False)
+        assert "/Some_Title/monthly/" in paths[0] and "/50%25_Off/monthly/" in paths[1]
+        assert entry_path(tmp_path / "cache", "Some Title").exists()
+
+    def test_annotate_logs_how_many_titles_are_missing(self, tmp_path, caplog):
+        examples = [replace(make_example(i), subject_label=f"Title {i}") for i in range(3)]
+        with pageviews_server({"Title 1": 5}) as server:
+            client = self._client(server.base_url, tmp_path / "cache")
+            with caplog.at_level("INFO", logger="popgate.popularity"):
+                annotated = client.annotate(examples, "2022-12")
+        assert [ex.popularity for ex in annotated] == [0, 5, 0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 3 titles have no page-view article"
+        ]
+
+    def test_annotate_logs_nothing_when_no_title_is_missing(self, tmp_path, caplog):
+        with pageviews_server({"Subject00000": 5}) as server:
+            client = self._client(server.base_url, tmp_path / "cache")
+            with caplog.at_level("INFO", logger="popgate.popularity"):
+                client.annotate([make_example(0)], "2022-12")
+        assert caplog.records == []
+
+    def test_annotate_refuses_a_dataset_without_any_article(self, tmp_path):
+        examples = [make_example(i) for i in range(2)]
+        with pageviews_server({}) as server:
+            client = self._client(server.base_url, tmp_path / "cache")
+            with pytest.raises(ValidationError,
+                               match="^2 of 2 titles have no page-view article$"):
+                client.annotate(examples, "2022-12")
+            assert client.annotate([], "2022-12") == []
 
     def test_no_temp_files_left_behind(self, tmp_path):
         with pageviews_server({"Black": 7}) as server:
