@@ -28,7 +28,9 @@ from .config import AUGMENTED_MODES, DEFAULT_REPEATS, DEFAULT_SPLIT_FRACTION
 from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
 from .evaluation import PredictionRecord, join_runs, overall_accuracy
-from .util import atomic_write_text, dumps_stable, read_json, require_finite, sha256_hex
+from .util import (
+    atomic_write_text, check_field_types, dumps_stable, read_json, require_finite, sha256_hex,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -391,6 +393,7 @@ class CostModel:
     retrieval_latency_ms: int = 50
 
     def __post_init__(self):
+        check_field_types(self)
         for f in fields(self):
             require_finite(f.name, getattr(self, f.name))
 

@@ -241,6 +241,17 @@ def _unique_examples() -> Callable[[Any], QAExample]:
     return from_row
 
 
+def question_positions(examples: Sequence[QAExample]) -> dict[str, int]:
+    """Each question id's position in `examples`; a repeated id is a
+    ValidationError naming the first one repeated."""
+    positions = {ex.id: i for i, ex in enumerate(examples)}
+    if len(positions) < len(examples):
+        seen: set[str] = set()
+        repeated = next(ex.id for ex in examples if ex.id in seen or seen.add(ex.id))
+        raise ValidationError(f"duplicate question id {repeated!r}")
+    return positions
+
+
 def write_dataset(examples: Sequence[QAExample], path: str | Path) -> int:
     """Write examples as JSON Lines; returns the line count. A row that
     `read_dataset` would refuse is a ValidationError naming its `path:line`."""

@@ -10,15 +10,15 @@ from __future__ import annotations
 import io
 import math
 import unicodedata
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .config import DEFAULT_MIN_BIN_N, MODES
-from .dataset import QAExample
+from .dataset import QAExample, question_positions
 from .errors import JoinError, ValidationError
-from .util import atomic_write_text, dumps_stable, is_count, read_jsonl, write_jsonl
+from .util import atomic_write_text, dumps_stable, from_object, is_count, read_jsonl, write_jsonl
 
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
@@ -99,17 +99,8 @@ def record_to_row(record: PredictionRecord) -> dict:
     return row
 
 
-def record_from_row(row: dict) -> PredictionRecord:
-    if not isinstance(row, dict):
-        raise ValidationError("prediction row is not a JSON object")
-    try:
-        return PredictionRecord(**row)
-    except TypeError:  # a key that is no field, or a field without a default missing
-        names = {f.name: f.default is MISSING for f in fields(PredictionRecord)}
-        unknown = sorted(set(row) - set(names))
-        missing = [name for name, required in names.items() if required and name not in row]
-        problem = f"has unknown key {unknown[0]!r}" if unknown else f"missing key {missing[0]!r}"
-        raise ValidationError(f"prediction row {problem}") from None
+def record_from_row(row: Any) -> PredictionRecord:
+    return from_object(PredictionRecord, row, "prediction row")
 
 
 def write_records(records: Sequence[PredictionRecord], path: str | Path) -> int:
@@ -149,36 +140,31 @@ def join_runs(
     JoinError when a run holds two records for one question, a record for a
     question outside the dataset, or no record for some question.
     """
+    positions = question_positions(dataset)
     joined = []
     for run in runs:
         by_id = {rec.question_id: rec for rec in run}
-        # A repeated question finds its record taken and falls to the check.
-        rows = [by_id.pop(ex.id, None) for ex in dataset]
-        if by_id or len(run) != len(dataset) or not all(rows):
-            _require_cover(dataset, run)
+        rows = [by_id.pop(qid, None) for qid in positions]
+        if by_id or len(run) != len(rows) or not all(rows):  # unknown, repeated or missing
+            raise _join_error(positions, run)
         joined.append(rows)
     return joined
 
 
-def _require_cover(dataset: Sequence[QAExample], run: Sequence[PredictionRecord]) -> None:
-    dataset_ids: set[str] = set()
-    for ex in dataset:
-        if ex.id in dataset_ids:
-            raise ValidationError(f"duplicate question id {ex.id!r}")
-        dataset_ids.add(ex.id)
+def _join_error(positions: dict[str, int], run: Sequence[PredictionRecord]) -> JoinError:
+    """The error of a run that does not hold one record per question."""
     label = run[0].mode if run else "empty"
     seen: set[str] = set()
     for rec in run:
         if rec.question_id in seen:
-            raise JoinError(f"{label} run has duplicate records for {rec.question_id!r}")
+            return JoinError(f"{label} run has duplicate records for {rec.question_id!r}")
         seen.add(rec.question_id)
-    missing = sorted(dataset_ids - seen)
-    extra = sorted(seen - dataset_ids)
-    if missing or extra:
-        raise JoinError(
-            f"{label} run does not cover the dataset "
-            f"(missing: {missing[:10]}, unknown: {extra[:10]})"
-        )
+    missing = sorted(positions.keys() - seen)
+    extra = sorted(seen.difference(positions))
+    return JoinError(
+        f"{label} run does not cover the dataset "
+        f"(missing: {missing[:10]}, unknown: {extra[:10]})"
+    )
 
 
 def overall_accuracy(records: Sequence[PredictionRecord]) -> float:

@@ -20,13 +20,13 @@ from functools import cached_property
 from pathlib import Path
 
 from .config import MODES
-from .dataset import QAExample
+from .dataset import QAExample, question_positions
 from .errors import ConfigError, ProtocolError, ValidationError
 from .evaluation import PredictionRecord, is_correct
 from .retriever import Bm25Index
 from .util import (
-    HttpClient, HttpSettings, JsonCache, dumps_stable, is_count, map_in_order, require_finite,
-    sha256_hex,
+    HttpClient, HttpSettings, JsonCache, dumps_stable, from_object, is_count, map_in_order,
+    require_finite, sha256_hex,
 )
 
 logger = logging.getLogger(__name__)
@@ -65,10 +65,7 @@ class FewshotCandidates:
 
     def __init__(self, dataset: Sequence[QAExample]):
         self.dataset = dataset
-        self.positions: dict[str, int] = {}
-        for i, ex in enumerate(dataset):
-            if self.positions.setdefault(ex.id, i) != i:
-                raise ValidationError(f"duplicate question id {ex.id!r}")
+        self.positions = question_positions(dataset)
 
     @cached_property
     def pairs(self) -> list[tuple[str, str]]:
@@ -146,8 +143,12 @@ class EndpointConfig(HttpSettings):
     max_tokens: int = 64
 
     def __post_init__(self):
-        require_finite("temperature", self.temperature)
         super().__post_init__()
+        require_finite("temperature", self.temperature)
+        if not self.model:
+            raise ValidationError("model must be a non-empty string, got ''")
+        if self.max_tokens < 1:
+            raise ValidationError(f"max_tokens must be at least 1, got {self.max_tokens}")
 
     def effective_id(self) -> str:
         return self.endpoint_id or self.base_url
@@ -186,7 +187,7 @@ class CompletionClient:
                 headers["Authorization"] = f"Bearer {key}"
         self._http = HttpClient(config, logger, headers)
         self._cache = JsonCache(
-            config.cache_dir, lambda entry: Completion(**entry["completion"]), logger
+            config.cache_dir, lambda e: from_object(Completion, e["completion"], "entry"), logger
         )
 
     def complete(self, prompt: str) -> Completion:

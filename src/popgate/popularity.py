@@ -19,7 +19,8 @@ from .config import DEFAULT_PAGEVIEWS_BASE_URL
 from .dataset import QAExample
 from .errors import ProtocolError, ValidationError
 from .util import (
-    HttpClient, HttpSettings, JsonCache, is_count, map_in_order, require_month, sha256_hex,
+    HttpClient, HttpSettings, JsonCache, from_object, is_count, map_in_order, require_month,
+    sha256_hex,
 )
 
 logger = logging.getLogger(__name__)
@@ -79,7 +80,7 @@ class PageviewsClient:
         self.config = config or PageviewsConfig()
         self._http = HttpClient(self.config, logger)
         self._cache = JsonCache(
-            self.config.cache_dir, lambda entry: PopularityRecord(**entry), logger
+            self.config.cache_dir, lambda e: from_object(PopularityRecord, e, "entry"), logger
         )
 
     def fetch(self, entity_title: str, month: str) -> PopularityRecord:

@@ -33,7 +33,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import IndexFormatError, ValidationError
-from .util import atomic_writer, dumps_stable, is_count, read_jsonl, require_finite, write_jsonl
+from .util import (
+    atomic_writer, dumps_stable, from_object, is_count, read_jsonl, require_finite, write_jsonl,
+)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Every byte that is not an ASCII letter or digit, mapped to a space.
@@ -326,7 +328,7 @@ def _parse_header(path, data) -> dict:
 
 def _header_passages(path, header: dict) -> list[Passage]:
     try:
-        passages = [Passage(**row) for row in header["passages"]]
+        passages = [from_object(Passage, row, "passage") for row in header["passages"]]
     except (KeyError, TypeError, ValidationError) as exc:
         raise IndexFormatError(f"{path}: bad passages in header: {exc}") from exc
     (doc_count,) = _header_values(path, header, "doc_count")

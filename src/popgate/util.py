@@ -11,8 +11,9 @@ import re
 import sys
 import threading
 import time
+import typing
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TypeVar
 from urllib.parse import urlsplit
@@ -157,6 +158,46 @@ def read_text(path: str | Path) -> str:
         raise ValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
+def from_object(cls: type[T], obj: Any, what: str) -> T:
+    """`cls(**obj)` for a JSON object whose keys are fields of the dataclass `cls`; not an
+    object, an unknown key or a missing required field is a ValidationError naming `what`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} is not a JSON object")
+    try:
+        return cls(**obj)
+    except TypeError:
+        unknown = sorted(set(obj).difference(f.name for f in fields(cls)))
+        missing = [f.name for f in fields(cls)
+                   if f.default is f.default_factory is MISSING and f.name not in obj]
+        if not (unknown or missing):
+            raise
+    raise ValidationError(f"{what} has unknown key {unknown[0]!r}" if unknown
+                          else f"{what} missing key {missing[0]!r}")
+
+
+def check_field_types(obj: Any) -> None:
+    """Raise ValidationError naming the field unless each field of the frozen dataclass `obj`
+    holds a JSON type its annotation allows; an int passes for a float and is stored as one."""
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        value, options = getattr(obj, f.name), typing.get_args(hints[f.name]) or (hints[f.name],)
+        for option in options:
+            if option is float and type(value) in (int, float):
+                try:
+                    object.__setattr__(obj, f.name, float(value))
+                except OverflowError:
+                    raise ValidationError(f"{f.name} must be a number a float can hold, got an "
+                                          f"integer of {len(str(value))} digits") from None
+                break
+            if type(value) is option or (option is Path and isinstance(value, Path)):
+                break
+        else:
+            names = {str: "a string", Path: "a string", int: "an integer", float: "a number",
+                     bool: "true or false", type(None): "null"}
+            expected = " or ".join(dict.fromkeys(names[o] for o in options))
+            raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
+
+
 def sha256_hex(text: str) -> str:
     import hashlib
 
@@ -207,6 +248,7 @@ class HttpSettings:
     requests_per_second: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         try:
             parts = urlsplit(self.base_url)
             parts.port  # raises on a port that is not a number in 0-65535

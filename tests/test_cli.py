@@ -781,7 +781,7 @@ class TestBadSettingsFiles:
         "kind, text, fragment",
         [
             ("cost-model", '{"base_url": ', "line 1, column 14"),
-            ("cost-model", "[1]", "the file must be a JSON object, got [1]"),
+            ("cost-model", "[1]", "settings file is not a JSON object"),
             ("cost-model", '{"price_per_1k_prompt_tokens": "abc"}',
              "price_per_1k_prompt_tokens must be a number, got 'abc'"),
             ("cost-model", '{"price_per_1k_prompt_tokens": NaN}',
@@ -790,7 +790,7 @@ class TestBadSettingsFiles:
              "price_per_1k_prompt_tokens must be finite and >= 0, got inf"),
             ("cost-model", '{"retrieval_latency_ms": "5"}',
              "retrieval_latency_ms must be an integer, got '5'"),
-            ("endpoint", "[1]", "the file must be a JSON object, got [1]"),
+            ("endpoint", "[1]", "settings file is not a JSON object"),
             ("endpoint", "{" + ENDPOINT + ', "requests_per_second": "abc"}',
              "requests_per_second must be a number or null, got 'abc'"),
             ("endpoint", "{" + ENDPOINT + ', "max_tokens": "x"}',
@@ -826,16 +826,22 @@ class TestBadSettingsFiles:
              "timeout_s must be at most"),
             ("endpoint", "{" + ENDPOINT + ', "max_tokens": true}',
              "max_tokens must be an integer, got True"),
+            ("endpoint", "{" + ENDPOINT + ', "max_tokens": 0}',
+             "max_tokens must be at least 1, got 0"),
+            ("endpoint", "{" + ENDPOINT + ', "max_tokens": -5}',
+             "max_tokens must be at least 1, got -5"),
+            ("endpoint", '{"base_url": "http://127.0.0.1:9", "model": ""}',
+             "model must be a non-empty string, got ''"),
             ("endpoint", '{"base_url": "http://127.0.0.1:9", "model": 7}',
              "model must be a string, got 7"),
             ("endpoint", '{"base_url": "http://127.0.0.1:9", "model": null}',
              "model must be a string, got None"),
-            ("endpoint", '{"base_url": "http://127.0.0.1:9"}', "model is required"),
+            ("endpoint", '{"base_url": "http://127.0.0.1:9"}', "settings file missing key 'model'"),
             ("endpoint", "{" + ENDPOINT + ', "cache_dir": 5}',
              "cache_dir must be a string or null, got 5"),
             ("endpoint", "{" + ENDPOINT + ', "retrieval_latency_ms": 50}',
-             "unknown config key 'retrieval_latency_ms'"),
-            ("cost-model", '{"model": "m"}', "unknown config key 'model'"),
+             "settings file has unknown key 'retrieval_latency_ms'"),
+            ("cost-model", '{"model": "m"}', "settings file has unknown key 'model'"),
         ],
     )
     def test_one_line_error_and_no_output(self, demo_out, tmp_path, capsys, kind, text, fragment):
@@ -863,7 +869,8 @@ class TestBadSettingsFiles:
     ):
         cost_model = tmp_path / "costs.json"
         cost_model.write_text(json.dumps(costs))
-        rows = [json.loads(line) for line in (demo_out / "run_retrieval.jsonl").open()]
+        with (demo_out / "run_retrieval.jsonl").open(encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
         rows[0]["prompt_tokens"] = prompt_tokens
         retrieval = tmp_path / "run_retrieval.jsonl"
         write_jsonl(retrieval, rows)

@@ -13,7 +13,7 @@ from popgate.cli import build_parser
 from popgate.config import load_file
 from popgate.dataset import sample_triples
 from popgate.demo import run_demo
-from popgate.errors import ConfigError
+from popgate.errors import ConfigError, ValidationError
 from popgate.evaluation import evaluate_run
 from popgate.lm import (
     ORACLE_A, ORACLE_B, ORACLE_MISS_RATE, ORACLE_READOUT, EndpointConfig, completion_cache_key,
@@ -27,6 +27,30 @@ def write_config(tmp_path, payload: dict):
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+# (settings class, its keys, the one-line error of a file or a call that holds them)
+REJECTED = [
+    (CostModel, {"price_per_1k_prompt_tokens": True},
+     "price_per_1k_prompt_tokens must be a number, got True"),
+    (CostModel, {"retrieval_latency_ms": 2.0}, "retrieval_latency_ms must be an integer, got 2.0"),
+    (CostModel, {"retrieval_latency_ms": 2.5}, "retrieval_latency_ms must be an integer, got 2.5"),
+    (CostModel, {"retrieval_latency_ms": True},
+     "retrieval_latency_ms must be an integer, got True"),
+    (CostModel, {"retrieval_latency_ms": None},
+     "retrieval_latency_ms must be an integer, got None"),
+    (EndpointConfig, {**ENDPOINT, "model": None}, "model must be a string, got None"),
+    (EndpointConfig, {**ENDPOINT, "model": 5}, "model must be a string, got 5"),
+    (EndpointConfig, {**ENDPOINT, "model": ""}, "model must be a non-empty string, got ''"),
+    (EndpointConfig, {**ENDPOINT, "max_tokens": 8.0}, "max_tokens must be an integer, got 8.0"),
+    (EndpointConfig, {**ENDPOINT, "max_tokens": 0}, "max_tokens must be at least 1, got 0"),
+    (EndpointConfig, {**ENDPOINT, "max_tokens": -5}, "max_tokens must be at least 1, got -5"),
+    (EndpointConfig, {**ENDPOINT, "temperature": False}, "temperature must be a number, got False"),
+    (EndpointConfig, {**ENDPOINT, "temperature": "x"}, "temperature must be a number, got 'x'"),
+    (EndpointConfig, {**ENDPOINT, "cache_dir": 5}, "cache_dir must be a string or null, got 5"),
+    (PageviewsConfig, {"max_retries": "3"}, "max_retries must be an integer, got '3'"),
+    (PageviewsConfig, {"max_parallelism": True}, "max_parallelism must be an integer, got True"),
+]
 
 
 class TestLoadConfig:
@@ -57,7 +81,7 @@ class TestLoadConfig:
             load_file(EndpointConfig, write_config(tmp_path, {**endpoint, "retries": 1}))
 
     def test_endpoint_requires_base_url_and_model(self, tmp_path):
-        with pytest.raises(ConfigError, match="model is required"):
+        with pytest.raises(ConfigError, match="settings file missing key 'model'"):
             load_file(EndpointConfig, write_config(tmp_path, {"base_url": "http://x"}))
 
 
@@ -70,32 +94,28 @@ class TestDecoder:
         assert type(config.price_per_1k_prompt_tokens) is float
         assert config.price_per_1k_prompt_tokens == 2.0
 
-    @pytest.mark.parametrize(
-        "cls, payload, message",
-        [
-            (CostModel, {"price_per_1k_prompt_tokens": True},
-             "price_per_1k_prompt_tokens must be a number, got True"),
-            (CostModel, {"retrieval_latency_ms": 2.0},
-             "retrieval_latency_ms must be an integer, got 2.0"),
-            (CostModel, {"retrieval_latency_ms": True},
-             "retrieval_latency_ms must be an integer, got True"),
-            (CostModel, {"retrieval_latency_ms": None},
-             "retrieval_latency_ms must be an integer, got None"),
-            (EndpointConfig, {**ENDPOINT, "model": None}, "model must be a string, got None"),
-            (EndpointConfig, {**ENDPOINT, "model": 5}, "model must be a string, got 5"),
-            (EndpointConfig, {**ENDPOINT, "max_tokens": 8.0},
-             "max_tokens must be an integer, got 8.0"),
-            (EndpointConfig, {**ENDPOINT, "temperature": False},
-             "temperature must be a number, got False"),
-            (EndpointConfig, {**ENDPOINT, "cache_dir": 5},
-             "cache_dir must be a string or null, got 5"),
-        ],
-    )
+    @pytest.mark.parametrize("cls, payload, message", REJECTED)
     def test_rejected_value_names_file_and_key(self, tmp_path, cls, payload, message):
         path = write_config(tmp_path, payload)
         with pytest.raises(ConfigError) as info:
             load_file(cls, path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("cls, payload, message", REJECTED)
+    def test_rejected_value_in_code_gives_the_file_message(self, cls, payload, message):
+        with pytest.raises(ValidationError) as info:
+            cls(**payload)
+        assert str(info.value) == message
+
+    def test_int_passes_for_float_in_code_too(self):
+        assert type(CostModel(price_per_1k_prompt_tokens=2).price_per_1k_prompt_tokens) is float
+        config = PageviewsConfig(timeout_s=5, backoff_s=0, requests_per_second=3)
+        values = (config.timeout_s, config.backoff_s, config.requests_per_second)
+        assert values == (5.0, 0.0, 3.0) and {type(v) for v in values} == {float}
+
+    def test_a_path_passes_where_the_annotation_allows_one(self, tmp_path):
+        assert PageviewsConfig(cache_dir=tmp_path).cache_dir == tmp_path
+        assert EndpointConfig(**ENDPOINT, cache_dir=tmp_path / "c").cache_dir == tmp_path / "c"
 
     def test_null_only_where_the_default_is_none(self, tmp_path):
         payload = {**ENDPOINT, "api_key_env": None, "requests_per_second": None}
@@ -116,6 +136,12 @@ class TestDecoder:
         path.write_text('{"base_url": "http://127.0.0.1:8000/v1", "model": "m", "temperature": 0}')
         endpoint = load_file(EndpointConfig, path)
         assert endpoint.temperature == 0.0 and type(endpoint.temperature) is float
+        assert completion_cache_key(endpoint, "Q: Who? A:") == (
+            "9aa057a041eeaf80d83f9c56e3d59a2d11abf687494f86421edabda8f34ac9b4"
+        )
+
+    def test_integer_temperature_in_code_keys_completions_as_the_file_does(self):
+        endpoint = EndpointConfig(base_url="http://127.0.0.1:8000/v1", model="m", temperature=0)
         assert completion_cache_key(endpoint, "Q: Who? A:") == (
             "9aa057a041eeaf80d83f9c56e3d59a2d11abf687494f86421edabda8f34ac9b4"
         )

@@ -66,7 +66,8 @@ def inputs(tmp_path, monkeypatch):
     monkeypatch.setattr(util.HttpClient, "request", completion_reply)
     monkeypatch.chdir(tmp_path)
     run_demo(seed=3, out_dir=tmp_path, size=48, repeats=3)
-    passages = [json.loads(line) for line in (tmp_path / "corpus.jsonl").open(encoding="utf-8")]
+    with (tmp_path / "corpus.jsonl").open(encoding="utf-8") as fh:
+        passages = [json.loads(line) for line in fh]
     v1 = {"k1": 1.2, "b": 0.75, "doc_count": len(passages), "passages": passages}
     (tmp_path / "index_v1.pgidx").write_bytes(
         INDEX_MAGIC + bytes([1]) + json.dumps(v1).encode("utf-8")

@@ -41,10 +41,10 @@ def completion_client(base_url, tmp_path, **kwargs) -> CompletionClient:
     "changes, message",
     [({"max_retries": -1}, "max_retries must be >= 0, got -1"),
      ({"timeout_s": float("nan")}, "timeout_s must be finite and >= 0, got nan"),
-     ({"backoff_s": -1}, "backoff_s must be finite and >= 0, got -1"),
+     ({"backoff_s": -1}, "backoff_s must be finite and >= 0, got -1.0"),
      ({"requests_per_second": float("nan")},
       "requests_per_second must be null or finite and > 0, got nan"),
-     ({"requests_per_second": 0}, "requests_per_second must be null or finite and > 0, got 0"),
+     ({"requests_per_second": 0}, "requests_per_second must be null or finite and > 0, got 0.0"),
      ({"requests_per_second": float("inf")},
       "requests_per_second must be null or finite and > 0, got inf"),
      ({"max_parallelism": 0}, "max_parallelism must be >= 1, got 0"),

@@ -616,6 +616,24 @@ class TestCorruptCompletionCache:
         assert Completion(**entry["completion"]) == completion
         assert [r for r in caplog.records if str(path) in r.getMessage()]
 
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [(with_completion(score=1), "entry has unknown key 'score'"),
+         (lambda text: '{"completion": {"text": "x"}}', "entry missing key 'prompt_tokens'"),
+         (lambda text: '{"completion": [1]}', "entry is not a JSON object")],
+    )
+    def test_warning_names_the_key_of_a_refused_entry(self, tmp_path, caplog, corrupt, problem):
+        with completions_server(lambda prompt: "fresh answer") as server:
+            config = make_endpoint(server.base_url, tmp_path / "cache")
+            path = tmp_path / "cache" / f"{completion_cache_key(config, 'hi')}.json"
+            CompletionClient(config).complete("hi")
+            path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+            with caplog.at_level("WARNING", logger="popgate.lm"):
+                CompletionClient(config).complete("hi")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: unreadable cache entry ({problem}); fetching again"
+        ]
+
     def test_entry_of_another_prompt_is_refetched_once(self, tmp_path, caplog):
         with completions_server(lambda prompt: f"re: {prompt}") as server:
             config = make_endpoint(server.base_url, tmp_path / "cache")

@@ -242,6 +242,24 @@ class TestCorruptPageviewsCache:
         assert PopularityRecord(**json.loads(path.read_text(encoding="utf-8"))) == record
         assert [r for r in caplog.records if str(path) in r.getMessage()]
 
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [(with_record(score=1), "entry has unknown key 'score'"),
+         (lambda text: '{"entity_title": "Black"}', "entry missing key 'month'"),
+         (lambda text: "[1]", "entry is not a JSON object")],
+    )
+    def test_warning_names_the_key_of_a_refused_entry(self, tmp_path, caplog, corrupt, problem):
+        with pageviews_server({"Black": 10000}) as server:
+            config = PageviewsConfig(base_url=server.base_url, cache_dir=tmp_path / "cache")
+            PageviewsClient(config).fetch("Black", "2022-12")
+            path = entry_path(tmp_path / "cache", "Black")
+            path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+            with caplog.at_level("WARNING", logger="popgate.popularity"):
+                PageviewsClient(config).fetch("Black", "2022-12")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: unreadable cache entry ({problem}); fetching again"
+        ]
+
     def test_entry_of_another_title_is_refetched_once(self, tmp_path, caplog):
         with pageviews_server({"C++": 7, "Who?": 9}) as server:
             config = PageviewsConfig(

@@ -439,6 +439,22 @@ class TestSerialization:
             loaded.search("apple pie", k=3)
         assert_retrieval_run_fails(tmp_path, capsys, path, "apple")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [(lambda passage: passage.update(url="u"), "passage has unknown key 'url'"),
+         (lambda passage: passage.pop("title"), "passage missing key 'title'")],
+        ids=["unknown", "missing"],
+    )
+    def test_header_passage_key_error_names_the_key(self, tmp_path, change, message):
+        path = tmp_path / "keys.pgidx"
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        change(header["passages"][0])
+        path.write_bytes(join_v2(header, arrays))
+        with pytest.raises(IndexFormatError) as info:
+            load_index(path)
+        assert str(info.value) == f"{path}: bad passages in header: {message}"
+
     @pytest.mark.parametrize("version, key, value", BAD_HEADER_NUMBERS)
     def test_bad_header_number(self, tmp_path, version, key, value):
         path = tmp_path / "numbers.pgidx"

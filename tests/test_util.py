@@ -8,6 +8,7 @@ import stat
 import tempfile
 import threading
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from popgate.util import (
     JsonCache,
     atomic_write_text,
     atomic_writer,
+    from_object,
     iter_jsonl,
     map_in_order,
     read_text,
@@ -141,6 +143,40 @@ class TestJsonCacheThrough:
         calls = iter(range(5))
         assert [cache.through("k", {}, lambda: next(calls), dict) for _ in "ab"] == [0, 1]
         assert list(tmp_path.iterdir()) == []
+
+
+@dataclass
+class Pair:
+    left: str
+    right: int = 0
+    extra: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.right == 7:
+            raise TypeError("seven")
+
+
+class TestFromObject:
+    @pytest.mark.parametrize(
+        "obj, message",
+        [([1], "pair is not a JSON object"),
+         (None, "pair is not a JSON object"),
+         ({"left": "a", "size": 1}, "pair has unknown key 'size'"),
+         # An unknown key is named before a missing one, the first in sorted order.
+         ({"zz": 1, "aa": 2}, "pair has unknown key 'aa'"),
+         ({"right": 1}, "pair missing key 'left'")],
+    )
+    def test_key_errors_name_what_and_the_key(self, obj, message):
+        with pytest.raises(ValidationError) as info:
+            from_object(Pair, obj, "pair")
+        assert str(info.value) == message
+
+    def test_fields_with_defaults_may_be_left_out(self):
+        assert from_object(Pair, {"left": "a"}, "pair") == Pair("a", 0, [])
+
+    def test_type_error_that_no_key_explains_is_raised_again(self):
+        with pytest.raises(TypeError, match="^seven$"):
+            from_object(Pair, {"left": "a", "right": 7}, "pair")
 
 
 class TestNotUtf8:
