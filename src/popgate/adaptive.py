@@ -29,7 +29,8 @@ from .dataset import QAExample
 from .errors import AccountingError, PolicyError, ValidationError
 from .evaluation import PredictionRecord, join_runs, overall_accuracy
 from .util import (
-    atomic_write_text, check_field_types, dumps_stable, read_json, require_finite, sha256_hex,
+    atomic_write_text, check_field_types, dumps_stable, from_object, read_json, require_finite,
+    sha256_hex,
 )
 
 logger = logging.getLogger(__name__)
@@ -102,7 +103,7 @@ class ThresholdPolicy:
     @classmethod
     def load(cls, path: str | Path) -> "ThresholdPolicy":
         """Raises PolicyError naming `path` when the file is not UTF-8 JSON,
-        has no thresholds mapping, `tuned_on` is not a string or the policy
+        its keys or their JSON types are not a `_PolicyFile`'s, or the policy
         fails the checks of a built one."""
         payload = read_json(path, PolicyError)
 
@@ -112,17 +113,25 @@ class ThresholdPolicy:
                 return _JsonInfinity(value)
             return float(value) if value in ("-inf", "+inf") else value
 
-        thresholds = payload.get("thresholds") if isinstance(payload, dict) else None
-        if not isinstance(thresholds, dict):
-            raise PolicyError(f"{path}: bad policy payload: no 'thresholds' object")
-        tuned_on = payload.get("tuned_on", "")
-        if not isinstance(tuned_on, str):
-            raise PolicyError(f"{path}: 'tuned_on' is {tuned_on!r}; expected a string")
-        decoded = {rel: decode(t) for rel, t in thresholds.items()}
         try:
-            return cls(decoded, tuned_on, payload.get("retrieval_mode", "retrieval"))
-        except PolicyError as exc:
+            file = from_object(_PolicyFile, payload, "policy file")
+            decoded = {rel: decode(t) for rel, t in file.thresholds.items()}
+            return cls(decoded, file.tuned_on, file.retrieval_mode)
+        except (PolicyError, ValidationError) as exc:
             raise PolicyError(f"{path}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class _PolicyFile:
+    """The keys of a policy file as `ThresholdPolicy.save` writes them; the
+    maps' own keys are free."""
+
+    thresholds: dict
+    tuned_on: str = ""
+    retrieval_mode: str = "retrieval"
+    metadata: dict | None = None
+
+    __post_init__ = check_field_types
 
 
 def route(example: QAExample, policy: ThresholdPolicy) -> str:

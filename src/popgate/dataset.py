@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .config import DEFAULT_PER_RELATION_CAP
 from .errors import ConfigError, ValidationError
-from .util import parse_rows, read_json, read_jsonl, write_jsonl
+from .util import check_field_types, from_object, parse_rows, read_json, read_jsonl, write_jsonl
 
 PLACEHOLDER = "[subj]"
 
@@ -99,7 +99,7 @@ class QAExample:
     popularity: int | None = None
 
     def __post_init__(self):
-        if not self.gold_answers or any(not a.strip() for a in self.gold_answers):
+        if not (self.gold_answers and all(map(str.strip, self.gold_answers))):
             raise ValidationError(f"example {self.id!r}: empty gold answer")
         if self.popularity is not None and self.popularity < 0:
             raise ValidationError(f"example {self.id!r}: negative popularity")
@@ -195,34 +195,25 @@ def example_to_row(example: QAExample) -> dict:
     }
 
 
-_EXAMPLE_STRING_KEYS = ("id", "question", "subj", "subj_id", "relation")
+@dataclass(slots=True)
+class _ExampleRow:
+    """A dataset row as `example_to_row` writes it; `QAExample` checks its ranges."""
+
+    id: str
+    question: str
+    answers: list[str]
+    subj: str
+    subj_id: str
+    relation: str
+    popularity: int | None = None
+
+    __post_init__ = check_field_types
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def example_from_row(row: dict) -> QAExample:
-    if not isinstance(row, dict):
-        raise ValidationError("dataset row is not a JSON object")
-    try:
-        for key in _EXAMPLE_STRING_KEYS:
-            if not isinstance(row[key], str):
-                raise ValidationError(f"dataset row field {key!r} is not a string")
-        answers = row["answers"]
-    except KeyError as exc:
-        raise ValidationError(f"dataset row missing key {exc}") from exc
-    if not _is_strings(answers):
-        raise ValidationError("dataset row field 'answers' is not a list of strings")
-    # QAExample rejects an empty answer list and a negative popularity.
-    popularity = row.get("popularity")
-    if popularity is not None and type(popularity) is not int:
-        raise ValidationError(
-            f"dataset row field 'popularity' is not null or an integer: {popularity!r}"
-        )
+def example_from_row(row: Any) -> QAExample:
+    r = from_object(_ExampleRow, row, "dataset row")
     return QAExample(
-        row["id"], row["question"], frozenset(answers), row["subj_id"], row["subj"],
-        row["relation"], popularity,
+        r.id, r.question, frozenset(r.answers), r.subj_id, r.subj, r.relation, r.popularity
     )
 
 
@@ -266,45 +257,39 @@ def read_dataset(path: str | Path) -> list[QAExample]:
     return read_jsonl(path, _unique_examples())
 
 
-_TRIPLE_STRING_KEYS = ("subj_id", "subj", "relation")
-_NOT_OBJECTS = (
-    "triple row field 'objects' is not a list of objects with string 'id' and 'label' "
-    "and an optional list of string 'aliases'"
-)
+@dataclass(slots=True)
+class _TripleRow:
+    """A triples file's row: a subject, a relation and the objects it names."""
+
+    subj_id: str
+    subj: str
+    relation: str
+    objects: list[dict]
+    subj_aliases: list[str] = field(default_factory=list)
+
+    __post_init__ = check_field_types
 
 
-def triple_from_row(row: dict) -> KnowledgeTriple:
-    if not isinstance(row, dict):
-        raise ValidationError("triple row is not a JSON object")
-    try:
-        for key in _TRIPLE_STRING_KEYS:
-            if not isinstance(row[key], str):
-                raise ValidationError(f"triple row field {key!r} is not a string")
-        objects = row["objects"]
-    except KeyError as exc:
-        raise ValidationError(f"triple row missing key {exc}") from exc
-    subj_aliases = row.get("subj_aliases", [])
-    if not _is_strings(subj_aliases):
-        raise ValidationError("triple row field 'subj_aliases' is not a list of strings")
-    if not isinstance(objects, list):
-        raise ValidationError(_NOT_OBJECTS)
-    labels: set[str] = set()
-    for obj in objects:
-        if not (
-            isinstance(obj, dict)
-            and isinstance(obj.get("id"), str)
-            and isinstance(obj.get("label"), str)
-            and _is_strings(obj.get("aliases", []))
-        ):
-            raise ValidationError(_NOT_OBJECTS)
-        labels.add(obj["label"])
-        labels.update(obj.get("aliases", []))
+@dataclass(slots=True)
+class _TripleObject:
+    """One entry of a triple row's `objects`."""
+
+    id: str
+    label: str
+    aliases: list[str] = field(default_factory=list)
+
+    __post_init__ = check_field_types
+
+
+def triple_from_row(row: Any) -> KnowledgeTriple:
+    r = from_object(_TripleRow, row, "triple row")
+    objects = [from_object(_TripleObject, obj, "triple object") for obj in r.objects]
     return KnowledgeTriple(
-        subject_id=row["subj_id"],
-        subject_label=row["subj"],
-        subject_aliases=frozenset(subj_aliases),
-        relation_type=row["relation"],
-        object_labels_and_aliases=frozenset(l for l in labels if l),
+        subject_id=r.subj_id,
+        subject_label=r.subj,
+        subject_aliases=frozenset(r.subj_aliases),
+        relation_type=r.relation,
+        object_labels_and_aliases=frozenset(n for o in objects for n in (o.label, *o.aliases) if n),
     )
 
 

@@ -18,7 +18,10 @@ from typing import Any, Iterable, Sequence
 from .config import DEFAULT_MIN_BIN_N, MODES
 from .dataset import QAExample, question_positions
 from .errors import JoinError, ValidationError
-from .util import atomic_write_text, dumps_stable, from_object, is_count, read_jsonl, write_jsonl
+from .util import (
+    atomic_write_text, check_field_types, dumps_stable, from_object, is_count, read_jsonl,
+    write_jsonl,
+)
 
 WILSON_Z = 1.96
 BIN_WIDTH_LOG10 = 0.5
@@ -55,36 +58,22 @@ class PredictionRecord:
     genread_empty_context: bool | None = None
 
     def __post_init__(self):
-        if type(self.question_id) is not str:
-            raise ValidationError(f"field 'question_id' must be a string, got {self.question_id!r}")
+        check_field_types(self)
         if self.mode not in MODES:
             raise ValidationError(f"record {self.question_id!r}: unknown mode {self.mode!r}")
-        if type(self.prediction) is not str:
-            self._reject("prediction", "a string")
-        if type(self.correct) is not bool:
-            self._reject("correct", "true or false")
-        if self.retrieval_recall1 is not None and type(self.retrieval_recall1) is not bool:
-            self._reject("retrieval_recall1", "null, true or false")
-        if self.genread_empty_context is not None and type(self.genread_empty_context) is not bool:
-            self._reject("genread_empty_context", "null, true or false")
-        if self.mode == "vanilla" and self.retrieved_doc_id is not None:
-            raise ValidationError(
-                f"record {self.question_id!r}: vanilla run cannot carry a retrieved doc"
-            )
-        if self.retrieved_doc_id is not None and type(self.retrieved_doc_id) is not str:
-            self._reject("retrieved_doc_id", "null or a string")
-        if self.prompt_tokens is not None and not is_count(self.prompt_tokens):
-            self._reject("prompt_tokens", "null or a non-negative integer")
-        if self.completion_tokens is not None and not is_count(self.completion_tokens):
-            self._reject("completion_tokens", "null or a non-negative integer")
-        if self.latency_ms is not None and not is_count(self.latency_ms):
-            self._reject("latency_ms", "null or a non-negative integer")
+        for name in ("prompt_tokens", "completion_tokens", "latency_ms"):
+            if (value := getattr(self, name)) is not None and value < 0:
+                raise ValidationError(f"{name} must be null or an integer >= 0, got {value}")
+        for name in _NULL_IN[self.mode]:
+            if (value := getattr(self, name)) is not None:
+                raise ValidationError(f"record {self.question_id!r}: {name} must be null "
+                                      f"in a {self.mode} run, got {value!r}")
 
-    def _reject(self, name: str, expected: str):
-        raise ValidationError(
-            f"record {self.question_id!r}: field {name!r} must be {expected}, "
-            f"got {getattr(self, name)!r}"
-        )
+
+# The fields each mode's runs leave null.
+_NULL_IN = {"vanilla": ("retrieved_doc_id", "retrieval_recall1", "genread_empty_context"),
+            "retrieval": ("genread_empty_context",),
+            "genread": ("retrieved_doc_id", "retrieval_recall1")}
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(PredictionRecord))

@@ -25,8 +25,8 @@ from .errors import ConfigError, ProtocolError, ValidationError
 from .evaluation import PredictionRecord, is_correct
 from .retriever import Bm25Index
 from .util import (
-    HttpClient, HttpSettings, JsonCache, dumps_stable, from_object, is_count, map_in_order,
-    require_finite, sha256_hex,
+    HttpClient, HttpSettings, JsonCache, check_field_types, dumps_stable, from_object, is_count,
+    map_in_order, require_finite, sha256_hex,
 )
 
 logger = logging.getLogger(__name__)
@@ -124,9 +124,8 @@ class Completion:
     latency_ms: int
 
     def __post_init__(self):
-        if type(self.text) is not str:
-            raise ValidationError(f"completion text is {self.text!r}, not a string")
-        if not all(map(is_count, (self.prompt_tokens, self.completion_tokens, self.latency_ms))):
+        check_field_types(self)
+        if min(self.prompt_tokens, self.completion_tokens, self.latency_ms) < 0:
             raise ValidationError("completion token counts and latency must be integers >= 0")
 
 

@@ -19,8 +19,8 @@ from .config import DEFAULT_PAGEVIEWS_BASE_URL
 from .dataset import QAExample
 from .errors import ProtocolError, ValidationError
 from .util import (
-    HttpClient, HttpSettings, JsonCache, from_object, is_count, map_in_order, require_month,
-    sha256_hex,
+    HttpClient, HttpSettings, JsonCache, check_field_types, from_object, is_count, map_in_order,
+    require_month, sha256_hex,
 )
 
 logger = logging.getLogger(__name__)
@@ -42,12 +42,9 @@ class PopularityRecord:
     missing: bool = False
 
     def __post_init__(self):
-        if not all(isinstance(v, str) for v in (self.entity_title, self.month, self.fetched_at)):
-            raise ValidationError(f"page-view record with a non-string field: {self!r}")
-        if type(self.missing) is not bool:
-            raise ValidationError(f"{self.entity_title!r}: missing {self.missing!r} is not a bool")
-        if not is_count(self.views):
-            raise ValidationError(f"{self.entity_title!r}: views {self.views!r} is not a count")
+        check_field_types(self)
+        if self.views < 0:
+            raise ValidationError(f"views must be an integer >= 0, got {self.views}")
         require_month(self.month)
 
 

@@ -34,7 +34,8 @@ from typing import Sequence
 
 from .errors import IndexFormatError, ValidationError
 from .util import (
-    atomic_writer, dumps_stable, from_object, is_count, read_jsonl, require_finite, write_jsonl,
+    atomic_writer, check_field_types, dumps_stable, from_object, is_count, read_jsonl,
+    require_finite, write_jsonl,
 )
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -80,9 +81,7 @@ class Passage:
     text: str
 
     def __post_init__(self):
-        if not (type(self.doc_id) is str and type(self.title) is str and type(self.text) is str):
-            name = next(n for n in ("doc_id", "title", "text") if type(getattr(self, n)) is not str)
-            raise ValidationError(f"passage {self.doc_id!r}: {name} is not a string")
+        check_field_types(self)
         if not self.doc_id:
             raise ValidationError("passage with empty doc_id")
         if not self.text:
@@ -401,17 +400,8 @@ def _load_v2(path, body) -> Bm25Index:
     return Bm25Index(by_id, k1, b, avgdl, docs, impacts, postings, path)
 
 
-def _passage_from_row(row) -> Passage:
-    if not isinstance(row, dict):
-        raise ValidationError("corpus row is not a JSON object")
-    try:
-        return Passage(doc_id=row["doc_id"], title=row["title"], text=row["text"])
-    except KeyError as exc:
-        raise ValidationError(f"corpus row missing key {exc}") from exc
-
-
 def read_corpus(path: str | Path) -> list[Passage]:
-    return read_jsonl(path, _passage_from_row)
+    return read_jsonl(path, lambda row: from_object(Passage, row, "corpus row"))
 
 
 def write_corpus(passages: Sequence[Passage], path: str | Path) -> int:

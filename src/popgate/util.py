@@ -11,6 +11,7 @@ import re
 import sys
 import threading
 import time
+import types
 import typing
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
@@ -175,27 +176,55 @@ def from_object(cls: type[T], obj: Any, what: str) -> T:
                           else f"{what} missing key {missing[0]!r}")
 
 
+_TYPE_NAMES = {str: "a string", Path: "a string", int: "an integer", float: "a number",
+               bool: "true or false", type(None): "null", dict: "an object",
+               list[str]: "a list of strings", list[dict]: "a list of objects",
+               frozenset[str]: "a set of strings"}
+_type_rules: dict[type, Callable[[Any], int]] = {}
+
+
+def _type_rule(cls: type) -> Callable[[Any], int]:
+    """The type rule of the dataclass `cls`, built from its annotations and kept in
+    `_type_rules`: `first_wrong(obj)`, the position of the first field whose value's type,
+    or a list's or set's item types, no annotated type names exactly (any Path passes for
+    `Path`), or -1. It is compiled once, as `dataclasses` compiles `__init__`, and its
+    `table` holds each field's (name, annotated types)."""
+    hints, env, table, body = typing.get_type_hints(cls), {}, [], ""
+    for i, f in enumerate(fields(cls)):
+        hint = hints[f.name]
+        options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        tests = []
+        for j, option in enumerate(options):
+            kind, items = typing.get_origin(option) or option, typing.get_args(option)
+            env[f"t{i}_{j}"], env[f"i{i}_{j}"] = kind, frozenset(items)
+            test = ("v is None" if kind is type(None) else f"isinstance(v, t{i}_{j})"
+                    if kind is Path else f"type(v) is t{i}_{j}")
+            tests.append(f"({test} and i{i}_{j}.issuperset(map(type, v)))" if items else test)
+        table.append((f.name, options))
+        body += f"    v = o.{f.name}\n    if not ({' or '.join(tests)}):\n        return {i}\n"
+    exec(f"def first_wrong(o):\n{body}    return -1", env)
+    env["first_wrong"].table = table  # before it is shared: threads may race to build it
+    _type_rules[cls] = env["first_wrong"]
+    return env["first_wrong"]
+
+
 def check_field_types(obj: Any) -> None:
-    """Raise ValidationError naming the field unless each field of the frozen dataclass `obj`
-    holds a JSON type its annotation allows; an int passes for a float and is stored as one."""
-    hints = typing.get_type_hints(type(obj))
-    for f in fields(obj):
-        value, options = getattr(obj, f.name), typing.get_args(hints[f.name]) or (hints[f.name],)
-        for option in options:
-            if option is float and type(value) in (int, float):
-                try:
-                    object.__setattr__(obj, f.name, float(value))
-                except OverflowError:
-                    raise ValidationError(f"{f.name} must be a number a float can hold, got an "
-                                          f"integer of {len(str(value))} digits") from None
-                break
-            if type(value) is option or (option is Path and isinstance(value, Path)):
-                break
-        else:
-            names = {str: "a string", Path: "a string", int: "an integer", float: "a number",
-                     bool: "true or false", type(None): "null"}
-            expected = " or ".join(dict.fromkeys(names[o] for o in options))
-            raise ValidationError(f"{f.name} must be {expected}, got {value!r}")
+    """Raise ValidationError `<field> must be <type>, got <value>` unless each field of the
+    dataclass `obj` holds a JSON type its annotation allows. An int passes for a float and
+    is stored as one, and a Path passes where the annotation names one. A class's rule is
+    built on its first object."""
+    first_wrong = _type_rules.get(type(obj)) or _type_rule(type(obj))
+    while (i := first_wrong(obj)) >= 0:
+        name, options = first_wrong.table[i]
+        value = getattr(obj, name)
+        if float not in options or type(value) is not int:
+            expected = " or ".join(dict.fromkeys(_TYPE_NAMES[option] for option in options))
+            raise ValidationError(f"{name} must be {expected}, got {value!r}")
+        try:
+            object.__setattr__(obj, name, float(value))
+        except OverflowError:
+            raise ValidationError(f"{name} must be a number a float can hold, got an "
+                                  f"integer of {len(str(value))} digits") from None
 
 
 def sha256_hex(text: str) -> str:

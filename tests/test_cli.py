@@ -185,7 +185,9 @@ class TestRuntimeErrors:
         else:
             argv = ["report", "--dataset", dataset, "--runs", vanilla, retrieval, "--out", out]
         assert run_cli(argv) == 1
-        assert_one_line_error(capsys, "run_vanilla.jsonl:1", "'correct'", "'yes'")
+        assert_one_line_error(
+            capsys, "run_vanilla.jsonl:1", "correct must be true or false, got 'yes'"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -209,6 +211,8 @@ class TestRuntimeErrors:
             ({"doc_id": "d1", "title": None, "text": "cat"}, "title"),
             ({"doc_id": "d1", "title": "t", "text": 5}, "text"),
             (["d1", "t", "cat"], "object"),
+            ({"doc_id": "d1", "title": "t", "text": "cat", "txt": "y"},
+             "corpus row has unknown key 'txt'"),
         ],
     )
     def test_index_rejects_malformed_corpus_row(self, tmp_path, capsys, row, fragment):
@@ -224,10 +228,11 @@ class TestRuntimeErrors:
     @pytest.mark.parametrize(
         "change, fragment",
         [
-            ({"answers": "Paris"}, "'answers'"),
-            ({"popularity": "100"}, "'popularity'"),
-            ({"popularity": True}, "'popularity'"),
-            ({"id": 7}, "'id'"),
+            ({"answers": "Paris"}, "answers must be a list of strings, got 'Paris'"),
+            ({"popularity": "100"}, "popularity must be an integer or null, got '100'"),
+            ({"popularity": True}, "popularity must be an integer or null, got True"),
+            ({"id": 7}, "id must be a string, got 7"),
+            ({"populrity": 5}, "dataset row has unknown key 'populrity'"),
             (None, "not a JSON object"),
         ],
     )
@@ -249,18 +254,21 @@ class TestRuntimeErrors:
         "row, fragment",
         [
             ([1, 2], "triple row is not a JSON object"),
-            ({"objects": "x"}, "field 'objects' is not a list of objects"),
-            ({"objects": [{"id": 1, "label": "Maker"}]}, "field 'objects' is not a list of objects"),
-            ({"objects": [{"id": "O1"}]}, "field 'objects' is not a list of objects"),
-            ({"objects": [{"label": "Maker"}]}, "field 'objects' is not a list of objects"),
+            ({"objects": "x"}, "objects must be a list of objects, got 'x'"),
+            ({"objects": [{"id": 1, "label": "Maker"}]}, "id must be a string, got 1"),
+            ({"objects": [{"id": "O1"}]}, "triple object missing key 'label'"),
+            ({"objects": [{"label": "Maker"}]}, "triple object missing key 'id'"),
             ({"objects": [{"id": "O1", "label": "Maker", "aliases": "M"}]},
-             "field 'objects' is not a list of objects"),
-            ({"objects": ["O1"]}, "field 'objects' is not a list of objects"),
+             "aliases must be a list of strings, got 'M'"),
+            ({"objects": ["O1"]}, "objects must be a list of objects, got ['O1']"),
             ({"objects": []}, "no object labels"),
-            ({"subj_aliases": "Jr"}, "field 'subj_aliases' is not a list of strings"),
-            ({"subj_aliases": None}, "field 'subj_aliases' is not a list of strings"),
-            ({"subj": 5}, "field 'subj' is not a string"),
-            ({"relation": None}, "field 'relation' is not a string"),
+            ({"subj_aliases": "Jr"}, "subj_aliases must be a list of strings, got 'Jr'"),
+            ({"subj_aliases": None}, "subj_aliases must be a list of strings, got None"),
+            ({"subj": 5}, "subj must be a string, got 5"),
+            ({"relation": None}, "relation must be a string, got None"),
+            ({"subj_alias": ["Jr"]}, "triple row has unknown key 'subj_alias'"),
+            ({"objects": [{"id": "O1", "label": "Maker", "alias": ["M"]}]},
+             "triple object has unknown key 'alias'"),
             ({"subj_id": ...}, "missing key 'subj_id'"),
             ({"objects": ...}, "missing key 'objects'"),
         ],
@@ -643,6 +651,10 @@ def demo_out(tmp_path_factory):
     return out
 
 
+# A retrieval run's row relabelled as a genread run's: no retrieved passage.
+AS_GENREAD = {"mode": "genread", "retrieved_doc_id": None, "retrieval_recall1": None}
+
+
 def savings_argv(demo_out, out, vanilla=None, retrieval=None, *extra):
     return [
         "savings", "--dataset", demo_out / "dataset.jsonl",
@@ -654,11 +666,15 @@ def savings_argv(demo_out, out, vanilla=None, retrieval=None, *extra):
 
 @pytest.mark.parametrize("command", ["route", "savings"])
 @pytest.mark.parametrize(
-    "key, value", [("tuned_on", 5), ("tuned_on", None), ("retrieval_mode", ["x"]),
-                   ("retrieval_mode", "vanilla")]
+    "key, value, fragment",
+    [("tuned_on", 5, "tuned_on must be a string, got 5"),
+     ("tuned_on", None, "tuned_on must be a string, got None"),
+     ("retrieval_mode", ["x"], "retrieval_mode must be a string, got ['x']"),
+     ("retrieval_mode", "vanilla", "'retrieval_mode' is 'vanilla'"),
+     ("retrieval_mod", "genread", "policy file has unknown key 'retrieval_mod'")]
 )
 def test_policy_field_of_wrong_type_or_value_rejected(demo_out, tmp_path, capsys, command,
-                                                      key, value):
+                                                      key, value, fragment):
     policy = json.loads((demo_out / "policy.json").read_text(encoding="utf-8"))
     policy[key] = value
     bad = tmp_path / "bad-policy.json"
@@ -669,7 +685,7 @@ def test_policy_field_of_wrong_type_or_value_rejected(demo_out, tmp_path, capsys
         "--out", out]
     argv[argv.index("--policy") + 1] = bad
     assert run_cli(argv) == 1
-    assert_one_line_error(capsys, str(bad), f"'{key}'")
+    assert_one_line_error(capsys, str(bad), fragment)
     assert not out.exists()
 
 
@@ -1002,9 +1018,39 @@ class TestRunChecks:
         assert_one_line_error(capsys, fragment.format(f"{demo_out}/"), "records")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "run, changes, fragment",
+        [("retrieval", {"mode": "genread"}, "must be null in a genread run, got "),
+         ("vanilla", {"retrieval_recall1": False},
+          "retrieval_recall1 must be null in a vanilla run, got False"),
+         ("retrieval", {"genread_empty_context": False},
+          "genread_empty_context must be null in a retrieval run, got False")],
+        ids=["retrieval-relabelled-genread", "vanilla-with-recall", "retrieval-with-genread-flag"],
+    )
+    def test_field_of_another_mode_is_one_line_error(
+        self, demo_out, tmp_path, capsys, run, changes, fragment
+    ):
+        """A run's rows leave null the fields other modes fill, so a retrieval
+        run relabelled genread reports no recall@1."""
+        rows = [
+            {**json.loads(line), **changes}
+            for line in (demo_out / f"run_{run}.jsonl").read_text().splitlines()
+        ]
+        bad = tmp_path / f"run_{run}.jsonl"
+        write_jsonl(bad, rows)
+        runs = {"vanilla": demo_out / "run_vanilla.jsonl",
+                "retrieval": demo_out / "run_retrieval.jsonl", run: bad}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        argv = ["report", "--dataset", demo_out / "dataset.jsonl", "--runs", runs["vanilla"],
+                runs["retrieval"], "--out", out]
+        assert run_cli(argv) == 1
+        assert_one_line_error(capsys, f"{bad}:1: record ", fragment)
+        assert not out.exists()
+
     def test_genread_run_passes_for_retrieval(self, demo_out, tmp_path):
         rows = [
-            {**json.loads(line), "mode": "genread"}
+            {**json.loads(line), **AS_GENREAD}
             for line in (demo_out / "run_retrieval.jsonl").read_text().splitlines()
         ]
         genread = tmp_path / "run_genread.jsonl"
@@ -1019,7 +1065,7 @@ class TestRunChecks:
         """The demo's policy was tuned on a retrieval run; that run relabelled
         genread is refused, before the in-sample warning."""
         rows = [
-            {**json.loads(line), "mode": "genread"}
+            {**json.loads(line), **AS_GENREAD}
             for line in (demo_out / "run_retrieval.jsonl").read_text().splitlines()
         ]
         genread = tmp_path / "run_genread.jsonl"
@@ -1064,7 +1110,7 @@ class TestRunChecks:
         }[command]
         capsys.readouterr()
         assert run_cli(argv) == 1
-        assert_one_line_error(capsys, f"{run.name}:1: ", f"field {key!r} must be", repr(value))
+        assert_one_line_error(capsys, f"{run.name}:1: ", f"{key} must be", repr(value))
         assert not out.exists()
 
 

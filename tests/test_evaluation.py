@@ -485,7 +485,8 @@ class TestRecordsIO:
     def test_row_is_the_fields_without_empty_genread_flag(self):
         rec = record("q1", True, mode="retrieval", recall1=False)
         assert list(record_to_row(rec)) == [f.name for f in fields(PredictionRecord)][:-1]
-        genread = replace(rec, mode="genread", genread_empty_context=True)
+        genread = replace(rec, mode="genread", retrieved_doc_id=None, retrieval_recall1=None,
+                          genread_empty_context=True)
         assert record_to_row(genread)["genread_empty_context"] is True
         assert record_from_row(record_to_row(genread)) == genread
 

@@ -2,12 +2,14 @@
 reads, cut short at a random offset, with one byte changed, or with one JSON
 number replaced, either still runs (exit 0) or fails with exit 1, exactly one
 `error:` line on stderr and no output file. A run file with one `correct`
-flag flipped always fails so. Any exception that escapes
+flag flipped, and an input with one key of a record object renamed, always
+fail so. Any exception that escapes
 `cli.main` fails the test, and so does a JSON or JSONL output that holds
 `NaN`, `Infinity` or `-Infinity`, which are not JSON.
 
 A page-view or completion cache entry changed in the same ways never fails
-its command: it is read, or logged once, fetched again and rewritten."""
+its command: it is read, or logged once, fetched again and rewritten; one
+with a key renamed is always logged and fetched again."""
 
 from __future__ import annotations
 
@@ -182,6 +184,35 @@ def test_changed_number_exits_0_or_1_with_one_error_line(inputs, capsys, data):
     assert_contract(inputs, capsys, name, change_number(data, texts[name]))
 
 
+def rename_key(data, objects: list[dict]) -> None:
+    """Misspell one drawn key of one drawn object of `objects` in place, by
+    dropping its last character."""
+    obj = data.draw(st.sampled_from(objects), label="object")
+    key = data.draw(st.sampled_from(sorted(obj)), label="key")
+    assert key[:-1] not in obj
+    obj[key[:-1]] = obj.pop(key)
+
+
+# The inputs made of record objects, whose keys are field names, each object
+# on one line. A templates file's keys are relation names, and the
+# `thresholds` and `metadata` maps of a policy have keys of their own, so
+# none of those is renamed.
+KEYED = ["corpus.jsonl", "costs.json", "dataset.jsonl", "endpoint.json", "policy.json",
+         "run_retrieval.jsonl", "run_vanilla.jsonl", "triples.jsonl"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_renamed_key_exits_1(inputs, capsys, data):
+    name = data.draw(st.sampled_from(KEYED), label="file")
+    rows = [json.loads(line) for line in (inputs / name).read_text(encoding="utf-8").splitlines()]
+    row = data.draw(st.sampled_from(rows), label="row")
+    rename_key(data, [row, *row["objects"]] if name == "triples.jsonl" else [row])
+    changed = "".join(json.dumps(r) + "\n" for r in rows)
+    assert_contract(inputs, capsys, name, changed.encode("utf-8"), must_fail=True)
+
+
 @pytest.mark.parametrize("line", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("name", ["run_vanilla.jsonl", "run_retrieval.jsonl"])
 def test_flipped_correct_flag_exits_1(inputs, capsys, name, line):
@@ -242,14 +273,21 @@ def run_cached(cache: str) -> int:
 def test_changed_cache_entry_is_read_or_replaced_once(caches, caplog, data):
     """A changed cache entry never fails its command. One that fails its
     checks is logged once and fetched again, and the rewritten entry is read
-    on the next run; one that passes them is read as it stands."""
+    on the next run; one that passes them is read as it stands. One with a
+    key of the entry, or of a completion entry's completion, renamed always
+    fails them."""
     cache = data.draw(st.sampled_from(sorted(CACHED_COMMANDS)), label="cache")
     entry = data.draw(st.sampled_from(sorted(Path(cache).iterdir())), label="entry")
     blob = entry.read_bytes()
-    if data.draw(st.booleans(), label="number"):
+    change = data.draw(st.sampled_from(["byte", "number", "key"]), label="change")
+    if change == "number":
         entry.write_bytes(change_number(data, blob.decode("utf-8")))
-    else:
+    elif change == "byte":
         entry.write_bytes(cut_or_flip(data, blob))
+    else:
+        stored = json.loads(blob)
+        rename_key(data, [stored, *filter(None, [stored.get("completion")])])
+        entry.write_text(json.dumps(stored), encoding="utf-8")
     try:
         runs = []
         for _ in range(2):
@@ -259,6 +297,7 @@ def test_changed_cache_entry_is_read_or_replaced_once(caches, caplog, data):
                 assert run_cached(cache) == 0
             logged = [r for r in caplog.records if entry.name in r.getMessage()]
             runs.append((len(caches) - before, len(logged)))
-        assert runs[0] in ((0, 0), (1, 1)) and runs[1] == (0, 0), runs
+        assert runs[0] in ([(1, 1)] if change == "key" else [(0, 0), (1, 1)]), runs
+        assert runs[1] == (0, 0), runs
     finally:
         entry.write_bytes(blob)

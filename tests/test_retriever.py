@@ -121,7 +121,7 @@ class TestBuildIndex:
     @pytest.mark.parametrize("field", ["doc_id", "title", "text"])
     def test_non_string_field_rejected(self, field):
         values = {"doc_id": "d1", "title": "t", "text": "x", field: 5}
-        with pytest.raises(ValidationError, match=f"passage .*: {field} is not a string"):
+        with pytest.raises(ValidationError, match=f"^{field} must be a string, got 5$"):
             Passage(**values)
 
 

@@ -8,21 +8,30 @@ import stat
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from popgate.adaptive import CostModel, _PolicyFile
+from popgate.dataset import _ExampleRow, _TripleObject, _TripleRow, read_dataset, read_triples
 from popgate.errors import ValidationError
+from popgate.evaluation import PredictionRecord, read_records
+from popgate.lm import Completion, EndpointConfig
+from popgate.popularity import PageviewsConfig, PopularityRecord
+from popgate.retriever import Passage, read_corpus
 from popgate.util import (
     JsonCache,
     atomic_write_text,
     atomic_writer,
+    check_field_types,
     from_object,
     iter_jsonl,
     map_in_order,
     read_text,
+    write_jsonl,
 )
 
 
@@ -177,6 +186,152 @@ class TestFromObject:
     def test_type_error_that_no_key_explains_is_raised_again(self):
         with pytest.raises(TypeError, match="^seven$"):
             from_object(Pair, {"left": "a", "right": 7}, "pair")
+
+
+TRIPLE_OBJECT = {"id": "O1", "label": "Maker", "aliases": ["M"]}
+TRIPLE_ROW = {"subj_id": "S1", "subj": "Subject", "relation": "director",
+              "objects": [TRIPLE_OBJECT], "subj_aliases": ["S"]}
+# Each class the type rule covers: the fields of a valid object, and the type
+# the rule names for each field.
+TYPED = {
+    PredictionRecord: (
+        {"question_id": "q", "mode": "retrieval", "prediction": "p", "correct": True,
+         "prompt_tokens": 1, "completion_tokens": 2, "latency_ms": 3, "retrieved_doc_id": "d",
+         "retrieval_recall1": True, "genread_empty_context": None},
+        {"question_id": "a string", "mode": "a string", "prediction": "a string",
+         "correct": "true or false", "prompt_tokens": "an integer or null",
+         "completion_tokens": "an integer or null", "latency_ms": "an integer or null",
+         "retrieved_doc_id": "a string or null", "retrieval_recall1": "true or false or null",
+         "genread_empty_context": "true or false or null"},
+    ),
+    Passage: ({"doc_id": "d", "title": "t", "text": "x"},
+              {"doc_id": "a string", "title": "a string", "text": "a string"}),
+    PopularityRecord: (
+        {"entity_title": "T", "month": "2022-12", "views": 5, "fetched_at": "now",
+         "missing": False},
+        {"entity_title": "a string", "month": "a string", "views": "an integer",
+         "fetched_at": "a string", "missing": "true or false"},
+    ),
+    Completion: ({"text": "x", "prompt_tokens": 1, "completion_tokens": 2, "latency_ms": 3},
+                 {"text": "a string", "prompt_tokens": "an integer",
+                  "completion_tokens": "an integer", "latency_ms": "an integer"}),
+    _ExampleRow: (
+        {"id": "q", "question": "Q?", "answers": ["A"], "subj": "S", "subj_id": "S1",
+         "relation": "director", "popularity": 3},
+        {"id": "a string", "question": "a string", "answers": "a list of strings",
+         "subj": "a string", "subj_id": "a string", "relation": "a string",
+         "popularity": "an integer or null"},
+    ),
+    _TripleRow: (TRIPLE_ROW, {"subj_id": "a string", "subj": "a string", "relation": "a string",
+                              "objects": "a list of objects", "subj_aliases": "a list of strings"}),
+    _TripleObject: (TRIPLE_OBJECT,
+                    {"id": "a string", "label": "a string", "aliases": "a list of strings"}),
+    EndpointConfig: (
+        {"base_url": "http://x", "model": "m"},
+        {"base_url": "a string", "timeout_s": "a number", "max_retries": "an integer",
+         "backoff_s": "a number", "max_parallelism": "an integer",
+         "requests_per_second": "a number or null", "model": "a string",
+         "api_key_env": "a string or null", "cache_dir": "a string or null",
+         "endpoint_id": "a string or null", "temperature": "a number", "max_tokens": "an integer"},
+    ),
+    PageviewsConfig: (
+        {},
+        {"base_url": "a string", "timeout_s": "a number", "max_retries": "an integer",
+         "backoff_s": "a number", "max_parallelism": "an integer",
+         "requests_per_second": "a number or null", "cache_dir": "a string"},
+    ),
+    CostModel: ({}, {"price_per_1k_prompt_tokens": "a number",
+                     "price_per_1k_completion_tokens": "a number",
+                     "retrieval_latency_ms": "an integer"}),
+    _PolicyFile: ({"thresholds": {"director": 2.0}},
+                  {"thresholds": "an object", "tuned_on": "a string", "retrieval_mode": "a string",
+                   "metadata": "an object or null"}),
+}
+# A JSON value of a type that each named type does not allow.
+WRONG = {"a string": 5, "a string or null": 5, "an integer": "5", "an integer or null": "5",
+         "a number": "x", "a number or null": "x", "true or false": 0,
+         "true or false or null": 0, "a list of strings": ["a", 5], "a list of objects": ["a"],
+         "an object": [], "an object or null": []}
+# The reader of each class backed by JSONL rows, and the row an object's
+# fields make.
+READERS = {
+    PredictionRecord: (read_records, lambda obj: obj),
+    Passage: (read_corpus, lambda obj: obj),
+    _ExampleRow: (read_dataset, lambda obj: obj),
+    _TripleRow: (read_triples, lambda obj: obj),
+    _TripleObject: (read_triples, lambda obj: {**TRIPLE_ROW, "objects": [obj]}),
+}
+FIELD_CASES = [(cls, name) for cls, (_, types) in TYPED.items() for name in types]
+
+
+class TestTypeRule:
+    @pytest.mark.parametrize("cls", TYPED, ids=lambda cls: cls.__name__)
+    def test_every_field_has_a_case(self, cls):
+        good, types = TYPED[cls]
+        assert list(types) == [f.name for f in fields(cls)]
+        cls(**good)
+
+    @pytest.mark.parametrize("cls, name", FIELD_CASES, ids=lambda c: getattr(c, "__name__", c))
+    def test_wrong_json_type_names_field_and_type(self, tmp_path, cls, name):
+        good, types = TYPED[cls]
+        value = WRONG[types[name]]
+        message = f"{name} must be {types[name]}, got {value!r}"
+        with pytest.raises(ValidationError) as info:
+            cls(**{**good, name: value})
+        assert str(info.value) == message
+        if cls in READERS:
+            read, row = READERS[cls]
+            path = tmp_path / "rows.jsonl"
+            write_jsonl(path, [row(good), row({**good, name: value})])
+            with pytest.raises(ValidationError) as info:
+                read(path)
+            assert str(info.value) == f"{path}:2: {message}"
+
+    def test_rule_is_built_once_per_class(self, monkeypatch):
+        @dataclass(slots=True)
+        class Fresh:
+            n: int
+
+            __post_init__ = check_field_types
+
+        built = []
+        get_type_hints = typing.get_type_hints
+        monkeypatch.setattr(typing, "get_type_hints", lambda cls: built.append(cls) or
+                            get_type_hints(cls))
+        for n in range(3):
+            Fresh(n)
+        with pytest.raises(ValidationError, match="^n must be an integer, got 'x'$"):
+            Fresh("x")
+        assert built == [Fresh]
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({}, None),
+         ({"count": None, "path": Path("p")}, None),
+         ({"count": 1.0}, "count must be an integer or null, got 1.0"),
+         ({"words": ("a",)}, "words must be a list of strings, got ('a',)"),
+         ({"words": ["a", b"b"]}, "words must be a list of strings, got ['a', b'b']"),
+         ({"tags": {"a"}}, "tags must be a set of strings, got {'a'}"),
+         ({"tags": frozenset({1})}, "tags must be a set of strings, got frozenset({1})"),
+         ({"path": None}, "path must be a string, got None")],
+    )
+    def test_postponed_annotations_on_a_slotted_class(self, changes, message):
+        @dataclass(slots=True)
+        class Annotated:
+            count: int | None
+            words: list[str]
+            tags: frozenset[str]
+            path: str | Path
+
+            __post_init__ = check_field_types
+
+        values = {"count": 1, "words": ["a"], "tags": frozenset({"a"}), "path": "p", **changes}
+        if message is None:
+            assert Annotated(**values) == Annotated(**values)
+        else:
+            with pytest.raises(ValidationError) as info:
+                Annotated(**values)
+            assert str(info.value) == message
 
 
 class TestNotUtf8:
