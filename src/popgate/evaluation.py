@@ -38,7 +38,10 @@ def is_correct(prediction: str, gold_answers: Iterable[str]) -> bool:
     if not golds:
         raise ValidationError("is_correct needs a non-empty gold answer set")
     pred = normalize_text(prediction)
-    return any(g in pred for g in (normalize_text(g) for g in golds) if g)
+    for gold in map(normalize_text, golds):
+        if gold and gold in pred:
+            return True
+    return False
 
 
 @dataclass(slots=True)
@@ -412,7 +415,8 @@ def _csv_text(row_class: type, rows: Iterable) -> str:
 
 
 def write_report(report: EvalReport, out_dir: str | Path, stem: str = "report") -> Path:
-    """Write report JSON plus plot-ready CSV tables; returns the JSON path."""
+    """Write report JSON plus plot-ready CSV tables; returns the JSON path. A report
+    without quadrants removes this stem's stale quadrants table, if any."""
     out_dir = Path(out_dir)
     json_path = out_dir / f"{stem}.json"
     atomic_write_text(json_path, report.to_json() + "\n")
@@ -421,6 +425,8 @@ def write_report(report: EvalReport, out_dir: str | Path, stem: str = "report") 
     if report.quadrants is not None:
         cells = [cell for _key, cell in sorted(report.quadrants.items(), reverse=True)]
         tables.append(("quadrants", QuadrantCell, cells))
+    else:
+        (out_dir / f"{stem}_quadrants.csv").unlink(missing_ok=True)
     for name, row_class, rows in tables:
         atomic_write_text(out_dir / f"{stem}_{name}.csv", _csv_text(row_class, rows))
     return json_path

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .errors import IndexFormatError, ValidationError
 from .util import (
-    atomic_writer, check_field_types, dumps_stable, from_object, is_count, read_jsonl,
+    atomic_writer, check_field_types, dumps_stable, from_object, read_jsonl,
     require_finite, write_jsonl,
 )
 
@@ -264,26 +264,18 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     """Persist corpus, parameters and posting lists in index format v2.
 
     Layout: `PGIDX`, the version byte 2, the header length as a little-endian
-    uint64, a JSON header (k1, b, doc count, average document length,
-    passages, terms and each term's posting-list length), then the document
-    positions of every term as little-endian int32 and the impacts of every
-    term as little-endian float64, both in header term order. The parts are
-    streamed into the temp file that replaces `path`.
+    uint64, a JSON header (a `_HeaderV2`), then the document positions of
+    every term as little-endian int32 and the impacts of every term as
+    little-endian float64, both in header term order. The parts are streamed
+    into the temp file that replaces `path`.
     """
-    header = dumps_stable(
-        {
-            "k1": index.k1,
-            "b": index.b,
-            "doc_count": index.doc_count,
-            "avg_doc_length": index.avg_doc_length,
-            "passages": [
-                {"doc_id": p.doc_id, "title": p.title, "text": p.text}
-                for p in index.passages.values()
-            ],
-            "terms": list(index._postings),
-            "lengths": [end - start for start, end in index._postings.values()],
-        }
-    ).encode("utf-8")
+    fields = (  # in `_HeaderV2`'s field order, which names them
+        index.k1, index.b, index.doc_count,
+        [{"doc_id": p.doc_id, "title": p.title, "text": p.text} for p in index.passages.values()],
+        index.avg_doc_length, list(index._postings),
+        [end - start for start, end in index._postings.values()],
+    )
+    header = dumps_stable(dict(zip(_HeaderV2.__match_args__, fields))).encode("utf-8")
     with atomic_writer(path) as fh:
         fh.write(INDEX_MAGIC + bytes([INDEX_VERSION]) + _HEADER_LENGTH.pack(len(header)))
         fh.write(header)
@@ -315,40 +307,54 @@ def load_index(path: str | Path) -> Bm25Index:
     raise IndexFormatError(f"{path}: unsupported index version {version}")
 
 
-def _parse_header(path, data) -> dict:
+@dataclass(slots=True)
+class _HeaderV1:
+    """The JSON header of index format v1, whose passages are reindexed on load."""
+
+    k1: float
+    b: float
+    doc_count: int
+    passages: list[dict]
+
+    __post_init__ = check_field_types
+
+
+@dataclass(slots=True)
+class _HeaderV2(_HeaderV1):
+    """The JSON header of format v2: v1's, plus the term table ordering the arrays after it."""
+
+    avg_doc_length: float
+    terms: list[str]
+    lengths: list[int]
+
+
+def _read_header(path, data, cls: type[_HeaderV1]) -> tuple[_HeaderV1, dict[str, Passage]]:
+    """The header `cls` that `data` holds, with its BM25 parameters and passages
+    checked, and the passages by doc_id; any fault is an IndexFormatError naming `path`."""
     try:
-        header = json.loads(bytes(data).decode("utf-8"))
+        header = from_object(cls, json.loads(bytes(data).decode("utf-8")), "object")
+        _require_parameters(header.k1, header.b, getattr(header, "avg_doc_length", 0.0))
     except (ValueError, RecursionError) as exc:
         raise IndexFormatError(f"{path}: truncated or corrupt header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise IndexFormatError(f"{path}: header is not a JSON object")
-    return header
-
-
-def _header_passages(path, header: dict) -> list[Passage]:
+    except ValidationError as exc:
+        raise IndexFormatError(f"{path}: header {exc}") from None
     try:
-        passages = [from_object(Passage, row, "passage") for row in header["passages"]]
-    except (KeyError, TypeError, ValidationError) as exc:
+        passages = [from_object(Passage, row, "passage") for row in header.passages]
+    except ValidationError as exc:
         raise IndexFormatError(f"{path}: bad passages in header: {exc}") from exc
-    (doc_count,) = _header_values(path, header, "doc_count")
-    if not (is_count(doc_count) and doc_count == len(passages)):
-        raise IndexFormatError(f"{path}: doc count mismatch: header doc_count {doc_count!r} "
-                               f"for {len(passages)} passages")
-    return passages
-
-
-def _header_values(path, header: dict, *keys: str) -> list:
-    try:
-        return [header[key] for key in keys]
-    except KeyError as exc:
-        raise IndexFormatError(f"{path}: header lacks {exc}") from exc
+    if header.doc_count != len(passages):
+        raise IndexFormatError(f"{path}: doc count mismatch: header doc_count "
+                               f"{header.doc_count} for {len(passages)} passages")
+    by_id = {p.doc_id: p for p in passages}
+    if len(by_id) != len(passages):
+        raise IndexFormatError(f"{path}: duplicate doc_id in header")
+    return header, by_id
 
 
 def _load_v1(path, body) -> Bm25Index:
-    header = _parse_header(path, body)
-    passages = _header_passages(path, header)
-    try:
-        return build_index(passages, *_header_values(path, header, "k1", "b"))
+    header, by_id = _read_header(path, body, _HeaderV1)
+    try:  # build_index refuses a header with no passage
+        return build_index(list(by_id.values()), header.k1, header.b)
     except ValidationError as exc:
         raise IndexFormatError(f"{path}: bad index payload: {exc}") from exc
 
@@ -360,27 +366,10 @@ def _load_v2(path, body) -> Bm25Index:
     (header_len,) = _HEADER_LENGTH.unpack(body[:size])
     if len(body) < size + header_len:
         raise IndexFormatError(f"{path}: truncated header")
-    header = _parse_header(path, body[size : size + header_len])
-    passages = _header_passages(path, header)
-    by_id = {p.doc_id: p for p in passages}
-    if len(by_id) != len(passages):
-        raise IndexFormatError(f"{path}: duplicate doc_id in header")
-    k1, b, avgdl, terms, lengths = _header_values(
-        path, header, "k1", "b", "avg_doc_length", "terms", "lengths"
-    )
-    try:
-        _require_parameters(k1, b, avgdl)
-    except ValidationError as exc:
-        raise IndexFormatError(f"{path}: header {exc}") from None
-    if not (
-        isinstance(terms, list)
-        and isinstance(lengths, list)
-        and len(terms) == len(lengths)
-        and set(map(type, terms)) <= {str}
-        and set(map(type, lengths)) <= {int}
-        and (not lengths or min(lengths) > 0)
-    ):
-        raise IndexFormatError(f"{path}: bad term table in header")
+    header, by_id = _read_header(path, body[size : size + header_len], _HeaderV2)
+    terms, lengths = header.terms, header.lengths
+    if len(terms) != len(lengths) or (lengths and min(lengths) <= 0):
+        raise IndexFormatError(f"{path}: header lengths must be one integer > 0 per term")
     offsets = list(accumulate(lengths, initial=0))
     docs, impacts = array("i"), array("d")
     total = offsets[-1]
@@ -397,7 +386,8 @@ def _load_v2(path, body) -> Bm25Index:
     postings = dict(zip(terms, zip(offsets, offsets[1:])))
     if len(postings) != len(terms):
         raise IndexFormatError(f"{path}: duplicate term in header")
-    return Bm25Index(by_id, k1, b, avgdl, docs, impacts, postings, path)
+    return Bm25Index(by_id, header.k1, header.b, header.avg_doc_length, docs, impacts, postings,
+                     path)
 
 
 def read_corpus(path: str | Path) -> list[Passage]:

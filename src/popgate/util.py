@@ -178,8 +178,8 @@ def from_object(cls: type[T], obj: Any, what: str) -> T:
 
 _TYPE_NAMES = {str: "a string", Path: "a string", int: "an integer", float: "a number",
                bool: "true or false", type(None): "null", dict: "an object",
-               list[str]: "a list of strings", list[dict]: "a list of objects",
-               frozenset[str]: "a set of strings"}
+               list[str]: "a list of strings", list[int]: "a list of integers",
+               list[dict]: "a list of objects", frozenset[str]: "a set of strings"}
 _type_rules: dict[type, Callable[[Any], int]] = {}
 
 
@@ -209,17 +209,17 @@ def _type_rule(cls: type) -> Callable[[Any], int]:
 
 
 def check_field_types(obj: Any) -> None:
-    """Raise ValidationError `<field> must be <type>, got <value>` unless each field of the
-    dataclass `obj` holds a JSON type its annotation allows. An int passes for a float and
-    is stored as one, and a Path passes where the annotation names one. A class's rule is
-    built on its first object."""
+    """Raise ValidationError `<field> must be <type>, got <value>` (its repr cut at 200
+    characters) unless each field of the dataclass `obj` holds a JSON type its annotation
+    allows. An int passes for a float and is stored as one, and a Path passes where the
+    annotation names one. A class's rule is built on its first object."""
     first_wrong = _type_rules.get(type(obj)) or _type_rule(type(obj))
     while (i := first_wrong(obj)) >= 0:
         name, options = first_wrong.table[i]
         value = getattr(obj, name)
         if float not in options or type(value) is not int:
             expected = " or ".join(dict.fromkeys(_TYPE_NAMES[option] for option in options))
-            raise ValidationError(f"{name} must be {expected}, got {value!r}")
+            raise ValidationError(f"{name} must be {expected}, got {value!r:.200}")
         try:
             object.__setattr__(obj, name, float(value))
         except OverflowError:
@@ -416,12 +416,12 @@ class HttpClient:
     keeps one connection there (or to the proxy) and reuses it.
     A reused connection that the server closed while idle fails before any
     response arrives; it is reopened and the request sent once more, which
-    does not count as a retry. Transport errors, 429 and 5xx are retried up
-    to `max_retries` times with exponential backoff; a 3xx is an error, not
-    followed; a status the caller accepts is returned, and any other is an
-    error. TLS is verified with the default context,
-    `http_proxy`/`https_proxy`/`no_proxy` are honoured, and requests carry a
-    User-Agent (`POPGATE_USER_AGENT` or popgate/<version>).
+    does not count as a retry. Transport errors, 429 and 5xx are retried up to
+    `max_retries` times with exponential backoff, but a certificate that fails
+    verification, which no retry heals, ends the request. A 3xx is an error, not
+    followed; a status the caller accepts is returned, and any other is an error.
+    TLS is verified with the default context, `http_proxy`/`https_proxy`/`no_proxy`
+    are honoured, and requests carry a User-Agent (`POPGATE_USER_AGENT` or popgate/<version>).
     """
 
     def __init__(
@@ -446,6 +446,7 @@ class HttpClient:
         `what` names the call in retry logs and errors, and a final status
         outside `accept` is a TransportError."""
         import http.client
+        import ssl
 
         url = f"{self._base_url}/{path}"
         headers = dict(self._headers)
@@ -465,6 +466,8 @@ class HttpClient:
             call_start = time.monotonic()
             try:
                 status, location, data = self._send(method, path, body, headers)
+            except ssl.SSLCertVerificationError as exc:
+                raise TransportError(f"{what} failed, not retried: {url}: {exc}") from None
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue

@@ -750,6 +750,20 @@ def with_flags_flipped(source, target, count: int) -> list[str]:
     return flipped
 
 
+def test_reused_report_out_keeps_no_stale_quadrants_table(demo_out, tmp_path):
+    """A report without quadrants removes its own stem's quadrants table from
+    a reused --out; the files of other stems stay."""
+    out = tmp_path / "r"
+    runs = [demo_out / "run_vanilla.jsonl", demo_out / "run_retrieval.jsonl"]
+    argv = ["report", "--dataset", demo_out / "dataset.jsonl", "--out", out, "--runs"]
+    assert run_cli([*argv, *runs]) == 0
+    assert (out / "report_vanilla_quadrants.csv").exists()
+    assert run_cli([*argv, runs[0]]) == 0
+    assert json.loads((out / "report_vanilla.json").read_text())["quadrants"] is None
+    assert not (out / "report_vanilla_quadrants.csv").exists()
+    assert (out / "report_retrieval_quadrants.csv").exists()
+
+
 class TestRescoredRuns:
     """`report`, `tune` and `savings` check each run's `correct` flags against
     the dataset they read it with."""

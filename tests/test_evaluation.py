@@ -19,6 +19,7 @@ from popgate.evaluation import (
     format_quadrants,
     is_correct,
     join_runs,
+    normalize_text,
     overall_accuracy,
     popularity_correlation,
     quadrant_analysis,
@@ -56,6 +57,20 @@ def record(
     )
 
 
+def generator_is_correct(prediction, gold_answers) -> bool:
+    """The rule `is_correct` keeps, in its earlier two-generator form."""
+    golds = list(gold_answers)
+    if not golds:
+        raise ValidationError("is_correct needs a non-empty gold answer set")
+    pred = normalize_text(prediction)
+    return any(g in pred for g in (normalize_text(g) for g in golds) if g)
+
+
+# Letters, their fullwidth and ligature forms (NFKC folds them), and spaces
+# that collapse: so short draws often match, miss, or normalize to "".
+MATCH_TEXT = st.text(st.sampled_from("abAB ＡＢａｂﬁ①²\t\n\u3000\xa0"), max_size=8)
+
+
 class TestIsCorrect:
     def test_answer_embedded_in_sentence(self):
         prediction = "The Faculty was produced by Elizabeth Avellan and Robert Rodriguez."
@@ -82,6 +97,19 @@ class TestIsCorrect:
         gold = {"Walter Wanger"}
         mangled = pad + prediction.upper().replace(" ", pad) + pad
         assert is_correct(prediction, gold) == is_correct(mangled, gold)
+
+
+    @settings(max_examples=500)
+    @given(MATCH_TEXT, st.lists(MATCH_TEXT, max_size=4))
+    def test_one_pass_matches_the_generator_form(self, prediction, golds):
+        try:
+            expected = generator_is_correct(prediction, golds)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=str(exc)):
+                is_correct(prediction, golds)
+        else:
+            assert is_correct(prediction, golds) == expected
+            assert is_correct(prediction, iter(golds)) == expected
 
 
 class TestJoinRuns:

@@ -121,9 +121,9 @@ def run_cli(name: str, path) -> tuple[int, bool]:
     return code, exists
 
 
-def assert_contract(inputs, capsys, name: str, changed: bytes, must_fail: bool = False) -> None:
+def assert_contract(inputs, capsys, name: str, changed: bytes, must_fail: bool = False) -> str:
     """Run the command reading `changed` as `name`: exit 0 unless `must_fail`,
-    or exit 1 with one `error:` line and no output."""
+    or exit 1 with one `error:` line and no output. Returns its stderr."""
     mutated = inputs / "mutated" / name
     mutated.parent.mkdir(exist_ok=True)
     mutated.write_bytes(changed)
@@ -134,6 +134,7 @@ def assert_contract(inputs, capsys, name: str, changed: bytes, must_fail: bool =
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert not wrote
+    return err
 
 
 def test_valid_inputs_run(inputs, capsys):
@@ -211,6 +212,27 @@ def test_renamed_key_exits_1(inputs, capsys, data):
     rename_key(data, [row, *row["objects"]] if name == "triples.jsonl" else [row])
     changed = "".join(json.dumps(r) + "\n" for r in rows)
     assert_contract(inputs, capsys, name, changed.encode("utf-8"), must_fail=True)
+
+
+@pytest.mark.parametrize("name", ["index.pgidx", "index_v1.pgidx"])
+def test_renamed_index_header_key_exits_1(inputs, capsys, name):
+    """Each key of an index's JSON header, and each key of its first passage,
+    misspelt in turn; a v2 header's length is rewritten to match."""
+    blob = (inputs / name).read_bytes()
+    version = blob[len(INDEX_MAGIC)]
+    start = len(INDEX_MAGIC) + 1 + (8 if version == 2 else 0)
+    end = start + int.from_bytes(blob[start - 8 : start], "little") if version == 2 else len(blob)
+    header = json.loads(blob[start:end])
+    renames = [(False, key) for key in header] + [(True, key) for key in header["passages"][0]]
+    for in_passage, key in renames:
+        changed = json.loads(blob[start:end])
+        obj = changed["passages"][0] if in_passage else changed
+        obj[key[:-1]] = obj.pop(key)
+        encoded = json.dumps(changed).encode("utf-8")
+        length = len(encoded).to_bytes(8, "little") if version == 2 else b""
+        changed_blob = INDEX_MAGIC + bytes([version]) + length + encoded + blob[end:]
+        err = assert_contract(inputs, capsys, name, changed_blob, must_fail=True)
+        assert f"mutated/{name}: " in err, (key, err)
 
 
 @pytest.mark.parametrize("line", [0, -1], ids=["first", "last"])

@@ -4,6 +4,7 @@ keep-alive, seen from a localhost server."""
 from __future__ import annotations
 
 import os
+import ssl
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from threading import TIMEOUT_MAX
 
 import pytest
 
-from popgate import __version__
+from popgate import __version__, util
 from popgate.errors import ConfigError, TransportError, ValidationError
 from popgate.lm import CompletionClient, EndpointConfig
 from popgate.popularity import PageviewsClient, PageviewsConfig
@@ -178,6 +179,35 @@ def test_bad_proxy_url_is_config_error_before_any_connect(tmp_path, monkeypatch,
         client.complete("hi")
     assert str(info.value) == f"bad http_proxy {proxy!r}: {cause}"
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("kind", ["pageviews", "completions"])
+@pytest.mark.parametrize(
+    "error, attempts",
+    [(ssl.SSLCertVerificationError(1, "[SSL: CERTIFICATE_VERIFY_FAILED] self-signed"), 1),
+     (ConnectionRefusedError(111, "Connection refused"), 4)],
+    ids=["untrusted-certificate", "refused"],
+)
+def test_certificate_failure_is_not_retried(tmp_path, monkeypatch, kind, error, attempts):
+    """A certificate that fails verification ends the request at once; a
+    refused connection, which may heal, takes every retry."""
+    sends, sleeps = [], []
+
+    def send(self, method, path, body, headers):
+        sends.append(path)
+        raise error
+
+    monkeypatch.setattr(util.HttpClient, "_send", send)
+    monkeypatch.setattr(util.time, "sleep", sleeps.append)
+    base_url = "https://api.invalid/v1"
+    if kind == "pageviews":
+        call = lambda: pageviews_client(base_url, tmp_path, max_retries=3).fetch("A", "2022-12")
+    else:
+        call = lambda: completion_client(base_url, tmp_path, max_retries=3).complete("hi")
+    with pytest.raises(TransportError) as info:
+        call()
+    assert (len(sends), len(sleeps)) == (attempts, attempts - 1)
+    assert len(str(info.value).splitlines()) == 1 and str(error) in str(info.value)
 
 
 @pytest.mark.parametrize("kind", ["pageviews", "completions"])

@@ -288,17 +288,21 @@ def join_v2(header: dict, arrays: bytes) -> bytes:
 
 
 # (index format version, header key, a value it must not hold); a v1 header
-# holds no avg_doc_length.
-BAD_HEADER_NUMBERS = [
+# holds no avg_doc_length, terms or lengths, and no header holds a `k_1`.
+BAD_HEADER_VALUES = [
     pytest.param(version, key, value, id=f"v{version}-{key}-{value!r:.12}")
     for key, values in {
         "k1": [True, False, math.nan, math.inf, -0.5, "1.2", None, 10**309],
+        "k_1": [9],
         "b": [True, math.nan, 1.5, -0.1, [0.75]],
         "avg_doc_length": [True, math.nan, -1.0, math.inf, "3"],
-        "doc_count": [True, 3.0, None],
+        "doc_count": [True, 3.0, None, "3"],
+        "passages": [5, [5]],
+        "terms": [[5], [None]],
+        "lengths": [["1"], [True], [1.0]],
     }.items()
     for value in values
-    for version in ((2,) if key == "avg_doc_length" else (1, 2))
+    for version in ((2,) if key in ("avg_doc_length", "terms", "lengths") else (1, 2))
 ]
 
 
@@ -455,7 +459,31 @@ class TestSerialization:
             load_index(path)
         assert str(info.value) == f"{path}: bad passages in header: {message}"
 
-    @pytest.mark.parametrize("version, key, value", BAD_HEADER_NUMBERS)
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "key, change, message",
+        [("k_1", lambda header: header.update(k_1=9), "header object has unknown key 'k_1'"),
+         ("b", lambda header: header.pop("b"), "header object missing key 'b'")],
+        ids=["unknown", "missing"],
+    )
+    def test_header_key_error_names_the_key(self, tmp_path, capsys, version, key, change, message):
+        """A `k_1` beside `k1` is an unknown key, not a second k1 that is ignored."""
+        path = tmp_path / "keys.pgidx"
+        save_index(build_index(small_corpus()), path)
+        header, arrays = split_v2(path.read_bytes())
+        if version == 1:
+            header = {k: header[k] for k in ("k1", "b", "doc_count", "passages")}
+        change(header)
+        if version == 1:
+            path.write_bytes(INDEX_MAGIC + bytes([1]) + dumps_stable(header).encode("utf-8"))
+        else:
+            path.write_bytes(join_v2(header, arrays))
+        with pytest.raises(IndexFormatError) as info:
+            load_index(path)
+        assert str(info.value) == f"{path}: {message}"
+        assert_retrieval_run_fails(tmp_path, capsys, path, key)
+
+    @pytest.mark.parametrize("version, key, value", BAD_HEADER_VALUES)
     def test_bad_header_number(self, tmp_path, version, key, value):
         path = tmp_path / "numbers.pgidx"
         save_index(build_index(small_corpus()), path)
@@ -476,7 +504,7 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "key, value",
         [pytest.param(key, value, id=param.id[3:])
-         for param in BAD_HEADER_NUMBERS
+         for param in BAD_HEADER_VALUES
          for version, key, value in [param.values]
          if version == 2 and key in ("k1", "b")],
     )
